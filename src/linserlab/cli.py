@@ -9,6 +9,7 @@ was found (nonempty system, failed verification), 3 undecided or boundary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -129,6 +130,14 @@ def run_waldschmidt(args) -> int:
     return EXIT_OK
 
 
+def _cut_coefficient(pair) -> Fraction:
+    """One [num, den] coefficient of a cut; the denominator must be nonzero."""
+    num, den = (int(x) for x in pair)
+    if den == 0:
+        raise ValueError(f"cut coefficient {pair!r} has a zero denominator")
+    return Fraction(num, den)
+
+
 def run_empty(args) -> int:
     if args.family:
         if args.family != "paper":
@@ -145,12 +154,10 @@ def run_empty(args) -> int:
             D = frozenset(tuple(int(c) for c in p) for p in doc["points"])
         mults = tuple(int(m) for m in doc["mults"])
         if "cuts" in doc:
-            cuts = tuple(
-                CutFunctional(Fraction(int(a[0]), int(a[1])),
-                              Fraction(int(b[0]), int(b[1])),
-                              Fraction(int(c[0]), int(c[1])))
-                for a, b, c in doc["cuts"]
-            )
+            cuts = tuple(CutFunctional(_cut_coefficient(a),
+                                       _cut_coefficient(b),
+                                       _cut_coefficient(c))
+                         for a, b, c in doc["cuts"])
         else:
             cuts = dumnicki.search_cuts(D, mults, args.budget)
         default_out = "certificate.json"
@@ -467,9 +474,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, TypeError,
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError,
             json.JSONDecodeError) as exc:
         print(f"linserlab: error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # stdout itself may be the fault
+            print(json.dumps(_envelope(args, error=str(exc)), indent=2))
         return EXIT_USAGE
 
 

@@ -36,7 +36,10 @@ class FieldSpec:
         if self.kind not in ("rationals", "prime"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "prime":
-            if self.p is None or not _is_prime(self.p):
+            if self.p is None or not 2 <= self.p < _linalg.P_LIMIT:
+                raise ValueError(f"prime fields need 2 <= p < 2**31,"
+                                 f" got {self.p}")
+            if not _linalg.is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
 
 
@@ -45,21 +48,6 @@ QQ = FieldSpec("rationals")
 
 def GF(p: int) -> FieldSpec:
     return FieldSpec("prime", p)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def normalize_proj(coords, fieldspec: FieldSpec = QQ) -> Tuple:
@@ -356,14 +344,20 @@ def make_config(kind: str, params: dict, seed: int = DEFAULT_SEED) -> PointConfi
 # initial degree, Waldschmidt bounds, Chudnovsky
 
 
-def alpha(points: Sequence[Tuple], m: int) -> int:
-    """Least degree t with L(t; m, ..., m) nonzero at the given points."""
-    if m < 1:
-        raise ValueError("multiplicity must be >= 1")
-    conditions = len(points) * comb(m + 1, 2)
+def alpha(points: Sequence[Tuple], m) -> int:
+    """Least degree t with L(t; m_1, ..., m_r) nonzero at the given points.
+
+    `m` is one multiplicity (>= 1) for every point, or one per point.
+    """
+    if isinstance(m, int):
+        if m < 1:
+            raise ValueError("multiplicity must be >= 1")
+        m = (m,) * len(points)
+    mults = tuple(m)
+    conditions = sum(comb(k + 1, 2) for k in mults)
     t = 0
     while True:
-        rep = cohomology(FatPointSystem(t, tuple(points), (m,) * len(points)))
+        rep = cohomology(FatPointSystem(t, tuple(points), mults))
         if rep.h0 > 0:
             return t
         # chi > 0 forces h0 > 0, so the loop is finite
@@ -512,18 +506,6 @@ class SemiEffectivity:
     sandwich: Optional[Tuple[Fraction, Fraction]] = None
 
 
-def _alpha_mixed(points, mults) -> int:
-    """Least t with L(t; m_1..m_r) nonzero at the given points."""
-    conditions = sum(comb(m + 1, 2) for m in mults)
-    t = 0
-    while True:
-        rep = cohomology(FatPointSystem(t, tuple(points), tuple(mults)))
-        if rep.h0 > 0:
-            return t
-        assert comb(t + 2, 2) <= conditions
-        t += 1
-
-
 def semi_effectivity_status(cls: PlaneDivisorClass, points: Sequence[Tuple],
                             k: int) -> SemiEffectivity:
     """Decide effectivity of n*(d; m_1..m_r) for some n <= k, or refute it.
@@ -544,7 +526,7 @@ def semi_effectivity_status(cls: PlaneDivisorClass, points: Sequence[Tuple],
         if rep.h0 > 0:
             return SemiEffectivity("semi_effective", witness=(n, rep.h0))
     s = k + 1
-    a_s = _alpha_mixed(points, tuple(s * m for m in mults))
+    a_s = alpha(points, tuple(s * m for m in mults))
     lo, hi = Fraction(a_s, s + 1), Fraction(a_s, s)
     if a_s <= s * d:
         rep = cohomology(FatPointSystem(

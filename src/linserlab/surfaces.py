@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._linalg import is_prime
 from .fatpoints import DEFAULT_SEED, general_position_lines, normalize_proj
 
 
@@ -294,7 +295,7 @@ def build_incidence(kind: str, params: dict) -> IncidenceConfig:
                                _incidence_from_coords(points, lines))
     if kind == "projective_plane":
         q = params["q"]
-        if q < 2 or any(q % f == 0 for f in range(2, q)):
+        if not is_prime(q):
             raise ValueError("q must be prime")
         reps = []
         for x in range(q):

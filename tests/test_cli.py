@@ -122,6 +122,29 @@ def test_empty_with_explicit_cuts(tmp_path, capsys):
     assert code == 0 and rep["certified"] and rep["pieces"] == 3
 
 
+@pytest.mark.parametrize("coefficient, message", [
+    ([1, 0], "zero denominator"), ([1], "not enough values")])
+def test_empty_rejects_malformed_cut(tmp_path, capsys, coefficient, message):
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps({
+        "degree": 1,
+        "mults": [1, 1, 1],
+        "cuts": [[coefficient, [0, 1], [1, 2]]],
+    }))
+    code, rep = run(capsys, "empty", "--problem", str(prob))
+    assert code == 1
+    assert rep["command"] == "empty" and message in rep["error"]
+
+
+def test_arithmetic_error_gives_json_envelope(tmp_path, capsys):
+    doc = {"degree": 1, "points": [[[0, 1], [1, 0], [1, 1]]], "mults": [1]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, "cohomology", "--system", str(path))
+    assert code == 1
+    assert rep["command"] == "cohomology" and "error" in rep
+
+
 def test_toric_fan_chain(tmp_path, capsys):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(

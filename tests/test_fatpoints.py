@@ -77,6 +77,20 @@ def test_prime_field_multiplicity_guard():
     assert rep.h0 == 3
 
 
+def test_prime_field_stays_inside_int64_elimination():
+    # the largest prime below 2**31 is the biggest field rank_mod_p takes
+    rep = cohomology(FatPointSystem(2, ((0, 0, 1),), (2,),
+                                    fieldspec=GF(2**31 - 1)))
+    assert rep.h0 == 3
+    # a prime above 2**31, and a composite fooling the first twelve
+    # Miller-Rabin bases, are both refused before any primality test
+    for p in (2**31 + 11, 318_665_857_834_031_151_167_461):
+        with pytest.raises(ValueError, match="2 <= p < 2\\*\\*31"):
+            GF(p)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(2**31 - 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(min_value=0, max_value=5),
@@ -122,6 +136,15 @@ def test_collinear_alpha_is_multiplicity():
     lo, hi = waldschmidt_sandwich(pts, 2)
     assert hi == 1
     assert lo == Fraction(3, 4)
+
+
+def test_alpha_takes_one_multiplicity_per_point():
+    pts = make_config("random", {"r": 4}, seed=5).points
+    assert alpha(pts, (2, 2, 2, 2)) == alpha(pts, 2)
+    # no curve of degree < m has a point of multiplicity m; the lines from
+    # the first point to the others reach the bound
+    assert alpha(pts[:3], (2, 1, 1)) == 2
+    assert alpha(pts, (3, 1, 1, 1)) == 3
 
 
 def test_generic_five_points_strict():
