@@ -15,6 +15,11 @@ An unlucky prime can only delay that proof, never fake it.  Fraction-free
 (Bareiss) elimination runs only when the modulus has passed the Hadamard
 bound on the kernel entries and still nothing verifies, which happens only
 when every prime since the last better profile divides one minor.
+
+The two halves can be called on their own: `rank_mod_p_array` eliminates
+an int64 array of residues, and `deficient_rank` proves a rank that is
+deficient mod CERT_PRIMES[0] without eliminating mod that prime again.
+`fatpoints.cohomology` builds its residues directly and calls both.
 """
 
 from __future__ import annotations
@@ -57,7 +62,15 @@ def rank_mod_p(rows, p):
         raise ValueError(f"rank_mod_p needs 2 <= p < 2**31, got {p}")
     if not rows or not rows[0]:
         return 0
-    a = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
+    return rank_mod_p_array(
+        np.array([[e % p for e in row] for row in rows], dtype=np.int64), p)
+
+
+def rank_mod_p_array(a, p):
+    """Rank over GF(p) of an int64 array with entries in [0, p).
+
+    `a` is consumed.  The caller keeps p below P_LIMIT.
+    """
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
@@ -208,8 +221,7 @@ def rank_exact(rows):
     """Exact rank over Q.
 
     Full rank mod CERT_PRIMES[0] settles it (a nonzero minor mod p is
-    nonzero in Z).  A deficient rank is proved by a lifted kernel
-    (`_kernel_rank`), and by Bareiss only if the kernel lift gives up.
+    nonzero in Z); a deficient rank goes to `deficient_rank`.
     """
     rows = [row for row in to_int_rows(rows) if any(row)]
     if not rows:
@@ -217,14 +229,25 @@ def rank_exact(rows):
     full = min(len(rows), len(rows[0]))
     if rank_mod_p(rows, CERT_PRIMES[0]) == full:
         return full
-    rank = _kernel_rank(rows, full)
+    return deficient_rank(np.array(rows, dtype=object), full)
+
+
+def deficient_rank(mat, full):
+    """Exact rank of an integer matrix whose rank mod CERT_PRIMES[0] < full.
+
+    `mat` is a numpy object array of ints without zero rows, and `full` is
+    min(mat.shape).  The rank is proved by a lifted kernel (`_kernel_rank`)
+    over the primes after CERT_PRIMES[0], and by Bareiss only if the kernel
+    lift gives up.
+    """
+    rank = _kernel_rank(mat, full)
     if rank is None:
-        rank, _, _ = _bareiss_echelon([list(row) for row in rows])
+        rank, _, _ = _bareiss_echelon(mat.tolist())
     return rank
 
 
-def _kernel_rank(rows, full):
-    """Rank of nonzero integer rows, proved by a mod-p rank and a kernel.
+def _kernel_rank(mat, full):
+    """Rank of `mat`, proved by a mod-p rank and a kernel.
 
     Each batch of primes is reduced once and fed to the kernel lifts of A
     and of A^T in turn; the first lift whose basis verifies proves the
@@ -232,10 +255,10 @@ def _kernel_rank(rows, full):
     without verifying: the primes were unlucky, and the caller falls back
     to Bareiss.
     """
-    mat = np.array(rows, dtype=object)
     lifts = (_KernelLift(mat), _KernelLift(mat.T))
-    norms = [sorted((sum(e * e for e in line) for line in lines),
-                    reverse=True) for lines in (rows, zip(*rows))]
+    squares = mat * mat
+    norms = [sorted(squares.sum(axis=axis).tolist(), reverse=True)
+             for axis in (1, 0)]
     hadamard = {}  # rank r -> squared Hadamard bound on r x r minors
     for primes in _batches():
         a = np.stack([(mat % p).astype(np.int64) for p in primes.tolist()])

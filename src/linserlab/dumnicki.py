@@ -18,8 +18,9 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
-from .lattice import (CutFunctional, halfplane_partition, triangle_set,
-                      triangle_staircase, collision_staircase, is_staircase)
+from .lattice import (CutFunctional, collision_staircase, falling,
+                      halfplane_partition, is_staircase, triangle_set,
+                      triangle_staircase)
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +37,6 @@ class InterpolationProblem:
         object.__setattr__(self, "E", frozenset(self.E))
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
 def interp_matrix(prob: InterpolationProblem) -> List[List[int]]:
     """Rows (alpha, beta) in E, columns (a, b) in D, both lex sorted.
 
@@ -53,7 +47,7 @@ def interp_matrix(prob: InterpolationProblem) -> List[List[int]]:
     cols = sorted(prob.D)
     rows = []
     for (al, be) in sorted(prob.E):
-        rows.append([_falling(a, al) * _falling(b, be) for (a, b) in cols])
+        rows.append([falling(a, al) * falling(b, be) for (a, b) in cols])
     return rows
 
 
@@ -86,7 +80,7 @@ def _check_dual(prob: InterpolationProblem, coeffs) -> bool:
     erows = sorted(prob.E)
     ok = any(c != 0 for c in coeffs)
     for (a, b) in sorted(prob.D):
-        v = sum(c * _falling(a, al) * _falling(b, be)
+        v = sum(c * falling(a, al) * falling(b, be)
                 for c, (al, be) in zip(coeffs, erows))
         if v != 0:
             return False
@@ -262,27 +256,30 @@ def _independent_row_selection(mat, need: int) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _certify_piece(points, m: int) -> Union[PieceEvidence, Failure]:
+def _certify_piece(points, m: int) -> Union[PieceEvidence, str]:
+    """Evidence that the piece is empty for a fat point of multiplicity m.
+
+    Returns the reason as a string when there is none; the search calls
+    this on every attempt, so the nonemptiness witness is left to the one
+    failure `prove_empty` reports.
+    """
     for direction in ("horizontal", "vertical"):
         la = fact3_certificate(points, m, direction)
         if la is not None:
             return la
     E = triangle_staircase(m)
     if len(points) > len(E):
-        rep = generic_dim(InterpolationProblem(frozenset(points), E))
-        return Failure(-1, "piece larger than the jet count", rep.witness)
+        return "piece larger than the jet count"
     mat = interp_matrix(InterpolationProblem(frozenset(points), E))
     if len(points) == len(E):
         det = _linalg.det_exact(mat)
         if det != 0:
             return NonzeroDeterminant(det)
-        rep = generic_dim(InterpolationProblem(frozenset(points), E))
-        return Failure(-1, "singular interpolation matrix", rep.witness)
+        return "singular interpolation matrix"
     sel = _independent_row_selection(mat, len(points))
     if sel is not None:
         return FullRank(len(points), sel)
-    rep = generic_dim(InterpolationProblem(frozenset(points), E))
-    return Failure(-1, "rank below piece size", rep.witness)
+    return "rank below piece size"
 
 
 def prove_empty(D, mults: Sequence[int],
@@ -301,8 +298,10 @@ def prove_empty(D, mults: Sequence[int],
     out = []
     for idx, (pts, m) in enumerate(zip(pieces, mults)):
         ev = _certify_piece(pts, m)
-        if isinstance(ev, Failure):
-            return Failure(idx, ev.reason, ev.witness)
+        if isinstance(ev, str):
+            rep = generic_dim(InterpolationProblem(frozenset(pts),
+                                                   triangle_staircase(m)))
+            return Failure(idx, ev, rep.witness)
         out.append(Piece(frozenset(pts), m, ev))
     return EmptinessCertificate(tuple(cuts), tuple(out))
 
@@ -533,7 +532,7 @@ def search_cuts(D, mults: Sequence[int], budget: int
         if attempts[0] <= 0:
             return False
         attempts[0] -= 1
-        return not isinstance(_certify_piece(points, m), Failure)
+        return not isinstance(_certify_piece(points, m), str)
 
     def dfs(residual, idx) -> Optional[List[CutFunctional]]:
         if attempts[0] <= 0:

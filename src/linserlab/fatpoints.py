@@ -1,11 +1,15 @@
 """Linear systems of plane curves with assigned base multiplicities.
 
-The conditions matrix of L(d; m_1..m_r) is built from exact derivative
-conditions in affine charts; cohomology numbers come from exact rank over Q
-(or over a prime field when requested).  On top of that sit initial-degree
-searches (alpha), Waldschmidt sandwiches, Chudnovsky equality probes, Cremona
-reduction, the Pell family of square-zero classes, and semi-effectivity
-classification.
+The conditions matrix of L(d; m_1..m_r) holds the derivative conditions of
+each point in its affine chart, from one formula over tables of falling
+factorials and powers, after the point is put in normal form (coprime
+integers over Q).  Cohomology numbers come from its rank: over GF(p) from
+the matrix of residues mod p; over Q from the residues mod a large prime
+first, where full rank is the proof, and only when that rank drops from the
+exact integer matrix and its kernel certificate.  On top of that sit
+initial-degree searches (alpha), Waldschmidt sandwiches, Chudnovsky equality
+probes, Cremona reduction, the Pell family of square-zero classes, and
+semi-effectivity classification.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import _linalg
+from .lattice import falling
 
 DEFAULT_SEED = 987654321
 
@@ -121,88 +128,103 @@ def monomial_exponents(d: int):
     return [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
-def conditions_matrix(system: FatPointSystem):
+def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
     """Rows impose vanishing of all partials of order < m_i at p_i.
 
-    Every point is handled in an affine chart containing it (the last
-    nonzero homogeneous coordinate); rows are scaled to integers, which
-    preserves rank and kernel.  Column order matches monomial_exponents(d).
+    Each point is first put in the normal form of `normalize_proj` (coprime
+    integers over Q).  Scaling a point by c scales its block by c^d, so rank
+    and kernel stay those of the given coordinates.  The point's chart
+    coordinate w is its last nonzero one; s and t are the other two, and
+    the column exponents (S, T, W) of x^i y^j z^k follow the same
+    permutation.  Row (a, b) is the partial of order a in s and b in t,
+    times w^(a+b):
+
+        falling(S, a) falling(T, b) s^(S-a) t^(T-b) w^(W+a+b),
+
+    read from one table of falling factorials and one of powers per
+    coordinate.  Rows with a + b > d vanish identically and are not
+    emitted; every other row is nonzero over Q.  Column order matches
+    monomial_exponents(d).
+
+    With p (2 <= p < 2**31) the result is the int64 matrix of residues mod
+    p, reduced after every product, so no product overflows.  Without it
+    the result is the exact integer matrix, a numpy object array.  A
+    system over GF(q) only has its matrix mod q, so p is q or omitted.
     """
     d = system.d
     if d < 0:
         raise ValueError("degree must be nonnegative")
     fs = system.fieldspec
     if fs.kind == "prime":
+        if p not in (None, fs.p):
+            raise ValueError(f"a system over GF({fs.p}) has no matrix"
+                             f" mod {p}")
+        p = fs.p
         for m in system.mults:
-            if m - 1 >= fs.p:
+            if m - 1 >= p:
                 raise ValueError(
-                    f"multiplicity {m} needs derivatives of order >= {fs.p}"
-                    f" which vanish identically over GF({fs.p})"
+                    f"multiplicity {m} needs derivatives of order >= {p}"
+                    f" which vanish identically over GF({p})"
                 )
-    cols = monomial_exponents(d)
-    rows = []
+    elif p is not None and not 2 <= p < _linalg.P_LIMIT:
+        raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
+
+    def mul(x, y):
+        return x * y if p is None else x * y % p
+
+    def powers(x):
+        if p is None:
+            return np.array([x ** e for e in range(d + 1)], dtype=object)
+        return np.array([pow(x, e, p) for e in range(d + 1)],
+                        dtype=np.int64)
+
+    exps = np.array(monomial_exponents(d), dtype=np.int64).T
+    orders = min(max(system.mults, default=1), d + 1)
+    falls = np.array([[falling(n, a) for a in range(orders)]
+                      for n in range(d + 1)], dtype=object)
+    if p is not None:
+        falls = (falls % p).astype(np.int64)
+    # falls[n, a] = 0 for a > n, so the clamped exponents never matter
+    drop = np.maximum(np.arange(d + 1)[:, None] - np.arange(orders), 0)
+    blocks = [np.zeros((0, exps.shape[1]),
+                       dtype=object if p is None else np.int64)]
     for pt, m in zip(system.points, system.mults):
-        x0, y0, z0 = pt
-        if z0 != 0:
-            chart = 2
-        elif y0 != 0:
-            chart = 1
-        else:
-            chart = 0
-        for a in range(m):
-            for b in range(m - a):
-                row = []
-                for (i, j, k) in cols:
-                    if chart == 2:
-                        ok = i >= a and j >= b
-                        if ok:
-                            e = (_falling(i, a) * _falling(j, b)
-                                 * x0 ** (i - a) * y0 ** (j - b)
-                                 * z0 ** (k + a + b))
-                    elif chart == 1:
-                        ok = i >= a and k >= b
-                        if ok:
-                            e = (_falling(i, a) * _falling(k, b)
-                                 * x0 ** (i - a) * z0 ** (k - b)
-                                 * y0 ** (j + a + b))
-                    else:
-                        ok = j >= a and k >= b
-                        if ok:
-                            e = (_falling(j, a) * _falling(k, b)
-                                 * y0 ** (j - a) * z0 ** (k - b)
-                                 * x0 ** (i + a + b))
-                    row.append(e if ok else 0)
-                if fs.kind == "prime":
-                    row = [e % fs.p for e in row]
-                rows.append(row)
-    return rows
+        pt = normalize_proj(pt, fs)
+        chart = max(c for c in range(3) if pt[c])
+        perm = [c for c in range(3) if c != chart] + [chart]
+        S, T, W = exps[perm]
+        s, t, w = (pt[c] for c in perm)
+        A, B = np.array([(a, b) for a in range(m) for b in range(m - a)
+                         if a + b <= d], dtype=np.int64).T[:, :, None]
+        # s_jets[n, a] = falling(n, a) s^(n-a): d^a/dX^a of X^n at X = s
+        s_jets = mul(falls, powers(s)[drop])
+        t_jets = mul(falls, powers(t)[drop])
+        blocks.append(mul(mul(s_jets[S, A], t_jets[T, B]),
+                          powers(w)[np.minimum(W + A + B, d)]))
+    return np.concatenate(blocks)
 
 
 def cohomology(system: FatPointSystem) -> SystemReport:
-    """Exact h0/h1 of the system (h2 = 0 since d >= 0)."""
-    d = system.d
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    ncols = comb(d + 2, 2)
-    rows = conditions_matrix(system)
-    if not rows:
-        rank = 0
-    elif system.fieldspec.kind == "prime":
-        rank = _linalg.rank_mod_p(rows, system.fieldspec.p)
-    else:
-        rank = _linalg.rank_exact(rows)
+    """Exact h0/h1 of the system (h2 = 0 since d >= 0).
+
+    The rank is read from the residue matrix first: mod q over GF(q), and
+    mod CERT_PRIMES[0] over Q, where full rank mod p is already the proof.
+    Only a deficient rational rank builds the exact matrix, whose kernel
+    certificate goes on with the primes after CERT_PRIMES[0].
+    """
+    fs = system.fieldspec
+    p = fs.p if fs.kind == "prime" else _linalg.CERT_PRIMES[0]
+    residues = conditions_matrix(system, p)
+    nrows, ncols = residues.shape
+    full = min(nrows, ncols)
+    rank = _linalg.rank_mod_p_array(residues, p)
+    if rank < full and fs.kind == "rationals":
+        rank = _linalg.deficient_rank(conditions_matrix(system), full)
     h0 = ncols - rank
     chi = ncols - sum(m * (m + 1) // 2 for m in system.mults)
     h1 = h0 - chi
     return SystemReport(
-        d=d,
+        d=system.d,
         mults=tuple(system.mults),
         h0=h0,
         h1=h1,

@@ -47,6 +47,17 @@ def integer_threshold(a, b, t) -> CutFunctional:
     return CutFunctional(Fraction(a), Fraction(b), Fraction(1, 2) - Fraction(t))
 
 
+def falling(n: int, k: int) -> int:
+    """n (n-1) ... (n-k+1): the k-th derivative of x^n at x = 1.
+
+    Zero when 0 <= n < k, which is how jets of order k kill x^n.
+    """
+    out = 1
+    for t in range(k):
+        out *= n - t
+    return out
+
+
 def triangle_set(d: int) -> MonomialSet:
     """Exponents of the monomial basis of degree-<=d forms: x+y <= d."""
     if d < 0:

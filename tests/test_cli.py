@@ -100,6 +100,22 @@ def test_empty_counter_witness(tmp_path, capsys):
     assert not rep["certified"] and rep["expected_dimension"] == 5
 
 
+def test_empty_prints_witness_of_nonempty_piece(tmp_path, capsys):
+    # x + y < 1/2 cuts off the origin; the five other monomials of degree
+    # <= 2 cannot be emptied by the three jets of one double point
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps({"degree": 2, "mults": [1, 2],
+                                "cuts": [[[-1, 1], [-1, 1], [1, 2]]]}))
+    code, rep = run(capsys, "empty", "--problem", str(prob))
+    assert code == 2
+    assert not rep["certified"] and rep["piece"] == 1
+    assert rep["reason"] == "piece larger than the jet count"
+    assert rep["witness"] == {
+        "kind": "section",
+        "support": [[0, 1], [0, 2], [1, 0], [1, 1], [2, 0]],
+        "coeffs": [1, -1, -1, 1, 0]}
+
+
 def test_empty_undecided_on_zero_budget(tmp_path, capsys):
     prob = tmp_path / "problem.json"
     prob.write_text(json.dumps({"degree": 1, "mults": [1, 1, 1]}))

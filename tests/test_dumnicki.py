@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linserlab import dumnicki
 from linserlab.dumnicki import (
     EmptinessCertificate,
     Failure,
@@ -153,6 +154,26 @@ def test_prove_empty_failure_carries_witness():
     assert isinstance(result, Failure)
     assert result.piece_index == 1
     assert result.witness is not None and result.witness.kind == "section"
+
+
+def test_search_computes_no_witness(monkeypatch):
+    """Failed attempts only need the reason; the witness is left to the
+    failure that prove_empty reports."""
+    calls = []
+    real = dumnicki.generic_dim
+
+    def spy(prob):
+        calls.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(dumnicki, "generic_dim", spy)
+    cuts = search_cuts(triangle_set(5), (2,) * 7, 4000)
+    assert calls == []
+    # the cut list found before witnesses were dropped from the search
+    h = Fraction(1, 2)
+    assert [c.as_triple() for c in cuts] == [
+        (-3, -2, 7 * h), (-2, -1, 7 * h), (-3, -1, 11 * h), (-3, 1, 7 * h),
+        (-3, -2, 19 * h), (-3, -1, 23 * h)]
 
 
 @pytest.mark.parametrize("n", [1, 2])

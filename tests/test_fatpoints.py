@@ -3,12 +3,15 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from linserlab import _linalg, fatpoints
+from linserlab._linalg import CERT_PRIMES, rank_exact, rank_mod_p
 from linserlab.fatpoints import (
     GF,
     FatPointSystem,
@@ -21,6 +24,8 @@ from linserlab.fatpoints import (
     cremona_reduce,
     generic_cohomology,
     make_config,
+    monomial_exponents,
+    normalize_proj,
     pell_family,
     semi_effectivity_status,
     speciality_stability,
@@ -54,6 +59,178 @@ def test_conditions_rank_matches_sympy():
     rows = conditions_matrix(system)
     oracle = DomainMatrix.from_Matrix(sympy.Matrix(rows)).rank()
     assert cohomology(system).h0 == comb(6, 2) - oracle
+
+
+def _falling(n, k):
+    out = 1
+    for t in range(k):
+        out *= n - t
+    return out
+
+
+def _three_branch_conditions(system):
+    """The builder as it was before the one-formula rewrite: one loop per
+    entry and one branch per chart, kept as the oracle."""
+    d = system.d
+    fs = system.fieldspec
+    cols = monomial_exponents(d)
+    rows = []
+    for pt, m in zip(system.points, system.mults):
+        x0, y0, z0 = pt
+        if z0 != 0:
+            chart = 2
+        elif y0 != 0:
+            chart = 1
+        else:
+            chart = 0
+        for a in range(m):
+            for b in range(m - a):
+                row = []
+                for (i, j, k) in cols:
+                    if chart == 2:
+                        ok = i >= a and j >= b
+                        if ok:
+                            e = (_falling(i, a) * _falling(j, b)
+                                 * x0 ** (i - a) * y0 ** (j - b)
+                                 * z0 ** (k + a + b))
+                    elif chart == 1:
+                        ok = i >= a and k >= b
+                        if ok:
+                            e = (_falling(i, a) * _falling(k, b)
+                                 * x0 ** (i - a) * z0 ** (k - b)
+                                 * y0 ** (j + a + b))
+                    else:
+                        ok = j >= a and k >= b
+                        if ok:
+                            e = (_falling(j, a) * _falling(k, b)
+                                 * y0 ** (j - a) * z0 ** (k - b)
+                                 * x0 ** (i + a + b))
+                    row.append(e if ok else 0)
+                if fs.kind == "prime":
+                    row = [e % fs.p for e in row]
+                rows.append(row)
+    return rows
+
+
+def _nonzero_rows(rows):
+    # rows with a + b > d vanish identically and the builder drops them
+    return [row for row in rows if any(row)]
+
+
+def _point_in_a_chart(coord):
+    nonzero = coord.filter(bool)
+    return st.one_of(
+        st.tuples(coord, coord, nonzero),
+        st.tuples(coord, nonzero, st.just(0)),  # z = 0
+        st.tuples(nonzero, st.just(0), st.just(0)),  # y = z = 0
+    )
+
+
+rational = st.fractions(min_value=-40, max_value=40, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=0, max_value=6),
+    points=st.lists(_point_in_a_chart(rational), min_size=1, max_size=4,
+                    unique_by=normalize_proj),
+    data=st.data(),
+)
+def test_builder_matches_three_branch_oracle(d, points, data):
+    # multiplicities up to 8 often exceed d + 1, where rows are dropped
+    mults = tuple(data.draw(st.lists(st.integers(1, 8), min_size=len(points),
+                                     max_size=len(points))))
+    system = FatPointSystem(d, tuple(points), mults)
+    normal = FatPointSystem(d, tuple(normalize_proj(p) for p in points),
+                            mults)
+    oracle = _nonzero_rows(_three_branch_conditions(normal))
+    exact = conditions_matrix(system)
+    assert exact.dtype == object and exact.tolist() == oracle
+    assert exact.shape[0] == sum(1 for m in mults for a in range(m)
+                                 for b in range(m - a) if a + b <= d)
+    # mod 7 some coordinates vanish: the chart still comes from Q
+    for p in (CERT_PRIMES[0], 7):
+        residues = conditions_matrix(system, p)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [[e % p for e in row] for row in oracle]
+    # Fraction coordinates scale each block by a constant: same rank
+    raw = _three_branch_conditions(system)
+    assert cohomology(system).h0 == comb(d + 2, 2) - rank_exact(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 2**31 - 1]), data=st.data())
+def test_builder_mod_q_matches_three_branch_oracle(p, data):
+    coord = st.one_of(st.just(0), st.integers(-50, 50))
+    point = st.tuples(coord, coord, coord).filter(
+        lambda c: any(x % p for x in c)).map(lambda c: normalize_proj(c, GF(p)))
+    points = data.draw(st.lists(point, min_size=1, max_size=3, unique=True))
+    d = data.draw(st.integers(0, 6))
+    mults = tuple(data.draw(st.lists(st.integers(1, min(p, 5)),
+                                     min_size=len(points),
+                                     max_size=len(points))))
+    system = FatPointSystem(d, tuple(points), mults, fieldspec=GF(p))
+    oracle = _nonzero_rows(_three_branch_conditions(system))
+    assert conditions_matrix(system).tolist() == oracle
+    assert conditions_matrix(system, p).tolist() == oracle
+    assert cohomology(system).h0 == comb(d + 2, 2) - rank_mod_p(oracle, p)
+
+
+def test_builder_refuses_other_moduli():
+    pt = ((1, 2, 3),)
+    with pytest.raises(ValueError):
+        conditions_matrix(FatPointSystem(3, pt, (2,), fieldspec=GF(5)), 7)
+    with pytest.raises(ValueError):
+        conditions_matrix(FatPointSystem(3, pt, (2,)), 2**31 + 11)
+
+
+def _spy_builds_and_primes(monkeypatch):
+    """Moduli of every build, and primes of every modular elimination."""
+    builds, primes = [], []
+    build, rank, echelon = (fatpoints.conditions_matrix,
+                            _linalg.rank_mod_p_array, _linalg._echelon_mod_p)
+
+    def spy_build(system, p=None):
+        builds.append(p)
+        return build(system, p)
+
+    def spy_rank(a, p):
+        primes.append(p)
+        return rank(a, p)
+
+    def spy_echelon(a, batch):
+        primes.extend(batch.tolist())
+        return echelon(a, batch)
+
+    monkeypatch.setattr(fatpoints, "conditions_matrix", spy_build)
+    monkeypatch.setattr(_linalg, "rank_mod_p_array", spy_rank)
+    monkeypatch.setattr(_linalg, "_echelon_mod_p", spy_echelon)
+    return builds, primes
+
+
+def test_nonspecial_system_never_builds_the_exact_matrix(monkeypatch):
+    pts = make_config("random", {"r": 8}, seed=11).points
+    builds, primes = _spy_builds_and_primes(monkeypatch)
+    rep = cohomology(FatPointSystem(10, pts, (3,) * 8))
+    assert (rep.h0, rep.h1) == (18, 0)
+    assert builds == [CERT_PRIMES[0]] and primes == [CERT_PRIMES[0]]
+
+
+def test_double_conic_builds_exact_matrix_once(monkeypatch):
+    pts = make_config("random", {"r": 5}, seed=11).points
+    builds, primes = _spy_builds_and_primes(monkeypatch)
+    rep = cohomology(FatPointSystem(4, pts, (2,) * 5))
+    assert (rep.h0, rep.h1) == (1, 1)
+    assert builds == [CERT_PRIMES[0], None]
+    assert primes.count(CERT_PRIMES[0]) == 1
+
+
+def test_prime_field_builds_residues_only(monkeypatch):
+    pts = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 3))
+    builds, primes = _spy_builds_and_primes(monkeypatch)
+    rep = cohomology(FatPointSystem(4, pts, (2,) * 5, fieldspec=GF(7)))
+    assert (rep.h0, rep.h1) == (1, 1)
+    assert builds == [7] and primes == [7]
 
 
 def test_input_validation():
