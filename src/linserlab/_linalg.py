@@ -1,25 +1,29 @@
 """Dense exact linear algebra over Q and over prime fields.
 
-Matrices are plain lists of rows; entries are ints or Fractions.  Rank and
-determinant computations never touch floating point.
+Matrices are plain lists of rows; entries are ints or Fractions.  Rank,
+kernel and determinant computations never touch floating point.
 
-`rank_exact` proves the rank from both sides.  A modular elimination (numpy,
-int64) gives the lower bound: rank over GF(p) never exceeds rank over Q, so a
-full rank mod p settles the exact rank at once.  A deficient rank r mod p
-predicts the kernel: the reduced echelon form mod p gives the basis that is
-the identity on the free columns.  That basis is lifted to Q by Chinese
-remaindering over a stream of primes and rational reconstruction, for the
-column kernels of A and of A^T at once.  A lifted basis that keeps the
-identity pattern and that A annihilates exactly over Z proves rank <= r.
-An unlucky prime can only delay that proof, never fake it.  Fraction-free
-(Bareiss) elimination runs only when the modulus has passed the Hadamard
-bound on the kernel entries and still nothing verifies, which happens only
-when every prime since the last better profile divides one minor.
+One engine gives exact ranks, kernels and row selections.  A modular
+elimination (numpy, int64) bounds the rank from below: rank over GF(p)
+never exceeds rank over Q, so a full rank mod p settles the exact rank at
+once.  A deficient rank r mod p predicts the kernel: the reduced echelon
+form mod p gives the basis that is the identity on the free columns.  That
+basis is lifted to Q by Chinese remaindering over a stream of primes and
+rational reconstruction.  A lifted basis that keeps the identity pattern
+and that A annihilates exactly over Z proves rank <= r, and it is then the
+kernel basis of the reduced echelon form over Q.  An unlucky prime can only
+delay that proof, never fake it: it divides a minor, and the next lucky
+prime restarts the lift with a strictly better rank profile.
 
-The two halves can be called on their own: `rank_mod_p_array` eliminates
-an int64 array of residues, and `deficient_rank` proves a rank that is
-deficient mod CERT_PRIMES[0] without eliminating mod that prime again.
-`fatpoints.cohomology` builds its residues directly and calls both.
+`rank_exact` lifts the column kernels of A and of A^T at once, after one
+prime; `nullspace` lifts the kernel of A alone; `independent_rows` takes a
+greedy row selection mod p whose size is min(shape) or the proved rank.
+Fraction-free (Bareiss) elimination is used for determinants only.
+
+The halves of `rank_exact` can be called on their own: `rank_mod_p_array`
+eliminates an int64 array of residues, and `deficient_rank` proves a rank
+that is deficient mod CERT_PRIMES[0] without eliminating mod that prime
+again.  `fatpoints.cohomology` builds its residues directly and calls both.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ P_LIMIT = 2**31
 CERT_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
 
 
+def _row_scale(row):
+    """The lcm of the denominators in a row."""
+    return lcm(*(e.denominator for e in row if isinstance(e, Fraction)))
+
+
 def to_int_rows(rows):
     """Scale each row by the lcm of its denominators.
 
@@ -45,10 +54,7 @@ def to_int_rows(rows):
     """
     out = []
     for row in rows:
-        mult = 1
-        for e in row:
-            if isinstance(e, Fraction):
-                mult = lcm(mult, e.denominator)
+        mult = _row_scale(row)
         if mult == 1:
             out.append([int(e) for e in row])
         else:
@@ -236,33 +242,28 @@ def deficient_rank(mat, full):
     """Exact rank of an integer matrix whose rank mod CERT_PRIMES[0] < full.
 
     `mat` is a numpy object array of ints without zero rows, and `full` is
-    min(mat.shape).  The rank is proved by a lifted kernel (`_kernel_rank`)
-    over the primes after CERT_PRIMES[0], and by Bareiss only if the kernel
-    lift gives up.
+    min(mat.shape).  The rank is proved by the lifted kernel of A or of
+    A^T, over the primes after CERT_PRIMES[0].
     """
-    rank = _kernel_rank(mat, full)
-    if rank is None:
-        rank, _, _ = _bareiss_echelon(mat.tolist())
-    return rank
+    lift, _ = _proved_kernel(mat, True, full, _batches(1))
+    return lift.rank
 
 
-def _kernel_rank(mat, full):
-    """Rank of `mat`, proved by a mod-p rank and a kernel.
+def _proved_kernel(mat, both, full, batches):
+    """The first kernel lift to prove itself, and its integer basis.
 
-    Each batch of primes is reduced once and fed to the kernel lifts of A
-    and of A^T in turn; the first lift whose basis verifies proves the
-    rank.  Returns None when a lift's modulus passes the Hadamard bound
-    without verifying: the primes were unlucky, and the caller falls back
-    to Bareiss.
+    Each batch of primes is reduced once and fed to the lift of the
+    column kernel of `mat` and, with `both`, of mat^T.  A lift is done
+    when its rank mod p reaches `full` (the basis is then None), or when
+    its lifted basis verifies exactly.  A wrong profile never verifies, so
+    the loop only ends on the rational rank profile.
     """
-    lifts = (_KernelLift(mat), _KernelLift(mat.T))
-    squares = mat * mat
-    norms = [sorted(squares.sum(axis=axis).tolist(), reverse=True)
-             for axis in (1, 0)]
-    hadamard = {}  # rank r -> squared Hadamard bound on r x r minors
-    for primes in _batches():
+    lifts = [_KernelLift(mat)] + ([_KernelLift(mat.T)] if both else [])
+    for primes in batches:
         a = np.stack([(mat % p).astype(np.int64) for p in primes.tolist()])
-        stacks = (a, np.ascontiguousarray(a.transpose(0, 2, 1)))
+        stacks = [a]
+        if both:
+            stacks.append(np.ascontiguousarray(a.transpose(0, 2, 1)))
         # The side with fewer entries to lift tends to verify first, and
         # then the other side's elimination of this batch is skipped.
         for lift, stack in sorted(zip(lifts, stacks),
@@ -270,19 +271,11 @@ def _kernel_rank(mat, full):
             if not lift.add(stack, primes):
                 continue  # every prime of the batch had a worse profile
             if lift.rank == full:
-                return full
+                return lift, None
             vecs = lift.basis()
             if vecs is not None and _annihilated(lift.mat, vecs, lift.free):
-                return lift.rank
-            # Kernel entries are ratios of r x r minors (Cramer), each at
-            # most the Hadamard bound H; once the reconstruction bound
-            # reaches H a lucky profile always reconstructs and verifies.
-            r = lift.rank
-            if r not in hadamard:
-                hadamard[r] = min(prod(n[:r]) for n in norms)
-            if lift.bound() ** 2 >= hadamard[r]:
-                return None
-    return None
+                return lift, vecs
+    raise ArithmeticError("the prime stream ran out")
 
 
 # Strong-pseudoprime bases.  The least composite passing all three is
@@ -332,15 +325,15 @@ def _prime_stream():
         q -= 2
 
 
-def _batches():
-    """The prime stream after CERT_PRIMES[0], in batches of 1, 2, 4, 4, ...
+def _batches(skip):
+    """The prime stream after its first `skip` primes, in batches of 1, 2,
+    4, 4, ...
 
     One batch is eliminated in lockstep, which spreads numpy's per-call
     cost over its primes; small first batches keep a kernel that lifts
     from one or two primes from paying for four.
     """
-    stream = _prime_stream()
-    next(stream)  # rank_exact's fast path used it
+    stream = islice(_prime_stream(), skip, None)
     size = 1
     while batch := list(islice(stream, size)):
         yield np.array(batch, dtype=np.int64)
@@ -472,96 +465,62 @@ def det_exact(rows):
         return Fraction(1)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        mult = 1
-        for e in row:
-            if isinstance(e, Fraction):
-                mult = lcm(mult, e.denominator)
-        scale *= mult
-        int_rows.append([int(e * mult) for e in row])
-    r, sign, last = _bareiss_echelon(int_rows)
+    r, sign, last = _bareiss_echelon(to_int_rows(rows))
     if r < n:
         return Fraction(0)
-    return Fraction(sign * last) / scale
-
-
-def rref(rows):
-    """Reduced row echelon form over Q.  Returns (rank, pivot_cols, matrix)."""
-    mat = [[Fraction(e) for e in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, mat
+    return Fraction(sign * last, prod(map(_row_scale, rows)))
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the column kernel {v : M v = 0}, exact over Q."""
+    """Basis of the column kernel {v : M v = 0}, exact over Q.
+
+    The basis of the reduced row echelon form: one Fraction vector per
+    free column, 1 there and 0 on the other free columns.  It is lifted
+    over the prime stream from CERT_PRIMES[0] on.
+    """
     if not rows:
-        if ncols is None:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
-    rank, pivots, mat = rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][f]
-        basis.append(v)
-    return basis
+        return [[Fraction(int(i == j)) for j in range(ncols or 0)]
+                for i in range(ncols or 0)]
+    mat = np.array(to_int_rows(rows), dtype=object)
+    lift, vecs = _proved_kernel(mat, False, len(rows[0]), _batches(0))
+    if vecs is None:
+        return []
+    den = vecs[0][lift.free[0]]
+    return [[Fraction(e, den) for e in v] for v in vecs]
 
 
 def independent_rows_mod_p(rows, p):
-    """Indices of a maximal set of rows independent over GF(p).
+    """Indices of the greedy maximal set of rows independent over GF(p).
 
-    Sound for exact certificates: rows independent mod p are independent
-    over Q.  Used to pick a square nonsingular submatrix witness.
+    Row i is taken when it is independent of the rows before it: these are
+    the pivot columns of the echelon form of the transpose.  Sound for
+    exact certificates: rows independent mod p are independent over Q.
     """
-    if not rows:
+    if not 2 <= p < P_LIMIT:
+        raise ValueError(f"independent_rows_mod_p needs 2 <= p < 2**31, "
+                         f"got {p}")
+    if not rows or not rows[0]:
         return []
-    picked = []
-    basis = []  # rows of a growing echelon form, python ints mod p
-    ncols = len(rows[0])
-    for idx, row in enumerate(rows):
-        cur = [e % p for e in row]
-        for brow, bcol in basis:
-            f = cur[bcol]
-            if f:
-                cur = [(a - f * b) % p for a, b in zip(cur, brow)]
-        lead = next((j for j in range(ncols) if cur[j]), None)
-        if lead is None:
-            continue
-        inv = pow(cur[lead], p - 2, p)
-        cur = [(e * inv) % p for e in cur]
-        basis.append((cur, lead))
-        picked.append(idx)
-    return picked
+    a = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
+    return _echelon_mod_p(np.ascontiguousarray(a.T)[None],
+                          np.array([p], dtype=np.int64))[2]
+
+
+def independent_rows(rows):
+    """Indices of a maximal set of rows independent over Q.
+
+    The greedy selection mod a prime of the stream, from CERT_PRIMES[0]
+    on, accepted once its size is min(shape) or the rank that `rank_exact`
+    proves.  Used to pick a square nonsingular submatrix witness.
+    """
+    if not rows or not rows[0]:
+        return []
+    ints = to_int_rows(rows)
+    rank = min(len(ints), len(ints[0]))
+    for p in _prime_stream():
+        picked = independent_rows_mod_p(ints, p)
+        if len(picked) < rank and p == CERT_PRIMES[0]:
+            rank = rank_exact(ints)
+        if len(picked) == rank:
+            return picked
+    raise ArithmeticError("the prime stream ran out")

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._linalg import nullspace, rank_exact
+from ._linalg import independent_rows, nullspace, rank_exact
 from .fatpoints import (DEFAULT_SEED, PlaneDivisorClass,
                         general_position_lines, normalize_proj)
+from .lattice import cross
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,6 @@ def m8_minus() -> LineArrangement:
     ))
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def singular_points(a: LineArrangement):
     """All pairwise intersection points with their line counts t_p >= 2,
     sorted by decreasing multiplicity."""
@@ -76,7 +71,7 @@ def singular_points(a: LineArrangement):
         raise ValueError("need at least 2 lines")
     by_point: Dict[Tuple[int, int, int], set] = {}
     for i, j in itertools.combinations(range(len(a)), 2):
-        p = normalize_proj(_cross(a.forms[i], a.forms[j]))
+        p = normalize_proj(cross(a.forms[i], a.forms[j]))
         by_point.setdefault(p, set()).update((i, j))
     return sorted(((p, len(ls)) for p, ls in by_point.items()),
                   key=lambda it: (-it[1], it[0]))
@@ -240,7 +235,7 @@ def graded_counts(a: LineArrangement, max_deg: int) -> GradedCounts:
     if quadrics:
         index2 = {m: i for i, m in enumerate(_monomials(d, 2))}
         mat = [_coeff_row(f, (0,) * d, index2) for f in quadrics]
-        basis_idx = _independent_subset(mat)
+        basis_idx = independent_rows(mat)
         basis = [quadrics[i] for i in basis_idx]
         index3 = {m: i for i, m in enumerate(_monomials(d, 3))}
         rows = []
@@ -250,19 +245,6 @@ def graded_counts(a: LineArrangement, max_deg: int) -> GradedCounts:
                 rows.append(_coeff_row(q, shift, index3))
         lin_syz = len(rows) - rank_exact(rows)
     return GradedCounts(tuple(counts), lin_syz)
-
-
-def _independent_subset(rows: List[List[int]]) -> List[int]:
-    """Greedy maximal independent row subset over the rationals."""
-    chosen: List[int] = []
-    rank = 0
-    for i in range(len(rows)):
-        cand = chosen + [i]
-        r = rank_exact([rows[j] for j in cand])
-        if r > rank:
-            chosen.append(i)
-            rank = r
-    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__
 from . import arrangements, dumnicki, fatpoints, surfaces, symbolic, toric
-from .lattice import CutFunctional, triangle_set
+from .lattice import triangle_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -25,11 +25,16 @@ EXIT_COUNTER = 2
 EXIT_UNDECIDED = 3
 
 
+class _UsageError(Exception):
+    """An argparse usage error: the parser's prog and the message."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that follows the exit-code contract (1 for usage errors)."""
+    """argparse that leaves usage errors to `main`, which follows the
+    exit-code contract (1, and the JSON envelope on stdout)."""
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(self.prog, message)
 
 
 def _frac(x):
@@ -130,14 +135,6 @@ def run_waldschmidt(args) -> int:
     return EXIT_OK
 
 
-def _cut_coefficient(pair) -> Fraction:
-    """One [num, den] coefficient of a cut; the denominator must be nonzero."""
-    num, den = (int(x) for x in pair)
-    if den == 0:
-        raise ValueError(f"cut coefficient {pair!r} has a zero denominator")
-    return Fraction(num, den)
-
-
 def run_empty(args) -> int:
     if args.family:
         if args.family != "paper":
@@ -154,10 +151,7 @@ def run_empty(args) -> int:
             D = frozenset(tuple(int(c) for c in p) for p in doc["points"])
         mults = tuple(int(m) for m in doc["mults"])
         if "cuts" in doc:
-            cuts = tuple(CutFunctional(_cut_coefficient(a),
-                                       _cut_coefficient(b),
-                                       _cut_coefficient(c))
-                         for a, b, c in doc["cuts"])
+            cuts = tuple(dumnicki.cut_from_json(t) for t in doc["cuts"])
         else:
             cuts = dumnicki.search_cuts(D, mults, args.budget)
         default_out = "certificate.json"
@@ -470,16 +464,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except _UsageError as exc:
+        prog, message = exc.args
+        # a subparser's prog is "linserlab <command>"
+        command = prog.split()[1] if " " in prog else None
+        return _error(argparse.Namespace(cmd=command), prog, message)
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError,
             json.JSONDecodeError) as exc:
-        print(f"linserlab: error: {exc}", file=sys.stderr)
-        with contextlib.suppress(OSError):  # stdout itself may be the fault
-            print(json.dumps(_envelope(args, error=str(exc)), indent=2))
-        return EXIT_USAGE
+        return _error(args, parser.prog, str(exc))
+
+
+def _error(args, prog: str, message: str) -> int:
+    """Report an exit-1 error on stderr and as a JSON envelope on stdout."""
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    with contextlib.suppress(OSError):  # stdout itself may be the fault
+        print(json.dumps(_envelope(args, error=message), indent=2))
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
@@ -44,11 +44,31 @@ def interp_matrix(prob: InterpolationProblem) -> List[List[int]]:
     falling factorials; nonsingularity certifies that a generic fat point
     imposes independent conditions on the monomial span of D.
     """
-    cols = sorted(prob.D)
-    rows = []
-    for (al, be) in sorted(prob.E):
-        rows.append([falling(a, al) * falling(b, be) for (a, b) in cols])
-    return rows
+    return _jet_rows(prob.D, sorted(prob.E))
+
+
+def _jet_rows(D, jets):
+    """The rows of the jets (alpha, beta), columns the lex-sorted D."""
+    cols = sorted(D)
+    return [[falling(a, al) * falling(b, be) for (a, b) in cols]
+            for (al, be) in jets]
+
+
+def _staircase_jet(m: int, i: int) -> Tuple[int, int]:
+    """The i-th jet of triangle_staircase(m) in lex order.
+
+    Jet (alpha, beta) comes after the m - k jets with first entry k, for
+    every k < alpha: alpha m - alpha (alpha - 1) / 2 of them.
+    """
+    def before(al):
+        return al * m - al * (al - 1) // 2
+
+    al = (2 * m + 1 - isqrt((2 * m + 1) ** 2 - 8 * i)) // 2
+    while before(al) > i:
+        al -= 1
+    while before(al + 1) <= i:
+        al += 1
+    return al, i - before(al)
 
 
 @dataclass(frozen=True)
@@ -96,19 +116,17 @@ def generic_dim(prob: InterpolationProblem) -> GenericDimReport:
     """
     mat = interp_matrix(prob)
     nd = len(prob.D)
-    rank = _linalg.rank_exact(mat) if mat and nd else 0
-    dim = nd - 1 - rank
-    if rank == nd:
+    ker = _linalg.nullspace(mat, ncols=nd)
+    dim = len(ker) - 1
+    if not ker:
         return GenericDimReport(dim=-1, empty=True, witness=None)
-    support = tuple(sorted(prob.D))
-    if len(prob.D) == len(prob.E) and nd:
-        tr = [[mat[i][j] for i in range(len(mat))] for j in range(nd)]
-        ker = _linalg.nullspace(tr)
-        w = Witness("dual", tuple(sorted(prob.E)), tuple(ker[0]))
+    if len(prob.D) == len(prob.E):
+        tr = [list(col) for col in zip(*mat)]
+        w = Witness("dual", tuple(sorted(prob.E)),
+                    tuple(_linalg.nullspace(tr)[0]))
         assert _check_dual(prob, w.coeffs)
         return GenericDimReport(dim=dim, empty=False, witness=w)
-    ker = _linalg.nullspace(mat, ncols=nd)
-    w = Witness("section", support, tuple(ker[0]))
+    w = Witness("section", tuple(sorted(prob.D)), tuple(ker[0]))
     assert _check_section(prob, w.coeffs)
     return GenericDimReport(dim=dim, empty=False, witness=w)
 
@@ -234,28 +252,6 @@ class Failure:
     witness: Optional[Witness] = None
 
 
-def _independent_row_selection(mat, need: int) -> Optional[Tuple[int, ...]]:
-    """Indices of `need` rows whose square submatrix is exactly nonsingular."""
-    ncols = len(mat[0])
-    if ncols != need:
-        return None
-    for p in _linalg.CERT_PRIMES:
-        sel = _linalg.independent_rows_mod_p(mat, p)
-        if len(sel) == need:
-            sub = [mat[i] for i in sel]
-            if _linalg.det_exact(sub) != 0:
-                return tuple(sel)
-    # exact greedy fallback
-    sel: List[int] = []
-    for i in range(len(mat)):
-        trial = sel + [i]
-        if _linalg.rank_exact([mat[j] for j in trial]) == len(trial):
-            sel.append(i)
-            if len(sel) == need:
-                return tuple(sel)
-    return None
-
-
 def _certify_piece(points, m: int) -> Union[PieceEvidence, str]:
     """Evidence that the piece is empty for a fat point of multiplicity m.
 
@@ -276,9 +272,9 @@ def _certify_piece(points, m: int) -> Union[PieceEvidence, str]:
         if det != 0:
             return NonzeroDeterminant(det)
         return "singular interpolation matrix"
-    sel = _independent_row_selection(mat, len(points))
-    if sel is not None:
-        return FullRank(len(points), sel)
+    sel = _linalg.independent_rows(mat)
+    if len(sel) == len(points):
+        return FullRank(len(points), tuple(sel))
     return "rank below piece size"
 
 
@@ -311,8 +307,10 @@ def verify_certificate(D, mults: Sequence[int],
     """Re-verify a certificate from scratch; no state from the search.
 
     Checks the partition, the multiplicity list, and every piece's evidence
-    by direct recomputation.  Returns (True, None) or (False, detail) where
-    detail carries the failing piece index when one exists.
+    by direct recomputation; sizes and row indices are compared with the
+    jet count before any matrix is built.  Returns (True, None) or
+    (False, detail) where detail carries the failing piece index when one
+    exists.
     """
     try:
         pieces = reduce_partition(D, cert.cuts)
@@ -326,27 +324,26 @@ def verify_certificate(D, mults: Sequence[int],
         if frozenset(pts) != frozenset(piece.points):
             return False, {"piece": idx, "reason": "piece content mismatch"}
         ev = piece.evidence
+        jets = comb(max(m, 0) + 1, 2)  # |triangle_staircase(m)|, unbuilt
         if isinstance(ev, LineAssignment):
             if not check_line_assignment(pts, m, ev):
                 return False, {"piece": idx, "reason": "line assignment invalid"}
         elif isinstance(ev, NonzeroDeterminant):
-            E = triangle_staircase(m)
-            if len(pts) != len(E):
+            if len(pts) != jets:
                 return False, {"piece": idx, "reason": "size/jet mismatch"}
+            E = triangle_staircase(m)
             det = _linalg.det_exact(
-                interp_matrix(InterpolationProblem(frozenset(pts), E)))
+                interp_matrix(InterpolationProblem(pts, E)))
             if det == 0 or det != ev.value:
                 return False, {"piece": idx, "reason": "determinant mismatch"}
         elif isinstance(ev, FullRank):
-            E = triangle_staircase(m)
             if ev.rank != len(pts) or len(ev.rows) != len(pts):
                 return False, {"piece": idx, "reason": "rank evidence malformed"}
             if len(set(ev.rows)) != len(ev.rows):
                 return False, {"piece": idx, "reason": "duplicate rows"}
-            mat = interp_matrix(InterpolationProblem(frozenset(pts), E))
-            if any(not 0 <= i < len(mat) for i in ev.rows):
+            if any(not 0 <= i < jets for i in ev.rows):
                 return False, {"piece": idx, "reason": "row index out of range"}
-            sub = [mat[i] for i in ev.rows]
+            sub = _jet_rows(pts, [_staircase_jet(m, i) for i in ev.rows])
             if _linalg.det_exact(sub) == 0:
                 return False, {"piece": idx, "reason": "selected rows singular"}
         else:
@@ -419,16 +416,28 @@ def certificate_to_json(D, mults, cert: EmptinessCertificate) -> dict:
     return doc
 
 
+def _cut_coefficient(pair) -> Fraction:
+    """One [num, den] coefficient of a cut; the denominator must be nonzero."""
+    num, den = (int(x) for x in pair)
+    if den == 0:
+        raise ValueError(f"cut coefficient {pair!r} has a zero denominator")
+    return Fraction(num, den)
+
+
+def cut_from_json(triple) -> CutFunctional:
+    """A cut [[num, den], [num, den], [num, den]] as certificates store it.
+
+    Raises ValueError on a zero denominator or a wrong number of values.
+    """
+    a, b, c = (_cut_coefficient(pair) for pair in triple)
+    return CutFunctional(a, b, c)
+
+
 def certificate_from_json(doc: dict):
     """(D, mults, certificate) from a JSON document; digest not checked."""
     D = frozenset(tuple(int(c) for c in p) for p in doc["problem"]["points"])
     mults = tuple(int(m) for m in doc["problem"]["mults"])
-    cuts = tuple(
-        CutFunctional(Fraction(int(a[0]), int(a[1])),
-                      Fraction(int(b[0]), int(b[1])),
-                      Fraction(int(c[0]), int(c[1])))
-        for a, b, c in doc["cuts"]
-    )
+    cuts = tuple(cut_from_json(triple) for triple in doc["cuts"])
     pieces = tuple(
         Piece(frozenset(tuple(int(c) for c in p) for p in pd["points"]),
               int(pd["mult"]), _evidence_from_json(pd["evidence"]))

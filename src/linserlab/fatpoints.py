@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg
-from .lattice import falling
+from .lattice import cross, falling
 
 DEFAULT_SEED = 987654321
 
@@ -259,7 +259,8 @@ def generic_cohomology(d: int, mults: Sequence[int], seed: int = DEFAULT_SEED,
     """Cohomology at seed-deterministic random rational points.
 
     Reports the minimum h0 over the trials: extra vanishing at a special draw
-    can only raise h0, so the minimum is the best generic estimate.
+    can only raise h0, so the minimum is the best generic estimate.  No
+    draw goes below max(0, chi), so a trial that reaches it ends the loop.
     """
     rng = random.Random(seed)
     best = None
@@ -268,6 +269,8 @@ def generic_cohomology(d: int, mults: Sequence[int], seed: int = DEFAULT_SEED,
         rep = cohomology(FatPointSystem(d, pts, tuple(mults)))
         if best is None or rep.h0 < best.h0:
             best = rep
+        if best.h0 == best.expected:
+            break
     return best
 
 
@@ -276,14 +279,6 @@ def _rand_line(rng: random.Random):
         line = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
         if any(line):
             return line
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def general_position_lines(k: int, rng: random.Random):
@@ -296,7 +291,7 @@ def general_position_lines(k: int, rng: random.Random):
         ok = True
         for i in range(k):
             for j in range(i + 1, k):
-                q = _cross(lines[i], lines[j])
+                q = cross(lines[i], lines[j])
                 if not any(q):
                     ok = False
                     break
@@ -335,7 +330,7 @@ def make_config(kind: str, params: dict, seed: int = DEFAULT_SEED) -> PointConfi
             normalize_proj(tuple(b + t * q for b, q in zip(base[0], base[1])))
             for t in sorted(ts)
         )
-        line = normalize_proj(_cross(base[0], base[1]))
+        line = normalize_proj(cross(base[0], base[1]))
         return PointConfig(kind, pts, lines=(line,), seed=seed)
     if kind == "star":
         s = params["s"]
@@ -343,7 +338,7 @@ def make_config(kind: str, params: dict, seed: int = DEFAULT_SEED) -> PointConfi
             raise ValueError("a star needs at least 2 lines")
         lines = general_position_lines(s, rng)
         pts = sorted(
-            normalize_proj(_cross(lines[i], lines[j]))
+            normalize_proj(cross(lines[i], lines[j]))
             for i in range(s) for j in range(i + 1, s)
         )
         return PointConfig(kind, tuple(pts),
@@ -354,7 +349,7 @@ def make_config(kind: str, params: dict, seed: int = DEFAULT_SEED) -> PointConfi
         lines = general_position_lines(2 * k, rng)
         first, second = lines[:k], lines[k:]
         pts = sorted(
-            normalize_proj(_cross(a, b)) for a in first for b in second
+            normalize_proj(cross(a, b)) for a in first for b in second
         )
         return PointConfig(kind, tuple(pts),
                            lines=tuple(normalize_proj(l) for l in lines),

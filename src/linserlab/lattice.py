@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import FrozenSet, Iterable, Tuple
 
 LatticePoint = Tuple[int, int]
@@ -52,10 +53,29 @@ def falling(n: int, k: int) -> int:
 
     Zero when 0 <= n < k, which is how jets of order k kill x^n.
     """
+    if 0 <= n < k:
+        return 0
     out = 1
     for t in range(k):
         out *= n - t
     return out
+
+
+def cross(u, v):
+    """Cross product in Z^3: the line through two points of the plane, or
+    the point on two lines."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def primitive(v) -> Tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries."""
+    v = tuple(int(x) for x in v)
+    g = gcd(*v)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in v)
 
 
 def triangle_set(d: int) -> MonomialSet:

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import is_prime
 from .fatpoints import DEFAULT_SEED, general_position_lines, normalize_proj
+from .lattice import cross
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +285,7 @@ def build_incidence(kind: str, params: dict) -> IncidenceConfig:
         pts = set()
         for i in range(s):
             for j in range(i + 1, s):
-                a, b = lines[i], lines[j]
-                pts.add(normalize_proj((
-                    a[1] * b[2] - a[2] * b[1],
-                    a[2] * b[0] - a[0] * b[2],
-                    a[0] * b[1] - a[1] * b[0],
-                )))
+                pts.add(normalize_proj(cross(lines[i], lines[j])))
         points = tuple(sorted(pts))
         return IncidenceConfig(kind, points, lines,
                                _incidence_from_coords(points, lines))

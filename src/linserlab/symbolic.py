@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .lattice import cross, primitive
+
 Exponent = Tuple[int, ...]
 
 _LETTERS = ("x", "y", "z", "w", "u", "v")
@@ -289,14 +291,6 @@ def containment_suite(i: MonomialIdeal, r: int) -> ContainmentSuite:
 # Newton regions and multiplier ideals
 
 
-def _primitive(v: Tuple[int, ...]) -> Tuple[int, ...]:
-    from math import gcd
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return tuple(x // g for x in v) if g else v
-
-
 def _newton_normals(gens: Sequence[Exponent], n: int):
     """Inward normals covering every facet of conv(gens) + R_{>=0}^n.
 
@@ -319,13 +313,8 @@ def _newton_normals(gens: Sequence[Exponent], n: int):
             if min(nu) < 0:
                 nu = (-dy, dx)
             if min(nu) >= 0 and max(nu) > 0:
-                cands.add(_primitive(nu))
+                cands.add(primitive(nu))
     if n == 3:
-        def cross(u, v):
-            return (u[1] * v[2] - u[2] * v[1],
-                    u[2] * v[0] - u[0] * v[2],
-                    u[0] * v[1] - u[1] * v[0])
-
         axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         pairs = list(itertools.combinations(gens, 2))
         for p, q in pairs:
@@ -337,7 +326,7 @@ def _newton_normals(gens: Sequence[Exponent], n: int):
                 if min(nu) < 0:
                     nu = tuple(-x for x in nu)
                 if min(nu) >= 0 and max(nu) > 0:
-                    cands.add(_primitive(nu))
+                    cands.add(primitive(nu))
         for p, q, s in itertools.combinations(gens, 3):
             u = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
             v = (s[0] - p[0], s[1] - p[1], s[2] - p[2])
@@ -347,7 +336,7 @@ def _newton_normals(gens: Sequence[Exponent], n: int):
             if min(nu) < 0:
                 nu = tuple(-x for x in nu)
             if min(nu) >= 0 and max(nu) > 0:
-                cands.add(_primitive(nu))
+                cands.add(primitive(nu))
     out = []
     for nu in sorted(cands):
         h = min(sum(nk * gk for nk, gk in zip(nu, g)) for g in gens)

@@ -11,22 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice import CutFunctional, halfplane_partition
+from .lattice import CutFunctional, halfplane_partition, primitive
 
 
 # ---------------------------------------------------------------------------
 # small exact-geometry helpers
-
-
-def _primitive(v) -> Tuple[int, int]:
-    x, y = int(v[0]), int(v[1])
-    if x == 0 and y == 0:
-        raise ValueError("zero vector has no primitive representative")
-    g = gcd(x, y)
-    return (x // g, y // g)
 
 
 def _cross(o, a, b) -> int:
@@ -99,7 +91,7 @@ class Cone2:
     generators: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        gens = tuple(_primitive(g) for g in self.generators)
+        gens = tuple(primitive(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         if len(gens) not in (1, 2):
             raise ValueError("a cone has one or two generators")
@@ -121,7 +113,7 @@ class UnboundedPolygon:
     def __post_init__(self):
         object.__setattr__(self, "vertices",
                            tuple(tuple(v) for v in self.vertices))
-        object.__setattr__(self, "ray", _primitive(self.ray))
+        object.__setattr__(self, "ray", primitive(self.ray))
         vs, r = self.vertices, self.ray
         if len(vs) < 2 or len(set(vs)) != len(vs):
             raise ValueError("need at least two distinct chain vertices")
@@ -170,21 +162,21 @@ def normal_fan(P) -> List[Cone2]:
         for i in range(len(vs)):
             into = r if i == 0 else (-dirs[i - 1][0], -dirs[i - 1][1])
             out = r if i == len(vs) - 1 else dirs[i]
-            cones.append(_vertex_cone(_primitive(into), _primitive(out)))
+            cones.append(_vertex_cone(primitive(into), primitive(out)))
         cones.sort(key=lambda c: _angle_key(c.generators[0]))
         return cones
     poly = hull_polygon(P)
     if len(poly) == 1:
         raise ValueError("a single point has no normal fan")
     if len(poly) == 2:
-        d = _primitive((poly[1][0] - poly[0][0], poly[1][1] - poly[0][1]))
+        d = primitive((poly[1][0] - poly[0][0], poly[1][1] - poly[0][1]))
         return [Cone2((d,)), Cone2(((-d[0], -d[1]),))]
     n = len(poly)
     cones = []
     for i in range(n):
         prev_v, v, next_v = poly[i - 1], poly[i], poly[(i + 1) % n]
-        d1 = _primitive((prev_v[0] - v[0], prev_v[1] - v[1]))
-        d2 = _primitive((next_v[0] - v[0], next_v[1] - v[1]))
+        d1 = primitive((prev_v[0] - v[0], prev_v[1] - v[1]))
+        d2 = primitive((next_v[0] - v[0], next_v[1] - v[1]))
         cones.append(_vertex_cone(d1, d2))
     cones.sort(key=lambda c: _angle_key(c.generators[0]))
     return cones
@@ -243,7 +235,7 @@ def _det3(p, q, r, s, h) -> int:
 def _line_cells(pts, hmap) -> List[Cell]:
     """Lower hull of collinear lifted points: one cell per hull segment."""
     p0 = pts[0]
-    d = _primitive((pts[-1][0] - p0[0], pts[-1][1] - p0[1]))
+    d = primitive((pts[-1][0] - p0[0], pts[-1][1] - p0[1]))
     norm = d[0] * d[0] + d[1] * d[1]
 
     def param(p):

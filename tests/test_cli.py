@@ -277,7 +277,12 @@ def test_output_flag_writes_file(tmp_path, capsys):
 
 
 def test_usage_errors(capsys):
-    assert main([]) == 1
-    assert main(["frobnicate"]) == 1
-    assert main(["toric", "fan"]) == 1  # missing --input
-    capsys.readouterr()
+    for argv, command, message in (
+            ([], None, "required"),
+            (["frobnicate"], None, "invalid choice"),
+            (["toric", "fan"], "toric", "--input")):  # missing --input
+        code, rep = run(capsys, *argv)
+        assert code == 1
+        assert rep["command"] == command and message in rep["error"]
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

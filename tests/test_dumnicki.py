@@ -1,6 +1,7 @@
 """Emptiness prover: interpolation matrices, cuts, certificates, search."""
 
 import json
+import time
 from fractions import Fraction
 from math import comb
 
@@ -246,10 +247,53 @@ def test_broken_piece_reported_before_digest():
     assert detail["piece"] == 5
 
 
+def _redigest(doc):
+    payload = {k: doc[k] for k in ("problem", "cuts", "pieces")}
+    doc["digest"] = dumnicki._digest(payload)
+    return doc
+
+
 def test_verify_rejects_garbage():
-    ok, detail = verify_certificate_json({"pieces": []})
-    assert not ok
-    assert detail["reason"] == "malformed document"
+    zero_denominator = paper_doc()
+    zero_denominator["cuts"][0][2] = [1, 0]
+    for doc in ({"pieces": []}, _redigest(zero_denominator)):
+        ok, detail = verify_certificate_json(doc)
+        assert not ok
+        assert detail["reason"] == "malformed document"
+
+
+JETS = comb(10**5 + 1, 2)
+
+
+def _huge_mult_doc(evidence, points=((0, 0), (0, 1), (0, 2))):
+    m = 10**5
+    pts = [list(p) for p in points]
+    return _redigest({
+        "problem": {"points": pts, "mults": [m]},
+        "cuts": [],
+        "pieces": [{"points": pts, "mult": m, "evidence": evidence}]})
+
+
+@pytest.mark.parametrize("evidence, reason", [
+    ({"type": "nonzero_determinant", "value": [1, 1]}, "size/jet mismatch"),
+    ({"type": "full_rank", "rank": 3, "rows": [0, 1, JETS]},
+     "row index out of range"),
+    ({"type": "full_rank", "rank": 3, "rows": [JETS - 3, JETS - 2, JETS - 1]},
+     "selected rows singular"),
+    ({"type": "line_assignment", "direction": "horizontal",
+      "assignment": [[0, 1]]}, "line assignment invalid"),
+    ({"type": "full_rank", "rank": 3, "rows": [0, 1, 2]}, None),
+])
+def test_verify_checks_sizes_before_building_jets(evidence, reason):
+    """mult = 10^5 has JETS, about 5 * 10^9, jets; only the selected rows
+    of the jet matrix may be built.  The last three rows are the jets
+    (m - 2, 0), (m - 2, 1) and (m - 1, 0), which vanish at every point
+    with x = 0."""
+    start = time.perf_counter()
+    ok, detail = verify_certificate_json(_huge_mult_doc(evidence))
+    assert time.perf_counter() - start < 5
+    assert ok == (reason is None)
+    assert (detail and detail["reason"]) == reason
 
 
 def test_determinant_and_full_rank_evidence():

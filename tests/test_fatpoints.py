@@ -233,6 +233,24 @@ def test_prime_field_builds_residues_only(monkeypatch):
     assert builds == [7] and primes == [7]
 
 
+@pytest.mark.parametrize("d, mults, trials", [
+    (13, (5,) + (4,) * 9, 1),  # the first draw already has h0 = chi = 0
+    (4, (2,) * 5, 2),          # the double conic stays above chi = 0
+])
+def test_generic_cohomology_stops_at_expected(monkeypatch, d, mults, trials):
+    calls = []
+    real = fatpoints.cohomology
+
+    def spy(system):
+        calls.append(system.points)
+        return real(system)
+
+    monkeypatch.setattr(fatpoints, "cohomology", spy)
+    rep = generic_cohomology(d, mults, trials=2)
+    assert len(calls) == trials
+    assert rep.h0 == (0 if trials == 1 else 1)
+
+
 def test_input_validation():
     pts = make_config("random", {"r": 2}, seed=3).points
     with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from linserlab._linalg import (CERT_PRIMES, det_exact, nullspace, rank_exact,
-                               rank_mod_p, rref, to_int_rows)
+from linserlab._linalg import (CERT_PRIMES, det_exact, independent_rows,
+                               independent_rows_mod_p, nullspace, rank_exact,
+                               rank_mod_p, to_int_rows)
 
 
 def _sympy_rank(rows):
@@ -83,15 +84,6 @@ def test_mod_p_rank_is_lower_bound(mat):
         assert rank_mod_p(ints, p) <= exact
 
 
-def test_rref_reduces_identity_block():
-    mat = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
-    rank, pivots, reduced = rref(mat)
-    assert rank == 2
-    assert pivots == [0, 1]
-    assert reduced[0] == [Fraction(1), Fraction(0)]
-    assert reduced[1] == [Fraction(0), Fraction(1)]
-
-
 def test_rank_certifies_large_full_rank_fast():
     from sympy.polys.matrices import DomainMatrix
     n = 60
@@ -99,3 +91,100 @@ def test_rank_certifies_large_full_rank_fast():
             for j in range(n)] for i in range(n)]
     r = rank_exact(mat)
     assert r == DomainMatrix.from_Matrix(sympy.Matrix(mat)).rank()
+
+
+# Frozen copies of the eliminations the modular engine replaced: Fraction
+# Gauss-Jordan for the kernel, and the row-by-row greedy loop mod p.
+
+
+def _rref_kernel(rows, ncols=None):
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(ncols)]
+                for i in range(ncols or 0)]
+    mat = [[Fraction(e) for e in row] for row in rows]
+    ncols = len(mat[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [e / mat[r][c] for e in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][f]
+        basis.append(v)
+    return basis
+
+
+def _greedy_rows_mod_p(rows, p):
+    picked, basis = [], []
+    for idx, row in enumerate(rows):
+        cur = [e % p for e in row]
+        for brow, bcol in basis:
+            if cur[bcol]:
+                f = cur[bcol]
+                cur = [(a - f * b) % p for a, b in zip(cur, brow)]
+        lead = next((j for j, e in enumerate(cur) if e), None)
+        if lead is None:
+            continue
+        inv = pow(cur[lead], -1, p)
+        basis.append(([e * inv % p for e in cur], lead))
+        picked.append(idx)
+    return picked
+
+
+@st.composite
+def low_rank_rows(draw, entries):
+    """An n x m product of factors of inner size r, wide or tall, with
+    some rows replaced by zero rows."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    r = draw(st.integers(0, min(n, m)))
+    left = [[draw(st.integers(-4, 4)) for _ in range(r)] for _ in range(n)]
+    right = [[draw(entries) for _ in range(m)] for _ in range(r)]
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            if r else [0] * m for row in left]
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    return [[0] * m if i in zero else row for i, row in enumerate(rows)]
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(low_rank_rows(small_entries), low_rank_rows(fractions),
+                 low_rank_rows(st.integers(-10**15, 10**15))))
+def test_nullspace_is_the_rref_kernel(rows):
+    assert nullspace(rows) == _rref_kernel(rows)
+
+
+@given(st.integers(0, 6))
+def test_nullspace_of_no_rows(ncols):
+    assert nullspace([], ncols=ncols) == _rref_kernel([], ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_rows(small_entries),
+       st.sampled_from([2, 3, 7, CERT_PRIMES[0]]))
+def test_independent_rows_mod_p_is_the_greedy_loop(rows, p):
+    assert independent_rows_mod_p(rows, p) == _greedy_rows_mod_p(rows, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(low_rank_rows(small_entries), low_rank_rows(fractions)))
+def test_independent_rows_have_full_rank(rows):
+    picked = independent_rows(rows)
+    assert len(picked) == _sympy_rank(rows)
+    assert _sympy_rank([rows[i] for i in picked]) == len(picked)

@@ -10,12 +10,13 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from linserlab import _linalg
 from linserlab._linalg import (CERT_PRIMES, _annihilated, _bareiss_echelon,
-                               _prime_stream, _rational, rank_exact,
-                               to_int_rows)
+                               _prime_stream, _rational, independent_rows,
+                               nullspace, rank_exact, to_int_rows)
 
 
 def _bareiss_rank(rows):
@@ -118,18 +119,53 @@ def test_minor_divisible_by_first_primes(monkeypatch, unlucky, shape):
     assert _bareiss_rank(mat) == 4
 
 
-def test_hadamard_cap_falls_back_to_bareiss(monkeypatch):
+def test_unlucky_past_hadamard_bound_needs_no_bareiss(monkeypatch):
     """Every entry is divisible by the first two primes: both see rank 0.
 
-    The zero kernel mod p cannot verify, the Hadamard bound for rank 0 is
-    already passed, so Bareiss decides, and decides right.
+    The zero kernel mod p cannot verify, although the Hadamard bound for
+    rank 0 is already passed; the next prime sees rank 3, restarts the
+    lift and proves the rank without Bareiss.
     """
     p0, p1 = CERT_PRIMES[:2]
     mat = [[p0 * p1 * e for e in row]
            for row in _with_invariants(4, 5, [1, 1, 5], seed=9)]
     calls = _spy_bareiss(monkeypatch)
     assert rank_exact(mat) == 3
-    assert calls == [4]
+    assert calls == []
+
+
+@pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
+@pytest.mark.parametrize("shape", [(6, 6), (5, 8), (8, 5)])
+def test_kernel_and_rows_past_unlucky_primes(monkeypatch, unlucky, shape):
+    """The first `unlucky` primes of the stream, from CERT_PRIMES[0] on,
+    see rank 3 instead of 4; nullspace still returns the verified kernel
+    of the reduced echelon form, and independent_rows four rows, without
+    Bareiss."""
+    big = 1
+    for p in islice(_prime_stream(), unlucky):
+        big *= p
+    mat = _with_invariants(*shape, [1, 2, 3, big], seed=unlucky)
+    assert _linalg.rank_mod_p(mat, CERT_PRIMES[0]) == 3
+    calls = _spy_bareiss(monkeypatch)
+    basis = nullspace(mat)
+    picked = independent_rows(mat)
+    assert calls == []
+    assert len(basis) == shape[1] - 4
+    assert basis == [[Fraction(int(e.p), int(e.q)) for e in v]
+                     for v in sympy.Matrix(mat).nullspace()]
+    assert len(picked) == 4 and _bareiss_rank([mat[i] for i in picked]) == 4
+
+
+@pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
+def test_nullspace_past_primes_that_move_a_pivot(unlucky):
+    """The first `unlucky` primes divide the leading entry: they see the
+    full rank 2, but with pivots (1, 2) instead of (0, 1).  Their kernel
+    (1, 0, -M) is not the reduced echelon one and never verifies."""
+    big = 1
+    for p in islice(_prime_stream(), unlucky):
+        big *= p
+    mat = [[big, 0, 1], [0, 1, 0], [big, 1, 1]]
+    assert nullspace(mat) == [[Fraction(-1, big), Fraction(0), Fraction(1)]]
 
 
 def test_kernel_path_needs_many_primes(monkeypatch):
