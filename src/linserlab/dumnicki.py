@@ -14,13 +14,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
-from .lattice import (CutFunctional, collision_staircase, falling,
-                      halfplane_partition, is_staircase, triangle_set,
-                      triangle_staircase)
+from .lattice import (CutFunctional, collision_staircase,
+                      halfplane_partition, is_staircase, jet_conditions,
+                      triangle_set, triangle_staircase)
 
 
 # ---------------------------------------------------------------------------
@@ -40,18 +40,13 @@ class InterpolationProblem:
 def interp_matrix(prob: InterpolationProblem) -> List[List[int]]:
     """Rows (alpha, beta) in E, columns (a, b) in D, both lex sorted.
 
-    Entry = value of d^alpha_x d^beta_y x^a y^b at (1, 1), a product of
-    falling factorials; nonsingularity certifies that a generic fat point
-    imposes independent conditions on the monomial span of D.
+    Entry = value of d^alpha_x d^beta_y x^a y^b at (1, 1), a Python int:
+    `lattice.jet_conditions` at (1:1:1).  Nonsingularity certifies that a
+    generic fat point imposes independent conditions on the monomial span
+    of D.
     """
-    return _jet_rows(prob.D, sorted(prob.E))
-
-
-def _jet_rows(D, jets):
-    """The rows of the jets (alpha, beta), columns the lex-sorted D."""
-    cols = sorted(D)
-    return [[falling(a, al) * falling(b, be) for (a, b) in cols]
-            for (al, be) in jets]
+    cols = [(a, b, 0) for a, b in sorted(prob.D)]
+    return jet_conditions(cols, [((1, 1, 1), sorted(prob.E))]).tolist()
 
 
 def _staircase_jet(m: int, i: int) -> Tuple[int, int]:
@@ -89,24 +84,6 @@ class GenericDimReport:
     witness: Optional[Witness]
 
 
-def _check_section(prob: InterpolationProblem, coeffs) -> bool:
-    mat = interp_matrix(prob)
-    return all(
-        sum(e * c for e, c in zip(row, coeffs)) == 0 for row in mat
-    ) and any(c != 0 for c in coeffs)
-
-
-def _check_dual(prob: InterpolationProblem, coeffs) -> bool:
-    erows = sorted(prob.E)
-    ok = any(c != 0 for c in coeffs)
-    for (a, b) in sorted(prob.D):
-        v = sum(c * falling(a, al) * falling(b, be)
-                for c, (al, be) in zip(coeffs, erows))
-        if v != 0:
-            return False
-    return ok
-
-
 def generic_dim(prob: InterpolationProblem) -> GenericDimReport:
     """Projective dimension of the series cut out by the jets of E on D.
 
@@ -115,20 +92,18 @@ def generic_dim(prob: InterpolationProblem) -> GenericDimReport:
     from the row kernel, returned instead and checked to vanish on D.
     """
     mat = interp_matrix(prob)
-    nd = len(prob.D)
-    ker = _linalg.nullspace(mat, ncols=nd)
-    dim = len(ker) - 1
+    ker = _linalg.nullspace(mat, ncols=len(prob.D))
     if not ker:
         return GenericDimReport(dim=-1, empty=True, witness=None)
-    if len(prob.D) == len(prob.E):
-        tr = [list(col) for col in zip(*mat)]
+    if len(prob.D) == len(prob.E):  # checked below as w M = 0
+        mat = [list(col) for col in zip(*mat)]
         w = Witness("dual", tuple(sorted(prob.E)),
-                    tuple(_linalg.nullspace(tr)[0]))
-        assert _check_dual(prob, w.coeffs)
-        return GenericDimReport(dim=dim, empty=False, witness=w)
-    w = Witness("section", tuple(sorted(prob.D)), tuple(ker[0]))
-    assert _check_section(prob, w.coeffs)
-    return GenericDimReport(dim=dim, empty=False, witness=w)
+                    tuple(_linalg.nullspace(mat)[0]))
+    else:  # checked below as M v = 0
+        w = Witness("section", tuple(sorted(prob.D)), tuple(ker[0]))
+    assert any(w.coeffs) and all(
+        sum(e * c for e, c in zip(row, w.coeffs)) == 0 for row in mat)
+    return GenericDimReport(dim=len(ker) - 1, empty=False, witness=w)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +298,18 @@ def verify_certificate(D, mults: Sequence[int],
             return False, {"piece": idx, "reason": "multiplicity mismatch"}
         if frozenset(pts) != frozenset(piece.points):
             return False, {"piece": idx, "reason": "piece content mismatch"}
+        if m < 0:
+            return False, {"piece": idx, "reason": "negative multiplicity"}
         ev = piece.evidence
-        jets = comb(max(m, 0) + 1, 2)  # |triangle_staircase(m)|, unbuilt
+        jets = comb(m + 1, 2)  # |triangle_staircase(m)|, unbuilt
         if isinstance(ev, LineAssignment):
             if not check_line_assignment(pts, m, ev):
                 return False, {"piece": idx, "reason": "line assignment invalid"}
         elif isinstance(ev, NonzeroDeterminant):
             if len(pts) != jets:
                 return False, {"piece": idx, "reason": "size/jet mismatch"}
-            E = triangle_staircase(m)
-            det = _linalg.det_exact(
-                interp_matrix(InterpolationProblem(pts, E)))
+            det = _linalg.det_exact(interp_matrix(
+                InterpolationProblem(pts, triangle_staircase(m))))
             if det == 0 or det != ev.value:
                 return False, {"piece": idx, "reason": "determinant mismatch"}
         elif isinstance(ev, FullRank):
@@ -343,8 +319,9 @@ def verify_certificate(D, mults: Sequence[int],
                 return False, {"piece": idx, "reason": "duplicate rows"}
             if any(not 0 <= i < jets for i in ev.rows):
                 return False, {"piece": idx, "reason": "row index out of range"}
-            sub = _jet_rows(pts, [_staircase_jet(m, i) for i in ev.rows])
-            if _linalg.det_exact(sub) == 0:
+            sub = {_staircase_jet(m, i) for i in ev.rows}
+            if _linalg.det_exact(
+                    interp_matrix(InterpolationProblem(pts, sub))) == 0:
                 return False, {"piece": idx, "reason": "selected rows singular"}
         else:
             return False, {"piece": idx, "reason": "unknown evidence type"}
@@ -500,17 +477,13 @@ def paper_family(n: int):
 # cut search
 
 
-def _candidate_cuts(D, seed_slopes=()):
+def _candidate_cuts(D):
     """Cuts ax+by+c with small primitive slopes and half-integer thresholds
     strictly between consecutive attained values."""
-    from math import gcd
-    slopes = set(seed_slopes)
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            if (a, b) != (0, 0) and gcd(a, b) == 1:
-                slopes.add((a, b))
+    slopes = [(a, b) for a in range(-3, 4) for b in range(-3, 4)
+              if gcd(a, b) == 1]
     out = []
-    for (a, b) in sorted(slopes):
+    for (a, b) in slopes:
         vals = sorted({a * x + b * y for (x, y) in D})
         for lo, hi in zip(vals, vals[1:]):
             # positive part: value > (lo+hi)/2, i.e. value >= hi
@@ -527,19 +500,10 @@ def search_cuts(D, mults: Sequence[int], budget: int
     multiplicity, so any returned list yields a valid certificate.
     """
     D = frozenset(D)
-    if sum(comb(m + 1, 2) for m in mults) < len(D):
-        return None  # no partition can absorb every monomial
-    seeds = []
-    degree = max((x + y for (x, y) in D), default=0)
-    if degree and degree % 13 == 0:
-        k = degree // 13
-        seeds = [(2 * k + 1, -2 * k), (-(2 * k + 1), 2 * k)]
     attempts = [max(0, budget)]
     seen = set()
 
-    def attempt(points, m) -> bool:
-        if attempts[0] <= 0:
-            return False
+    def attempt(points, m) -> bool:  # callers check the budget first
         attempts[0] -= 1
         return not isinstance(_certify_piece(points, m), str)
 
@@ -550,14 +514,13 @@ def search_cuts(D, mults: Sequence[int], budget: int
         if key in seen:
             return None
         seen.add(key)
-        remaining = mults[idx:]
-        if sum(comb(m + 1, 2) for m in remaining) < len(residual):
-            return None
+        if sum(comb(m + 1, 2) for m in mults[idx:]) < len(residual):
+            return None  # no partition can absorb every monomial
         if idx == len(mults) - 1:
             return [] if attempt(residual, mults[idx]) else None
         target = comb(mults[idx] + 1, 2)
         cands = []
-        for cut in _candidate_cuts(residual, seeds):
+        for cut in _candidate_cuts(residual):
             try:
                 plus, _ = halfplane_partition(residual, cut)
             except ValueError:

@@ -1,15 +1,14 @@
 """Linear systems of plane curves with assigned base multiplicities.
 
 The conditions matrix of L(d; m_1..m_r) holds the derivative conditions of
-each point in its affine chart, from one formula over tables of falling
-factorials and powers, after the point is put in normal form (coprime
-integers over Q).  Cohomology numbers come from its rank: over GF(p) from
-the matrix of residues mod p; over Q from the residues mod a large prime
-first, where full rank is the proof, and only when that rank drops from the
-exact integer matrix and its kernel certificate.  On top of that sit
-initial-degree searches (alpha), Waldschmidt sandwiches, Chudnovsky equality
-probes, Cremona reduction, the Pell family of square-zero classes, and
-semi-effectivity classification.
+each point in its affine chart, built by `lattice.jet_conditions` after the
+point is put in normal form (coprime integers over Q).  Cohomology numbers
+come from its rank: over GF(p) from the matrix of residues mod p; over Q
+from the residues mod a large prime first, where full rank is the proof,
+and only when that rank drops from the exact integer matrix and its kernel
+certificate.  On top of that sit initial-degree searches (alpha),
+Waldschmidt sandwiches, Chudnovsky equality probes, Cremona reduction, the
+Pell family of square-zero classes, and semi-effectivity classification.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg
-from .lattice import cross, falling
+from .lattice import cross, jet_conditions
 
 DEFAULT_SEED = 987654321
 
@@ -131,25 +130,16 @@ def monomial_exponents(d: int):
 def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
     """Rows impose vanishing of all partials of order < m_i at p_i.
 
-    Each point is first put in the normal form of `normalize_proj` (coprime
-    integers over Q).  Scaling a point by c scales its block by c^d, so rank
-    and kernel stay those of the given coordinates.  The point's chart
-    coordinate w is its last nonzero one; s and t are the other two, and
-    the column exponents (S, T, W) of x^i y^j z^k follow the same
-    permutation.  Row (a, b) is the partial of order a in s and b in t,
-    times w^(a+b):
+    The rows of each point are its jets (a, b) with a + b < m_i in
+    `lattice.jet_conditions`, at the normal form of `normalize_proj`
+    (coprime integers over Q).  Scaling a point by c scales its block by
+    c^d, so rank and kernel stay those of the given coordinates.  Rows with
+    a + b > d vanish identically and are not emitted; every other row is
+    nonzero over Q.  Column order matches monomial_exponents(d).
 
-        falling(S, a) falling(T, b) s^(S-a) t^(T-b) w^(W+a+b),
-
-    read from one table of falling factorials and one of powers per
-    coordinate.  Rows with a + b > d vanish identically and are not
-    emitted; every other row is nonzero over Q.  Column order matches
-    monomial_exponents(d).
-
-    With p (2 <= p < 2**31) the result is the int64 matrix of residues mod
-    p, reduced after every product, so no product overflows.  Without it
-    the result is the exact integer matrix, a numpy object array.  A
-    system over GF(q) only has its matrix mod q, so p is q or omitted.
+    With p the result is the int64 matrix of residues mod p, else the exact
+    integer matrix (an object array).  A system over GF(q) only has its
+    matrix mod q, so p is q or omitted.
     """
     d = system.d
     if d < 0:
@@ -169,39 +159,10 @@ def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
     elif p is not None and not 2 <= p < _linalg.P_LIMIT:
         raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
 
-    def mul(x, y):
-        return x * y if p is None else x * y % p
-
-    def powers(x):
-        if p is None:
-            return np.array([x ** e for e in range(d + 1)], dtype=object)
-        return np.array([pow(x, e, p) for e in range(d + 1)],
-                        dtype=np.int64)
-
-    exps = np.array(monomial_exponents(d), dtype=np.int64).T
-    orders = min(max(system.mults, default=1), d + 1)
-    falls = np.array([[falling(n, a) for a in range(orders)]
-                      for n in range(d + 1)], dtype=object)
-    if p is not None:
-        falls = (falls % p).astype(np.int64)
-    # falls[n, a] = 0 for a > n, so the clamped exponents never matter
-    drop = np.maximum(np.arange(d + 1)[:, None] - np.arange(orders), 0)
-    blocks = [np.zeros((0, exps.shape[1]),
-                       dtype=object if p is None else np.int64)]
-    for pt, m in zip(system.points, system.mults):
-        pt = normalize_proj(pt, fs)
-        chart = max(c for c in range(3) if pt[c])
-        perm = [c for c in range(3) if c != chart] + [chart]
-        S, T, W = exps[perm]
-        s, t, w = (pt[c] for c in perm)
-        A, B = np.array([(a, b) for a in range(m) for b in range(m - a)
-                         if a + b <= d], dtype=np.int64).T[:, :, None]
-        # s_jets[n, a] = falling(n, a) s^(n-a): d^a/dX^a of X^n at X = s
-        s_jets = mul(falls, powers(s)[drop])
-        t_jets = mul(falls, powers(t)[drop])
-        blocks.append(mul(mul(s_jets[S, A], t_jets[T, B]),
-                          powers(w)[np.minimum(W + A + B, d)]))
-    return np.concatenate(blocks)
+    blocks = [(normalize_proj(pt, fs),
+               [(a, b) for a in range(m) for b in range(m - a) if a + b <= d])
+              for pt, m in zip(system.points, system.mults)]
+    return jet_conditions(monomial_exponents(d), blocks, p)
 
 
 def cohomology(system: FatPointSystem) -> SystemReport:

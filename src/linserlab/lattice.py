@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import gcd
 from typing import FrozenSet, Iterable, Tuple
 
+import numpy as np
+
 LatticePoint = Tuple[int, int]
 MonomialSet = FrozenSet[LatticePoint]
 
@@ -48,17 +50,86 @@ def integer_threshold(a, b, t) -> CutFunctional:
     return CutFunctional(Fraction(a), Fraction(b), Fraction(1, 2) - Fraction(t))
 
 
-def falling(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1): the k-th derivative of x^n at x = 1.
+def _index(values):
+    """The distinct values, sorted, and the position of each value among
+    them."""
+    vals = sorted(set(values))
+    at = {v: i for i, v in enumerate(vals)}
+    return vals, np.array([at[v] for v in values], dtype=np.intp)
 
-    Zero when 0 <= n < k, which is how jets of order k kill x^n.
+
+def _falling_table(vals, orders, p=None):
+    """falling(v, a) = v (v-1) ... (v-a+1) (mod p) for v in vals, a in the
+    increasing orders: a running product, zero from any a > v >= 0 on."""
+    table = []
+    for v in vals:
+        f, a, row = 1, 0, []
+        for k in orders:
+            f = 0 if 0 <= v < k else f
+            while a < k and f:
+                f, a = (f * (v - a) % p if p else f * (v - a)), a + 1
+            row.append(f)
+        table.append(row)
+    return np.array(table, dtype=object if p is None else np.int64)
+
+
+def jet_conditions(exps, blocks, p=None):
+    """Jets of monomials at points: one column per exponent (i, j, k) of
+    x^i y^j z^k, and per block, a point with integer coordinates (not all
+    zero) and the list of its jets (a, b), one row each.
+
+    The point is read in the chart of its last nonzero coordinate w; s and
+    t are the other two, and the column exponents (S, T, W) follow the same
+    permutation.  Row (a, b) is the partial of order a in s and b in t,
+    times w^(a+b):
+
+        falling(S, a) falling(T, b) s^(S-a) t^(T-b) w^(W+a+b),
+
+    falling(n, a) = n (n-1) ... (n-a+1), from tables with one entry per
+    exponent and order that occurs.  Negative exponents need coordinate 1.
+
+    With p (2 <= p < 2**31): the int64 matrix of residues mod p, reduced
+    after every product.  Without: the exact integer matrix (object array).
     """
-    if 0 <= n < k:
-        return 0
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
+    dtype = object if p is None else np.int64
+
+    def mul(x, y):
+        return x * y if p is None else x * y % p
+
+    def powers(x, es):  # x^max(e, 0) over the increasing es
+        out, last, acc = [], 0, 1
+        for e in es:
+            if e > last:
+                acc *= x if e - last == 1 else pow(x, e - last, p)
+                acc, last = acc if p is None else acc % p, e
+            out.append(acc)
+        return np.array(out, dtype=dtype)
+
+    if not (len(exps) and any(jets for _, jets in blocks)):
+        return np.zeros((sum(len(js) for _, js in blocks), len(exps)), dtype)
+    orders, at = _index([o for _, js in blocks for jet in js for o in jet])
+    # per axis: its values, the column positions, falling(v, a), v - a
+    axes = [(vals, where[None, :], _falling_table(vals, orders, p),
+             _index([v - a for v in vals for a in orders]))
+            for vals, where in map(_index, zip(*exps))]
+    out, row = [], 0
+    for pt, jets in blocks:
+        if any(x != 1 and ax[0][0] < 0 for x, ax in zip(pt, axes)):
+            raise ValueError("negative exponents need the coordinate 1")
+        w = 2 if pt[2] else 1 if pt[1] else 0
+        w_orders = powers(pt[w], orders)
+        block = powers(pt[w], axes[w][0])[axes[w][1]]
+        # positions of the rows' a and b among the orders
+        ab = at.reshape(-1, 2, 1)[row:row + len(jets)].transpose(1, 0, 2)
+        row += len(jets)
+        for c, k in zip(((1, 2), (0, 2), (0, 1))[w], ab):
+            # falling(v, k) x^(v-k) w^k over the values v of axis c
+            vals, cols, falls, (es, where) = axes[c]
+            table = mul(mul(falls, powers(pt[c], es)[where].reshape(
+                falls.shape)), w_orders)
+            block = mul(block, table[cols, k])
+        out.append(block)
+    return np.concatenate(out)
 
 
 def cross(u, v):

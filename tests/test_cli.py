@@ -1,6 +1,7 @@
 """Exit-code contract and JSON reports of the command-line front end."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,26 @@ def test_verify_malformed_document(tmp_path, capsys):
     code, rep = run(capsys, "verify", str(path))
     assert code == 2
     assert rep["reason"] == "malformed document"
+
+
+def test_verify_negative_multiplicity_is_a_counterexample(tmp_path, capsys):
+    """An empty piece with mult -1 and determinant evidence, re-digested:
+    the verifier answers instead of raising."""
+    from linserlab.dumnicki import (EmptinessCertificate, NonzeroDeterminant,
+                                    Piece, certificate_to_json,
+                                    fact3_certificate)
+    from linserlab.lattice import CutFunctional, triangle_set
+
+    D = triangle_set(1)
+    cert = EmptinessCertificate((CutFunctional(1, 0, Fraction(-5, 2)),), (
+        Piece(frozenset(), -1, NonzeroDeterminant(Fraction(1))),
+        Piece(D, 2, fact3_certificate(D, 2, "horizontal"))))
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(certificate_to_json(D, (-1, 2), cert)))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 2
+    assert rep["verified"] is False and rep["piece"] == 0
+    assert rep["reason"] == "negative multiplicity"
 
 
 def test_empty_counter_witness(tmp_path, capsys):

@@ -17,6 +17,7 @@ from linserlab.dumnicki import (
     InterpolationProblem,
     LineAssignment,
     NonzeroDeterminant,
+    Piece,
     certificate_from_json,
     certificate_to_json,
     check_line_assignment,
@@ -48,6 +49,19 @@ def test_interp_matrix_matches_symbolic_derivatives():
         for j, (a, b) in enumerate(sorted(D)):
             val = sympy.diff(x**a * y**b, x, al, y, be).subs({x: 1, y: 1})
             assert mat[i][j] == val
+
+
+def test_interp_matrix_on_negative_support():
+    # Laurent monomials at (1, 1): falling factorials of negative exponents
+    D = {(-2, 3), (-1, -1), (0, 0), (0, 2), (3, -2)}
+    assert interp_matrix(InterpolationProblem(D, triangle_staircase(3))) == [
+        [1, 1, 1, 1, 1],
+        [3, -1, 0, 2, -2],
+        [6, 2, 0, 2, 6],
+        [-2, -1, 0, 0, 3],
+        [-6, 1, 0, 0, -6],
+        [6, 2, 0, 0, 6],
+    ]
 
 
 def test_generic_dim_square_regular():
@@ -265,8 +279,7 @@ def test_verify_rejects_garbage():
 JETS = comb(10**5 + 1, 2)
 
 
-def _huge_mult_doc(evidence, points=((0, 0), (0, 1), (0, 2))):
-    m = 10**5
+def _huge_mult_doc(evidence, points=((0, 0), (0, 1), (0, 2)), m=10**5):
     pts = [list(p) for p in points]
     return _redigest({
         "problem": {"points": pts, "mults": [m]},
@@ -294,6 +307,62 @@ def test_verify_checks_sizes_before_building_jets(evidence, reason):
     assert time.perf_counter() - start < 5
     assert ok == (reason is None)
     assert (detail and detail["reason"]) == reason
+
+
+N = 10**12
+
+
+@pytest.mark.parametrize("points", [
+    ((N, N), (N, N + 1), (N + 1, N)),
+    ((0, 0), (N, 1), (1, N)),
+])
+def test_verify_pieces_with_hostile_coordinates(points):
+    """Jets (0, 0), (0, 1), (1, 0) at exponents near 10^12: rows 0, 1, 3
+    of the m = 3 staircase, and all of the m = 2 one.  A table sized by
+    the exponents instead of the distinct ones would not fit in memory."""
+    cols = sorted(points)
+    det = sympy.Matrix([[1] * 3, [b for _, b in cols],
+                        [a for a, _ in cols]]).det()
+    assert det != 0
+    for m, evidence in ((3, {"type": "full_rank", "rank": 3,
+                             "rows": [0, 1, 3]}),
+                        (2, {"type": "nonzero_determinant",
+                             "value": [int(det), 1]})):
+        start = time.perf_counter()
+        ok, detail = verify_certificate_json(
+            _huge_mult_doc(evidence, points, m))
+        assert time.perf_counter() - start < 5
+        assert (ok, detail) == (True, None)
+
+
+def test_verify_jets_of_order_past_the_exponents():
+    """Jets of order about 2 * 10^12 vanish on exponents near 10^12; the
+    falling factorials must see that without counting up to it."""
+    m = 2 * N
+    jets = comb(m + 1, 2)
+    points = ((N, N), (N, N + 1), (N + 1, N))
+    evidence = {"type": "full_rank", "rank": 3,
+                "rows": [jets - 3, jets - 2, jets - 1]}
+    start = time.perf_counter()
+    ok, detail = verify_certificate_json(_huge_mult_doc(evidence, points, m))
+    assert time.perf_counter() - start < 5
+    assert not ok and detail["reason"] == "selected rows singular"
+
+
+def _negative_mult_doc():
+    D = triangle_set(1)
+    cut = CutFunctional(1, 0, Fraction(-5, 2))  # x >= 3: nothing
+    rest = fact3_certificate(D, 2, "horizontal")
+    cert = EmptinessCertificate((cut,), (
+        Piece(frozenset(), -1, NonzeroDeterminant(Fraction(1))),
+        Piece(D, 2, rest)))
+    return certificate_to_json(D, (-1, 2), cert)
+
+
+def test_verify_rejects_negative_multiplicity():
+    ok, detail = verify_certificate_json(_negative_mult_doc())
+    assert not ok
+    assert detail == {"piece": 0, "reason": "negative multiplicity"}
 
 
 def test_determinant_and_full_rank_evidence():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linserlab._linalg import CERT_PRIMES
 from linserlab.lattice import (CutFunctional, collision_staircase,
                                halfplane_partition, integer_threshold,
-                               is_staircase, triangle_set,
+                               is_staircase, jet_conditions, triangle_set,
                                triangle_staircase)
 
 
@@ -61,3 +63,52 @@ def test_partition_is_a_partition(points, a, b, t):
     assert not plus & minus
     assert all(cut.value(p) > 0 for p in plus)
     assert all(cut.value(p) < 0 for p in minus)
+
+
+def _falling(n, k):
+    if 0 <= n < k:
+        return 0
+    out = 1
+    for t in range(k):
+        out *= n - t
+    return out
+
+
+def _frozen_jet_rows(D, jets):
+    """The interpolation rows as `dumnicki._jet_rows` built them before
+    `jet_conditions` served them, kept as the oracle."""
+    cols = sorted(D)
+    return [[_falling(a, al) * _falling(b, be) for (a, b) in cols]
+            for (al, be) in jets]
+
+
+hostile = st.integers(10**12 - 3, 10**12 + 3)
+support_coord = st.one_of(st.integers(-5, 40), hostile)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(st.tuples(support_coord, support_coord), min_size=1,
+               max_size=12),
+       st.integers(1, 5), st.integers(0, 3))
+def test_jet_conditions_at_one_match_frozen_rows(D, m, r):
+    # r = 0 stands for the triangle staircase, r >= 1 for a collision
+    jets = sorted(triangle_staircase(m) if r == 0
+                  else collision_staircase(r, m))
+    oracle = _frozen_jet_rows(D, jets)
+    cols = [(a, b, 0) for a, b in sorted(D)]
+    exact = jet_conditions(cols, [((1, 1, 1), jets)])
+    assert exact.dtype == object and exact.tolist() == oracle
+    p = CERT_PRIMES[0]
+    residues = jet_conditions(cols, [((1, 1, 1), jets)], p)
+    assert residues.dtype == np.int64
+    assert residues.tolist() == [[e % p for e in row] for row in oracle]
+
+
+def test_jet_conditions_edges():
+    cols = [(-1, 2, 0), (3, 0, 0)]
+    # a Laurent exponent at a coordinate other than 1 has no integer value
+    with pytest.raises(ValueError):
+        jet_conditions(cols, [((2, 1, 1), [(0, 0)])])
+    assert jet_conditions(cols, [((1, 1, 1), [(1, 1)])]).tolist() == [[-2, 0]]
+    assert jet_conditions(cols, [((1, 1, 1), [])]).shape == (0, 2)
+    assert jet_conditions([], [((1, 1, 1), [(0, 0)])], 7).shape == (1, 0)
