@@ -148,7 +148,7 @@ def run_empty(args) -> int:
         if "degree" in doc:
             D = triangle_set(int(doc["degree"]))
         else:
-            D = frozenset(tuple(int(c) for c in p) for p in doc["points"])
+            D = dumnicki.points_from_json(doc["points"])
         mults = tuple(int(m) for m in doc["mults"])
         if "cuts" in doc:
             cuts = tuple(dumnicki.cut_from_json(t) for t in doc["cuts"])

@@ -10,12 +10,16 @@ Certificates carry enough evidence to re-verify every step from scratch.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+try:  # as in the random module: hashlib loads OpenSSL, ~3.5 MB resident
+    from _sha256 import sha256
+except ImportError:  # not built, or renamed (Python >= 3.12)
+    from hashlib import sha256
 
 from . import _linalg
 from .lattice import (CutFunctional, collision_staircase,
@@ -283,9 +287,14 @@ def verify_certificate(D, mults: Sequence[int],
 
     Checks the partition, the multiplicity list, and every piece's evidence
     by direct recomputation; sizes and row indices are compared with the
-    jet count before any matrix is built.  Returns (True, None) or
-    (False, detail) where detail carries the failing piece index when one
-    exists.
+    jet count before any matrix is built.  A `full_rank` selection with a
+    jet of order alpha + beta >= |piece| is rejected unless its row vanishes
+    on the piece (then the rows are singular).  The prover's greedy lex
+    selection is an order ideal of the staircase, so with (alpha, beta) it
+    holds the (alpha + 1)(beta + 1) jets below it and never meets the
+    bound; the bound keeps every falling factorial shorter than the piece.
+    Returns (True, None) or (False, detail) where detail carries the
+    failing piece index when one exists.
     """
     try:
         pieces = reduce_partition(D, cert.cuts)
@@ -320,6 +329,13 @@ def verify_certificate(D, mults: Sequence[int],
             if any(not 0 <= i < jets for i in ev.rows):
                 return False, {"piece": idx, "reason": "row index out of range"}
             sub = {_staircase_jet(m, i) for i in ev.rows}
+            # falling(x, al) falling(y, be) = 0 iff 0 <= x < al or 0 <= y < be
+            if any(all(0 <= x < al or 0 <= y < be for x, y in pts)
+                   for al, be in sub):
+                return False, {"piece": idx, "reason": "selected rows singular"}
+            if any(al + be >= len(pts) for al, be in sub):
+                return False, {"piece": idx,
+                               "reason": "jet order not below piece size"}
             if _linalg.det_exact(
                     interp_matrix(InterpolationProblem(pts, sub))) == 0:
                 return False, {"piece": idx, "reason": "selected rows singular"}
@@ -369,8 +385,7 @@ def _payload(D, mults, cert: EmptinessCertificate) -> dict:
             "points": [list(p) for p in sorted(D)],
             "mults": list(mults),
         },
-        "cuts": [[_frac_pair(c.a), _frac_pair(c.b), _frac_pair(c.c)]
-                 for c in cert.cuts],
+        "cuts": [[_frac_pair(x) for x in c.as_triple()] for c in cert.cuts],
         "pieces": [
             {
                 "points": [list(p) for p in sorted(piece.points)],
@@ -384,7 +399,7 @@ def _payload(D, mults, cert: EmptinessCertificate) -> dict:
 
 def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def certificate_to_json(D, mults, cert: EmptinessCertificate) -> dict:
@@ -410,14 +425,32 @@ def cut_from_json(triple) -> CutFunctional:
     return CutFunctional(a, b, c)
 
 
+def points_from_json(points, seen=None) -> frozenset:
+    """Lattice points stored as [x, y] lists of two ints, as a frozenset.
+
+    Raises ValueError on anything else: the cuts and the jets read exactly
+    two coordinates.  A point already in the dict `seen` reuses its tuple,
+    and new ones are added to it."""
+    seen = {} if seen is None else seen
+    out = []
+    for p in points:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                and type(p[0]) is int and type(p[1]) is int):
+            raise ValueError(f"point {p!r} is not a pair of integers")
+        t = (p[0], p[1])
+        out.append(seen.setdefault(t, t))
+    return frozenset(out)
+
+
 def certificate_from_json(doc: dict):
     """(D, mults, certificate) from a JSON document; digest not checked."""
-    D = frozenset(tuple(int(c) for c in p) for p in doc["problem"]["points"])
+    seen = {}  # one tuple per point, shared by D and the pieces: less memory
+    D = points_from_json(doc["problem"]["points"], seen)
     mults = tuple(int(m) for m in doc["problem"]["mults"])
     cuts = tuple(cut_from_json(triple) for triple in doc["cuts"])
     pieces = tuple(
-        Piece(frozenset(tuple(int(c) for c in p) for p in pd["points"]),
-              int(pd["mult"]), _evidence_from_json(pd["evidence"]))
+        Piece(points_from_json(pd["points"], seen), int(pd["mult"]),
+              _evidence_from_json(pd["evidence"]))
         for pd in doc["pieces"]
     )
     return D, mults, EmptinessCertificate(cuts, pieces)
@@ -427,19 +460,21 @@ def verify_certificate_json(doc: dict):
     """Full verification of an emitted document.
 
     Mathematics first, so a broken piece is reported by index; the content
-    digest is checked last and rejects edits that happen to leave a still
-    valid proof (e.g. relabelling a line assignment with slack).
+    digest is reported last and rejects edits that happen to leave a still
+    valid proof (e.g. relabelling a line assignment with slack).  It is
+    computed first, before the decoded points exist alongside the
+    document, which keeps the peak memory of a large certificate down.
     """
     try:
-        payload = {k: doc[k] for k in ("problem", "cuts", "pieces")}
-        stored = doc["digest"]
+        digest_ok = _digest({k: doc[k] for k in ("problem", "cuts",
+                                                 "pieces")}) == doc["digest"]
         D, mults, cert = certificate_from_json(doc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError):
         return False, {"piece": None, "reason": "malformed document"}
     ok, detail = verify_certificate(D, mults, cert)
     if not ok:
         return False, detail
-    if _digest(payload) != stored:
+    if not digest_ok:
         return False, {"piece": None, "reason": "digest mismatch"}
     return True, None
 
@@ -477,18 +512,27 @@ def paper_family(n: int):
 # cut search
 
 
-def _candidate_cuts(D):
-    """Cuts ax+by+c with small primitive slopes and half-integer thresholds
-    strictly between consecutive attained values."""
-    slopes = [(a, b) for a in range(-3, 4) for b in range(-3, 4)
-              if gcd(a, b) == 1]
-    out = []
-    for (a, b) in slopes:
-        vals = sorted({a * x + b * y for (x, y) in D})
-        for lo, hi in zip(vals, vals[1:]):
-            # positive part: value > (lo+hi)/2, i.e. value >= hi
-            out.append(CutFunctional(a, b, -Fraction(lo + hi, 2)))
-    return out
+_SLOPES = tuple((a, b) for a in range(-3, 4) for b in range(-3, 4)
+                if gcd(a, b) == 1)
+
+
+def _candidate_cuts(D, target: int):
+    """(cut, positive part) for the cuts ax+by+c with small primitive
+    slopes and half-integer thresholds strictly between consecutive
+    attained values, whose positive part holds 1 to target points of D.
+
+    Per slope, D is sorted by a*x + b*y once: the positive part of the
+    threshold between attained values lo < hi is the top run with values
+    >= hi, so the walk down stops after target points.
+    """
+    for a, b in _SLOPES:
+        ranked = sorted(D, key=lambda p: a * p[0] + b * p[1], reverse=True)
+        for k in range(1, min(target + 1, len(ranked))):
+            (x, y), (u, v) = ranked[k - 1], ranked[k]
+            hi, lo = a * x + b * y, a * u + b * v
+            if hi != lo:
+                yield (CutFunctional(a, b, -Fraction(lo + hi, 2)),
+                       frozenset(ranked[:k]))
 
 
 def search_cuts(D, mults: Sequence[int], budget: int
@@ -519,16 +563,9 @@ def search_cuts(D, mults: Sequence[int], budget: int
         if idx == len(mults) - 1:
             return [] if attempt(residual, mults[idx]) else None
         target = comb(mults[idx] + 1, 2)
-        cands = []
-        for cut in _candidate_cuts(residual):
-            try:
-                plus, _ = halfplane_partition(residual, cut)
-            except ValueError:
-                continue
-            if 0 < len(plus) <= target:
-                cands.append((abs(len(plus) - target), cut, plus))
-        cands.sort(key=lambda t: (t[0], t[1].as_triple()))
-        for _, cut, plus in cands:
+        cands = sorted(_candidate_cuts(residual, target),
+                       key=lambda t: (target - len(t[1]), t[0].as_triple()))
+        for cut, plus in cands:
             if attempts[0] <= 0:
                 return None
             if not attempt(plus, mults[idx]):

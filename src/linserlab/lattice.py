@@ -1,15 +1,18 @@
 """Lattice point sets in Z^2, staircases, and half-plane cuts.
 
-Points are plain (x, y) int tuples.  Cut functionals carry rational
-coefficients; thresholds sit at half-integers so a cut can never vanish on a
-lattice point, which the partition-based emptiness proofs rely on.
+Points are plain (x, y) int tuples.  A cut functional is kept in integer
+form, three integers over one positive common denominator, so testing a
+point is a sign of a*x + b*y + c in plain ints; its rational coefficients,
+and the [num, den] pairs certificates store, are derived from that form.
+Thresholds sit at half-integers so a cut can never vanish on a lattice
+point, which the partition-based emptiness proofs rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
@@ -18,26 +21,35 @@ LatticePoint = Tuple[int, int]
 MonomialSet = FrozenSet[LatticePoint]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CutFunctional:
-    """Affine functional a*x + b*y + c used as a strict half-plane test."""
+    """Affine functional a*x + b*y + c used as a strict half-plane test.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    Built from rational a, b, c; stored as the integers num = (A, B, C) and
+    den > 0 with (a, b, c) = (A, B, C) / den and gcd(A, B, C, den) = 1, so
+    equal functionals compare and hash equal.  `value`, `as_triple` and the
+    certificate codec ([num, den] per coefficient, in lowest terms) derive
+    the rational coefficients from this form.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.a == 0 and self.b == 0:
+    num: Tuple[int, int, int]
+    den: int
+
+    def __init__(self, a, b, c):
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        if a == 0 and b == 0:
             raise ValueError("cut needs a nonzero linear part")
+        den = lcm(a.denominator, b.denominator, c.denominator)
+        object.__setattr__(self, "num", tuple(
+            f.numerator * (den // f.denominator) for f in (a, b, c)))
+        object.__setattr__(self, "den", den)
 
     def value(self, p: LatticePoint) -> Fraction:
-        return self.a * p[0] + self.b * p[1] + self.c
+        a, b, c = self.num
+        return Fraction(a * p[0] + b * p[1] + c, self.den)
 
-    def as_triple(self):
-        return (self.a, self.b, self.c)
+    def as_triple(self) -> Tuple[Fraction, Fraction, Fraction]:
+        return tuple(Fraction(v, self.den) for v in self.num)
 
 
 def integer_threshold(a, b, t) -> CutFunctional:
@@ -157,14 +169,20 @@ def triangle_set(d: int) -> MonomialSet:
 
 
 def halfplane_partition(points: Iterable[LatticePoint], cut: CutFunctional):
-    """Split points into (positive side, negative side) of the cut."""
-    plus, minus = set(), set()
+    """Split points into (positive side, negative side) of the cut.
+
+    The side is the sign of A*x + B*y + C over the cut's integer form, so
+    no Fraction is built per point."""
+    a, b, c = cut.num
+    plus, minus = [], []
+    to_plus, to_minus = plus.append, minus.append
     for p in points:
-        v = cut.value(p)
+        x, y = p
+        v = a * x + b * y + c
         if v > 0:
-            plus.add(p)
+            to_plus(p)
         elif v < 0:
-            minus.add(p)
+            to_minus(p)
         else:
             raise ValueError(f"cut vanishes on lattice point {p}")
     return frozenset(plus), frozenset(minus)

@@ -92,6 +92,30 @@ def test_verify_malformed_document(tmp_path, capsys):
     assert rep["reason"] == "malformed document"
 
 
+@pytest.mark.parametrize("points, cuts, evidence", [
+    ([[0], [1]], [[[1, 1], [0, 1], [-1, 2]]],
+     {"type": "line_assignment", "direction": "vertical",
+      "assignment": [[0, 1]]}),
+    ([[0, 0, 0]], [], {"type": "nonzero_determinant", "value": [1, 1]}),
+])
+def test_verify_rejects_points_that_are_not_pairs(tmp_path, capsys, points,
+                                                  cuts, evidence):
+    """One coordinate made the partition raise IndexError, three made the
+    jets raise ValueError (exit 1); both are malformed documents."""
+    from linserlab.dumnicki import _digest
+
+    doc = {"problem": {"points": points, "mults": [1] * len(points)},
+           "cuts": cuts,
+           "pieces": [{"points": [p], "mult": 1, "evidence": evidence}
+                      for p in points]}
+    doc["digest"] = _digest(doc)
+    path = tmp_path / "not_pairs.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 2
+    assert rep["verified"] is False and rep["reason"] == "malformed document"
+
+
 def test_verify_negative_multiplicity_is_a_counterexample(tmp_path, capsys):
     """An empty piece with mult -1 and determinant evidence, re-digested:
     the verifier answers instead of raising."""
@@ -171,6 +195,18 @@ def test_empty_rejects_malformed_cut(tmp_path, capsys, coefficient, message):
     code, rep = run(capsys, "empty", "--problem", str(prob))
     assert code == 1
     assert rep["command"] == "empty" and message in rep["error"]
+
+
+@pytest.mark.parametrize("points", [[[0], [1], [2]], [[0, 0, 0], [1, 0, 0]]])
+def test_empty_rejects_points_that_are_not_pairs(tmp_path, capsys, points):
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps({
+        "points": points, "mults": [1, 1],
+        "cuts": [[[1, 1], [0, 1], [-1, 2]]]}))
+    code, rep = run(capsys, "empty", "--problem", str(prob))
+    assert code == 1
+    assert rep["command"] == "empty"
+    assert "is not a pair of integers" in rep["error"]
 
 
 def test_arithmetic_error_gives_json_envelope(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Emptiness prover: interpolation matrices, cuts, certificates, search."""
 
+import hashlib
 import json
+import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -14,6 +16,7 @@ from linserlab import dumnicki
 from linserlab.dumnicki import (
     EmptinessCertificate,
     Failure,
+    FullRank,
     InterpolationProblem,
     LineAssignment,
     NonzeroDeterminant,
@@ -349,6 +352,104 @@ def test_verify_jets_of_order_past_the_exponents():
     assert not ok and detail["reason"] == "selected rows singular"
 
 
+@pytest.mark.parametrize("points, m", [
+    (((-1, 0), (-1, 1), (0, 0)), 10**6),
+    (((N, N), (N, N + 1), (N + 1, N)), N),
+])
+def test_verify_rejects_jets_of_order_past_the_piece(points, m):
+    """The last three jets of the staircase, (m - 2, 0), (m - 2, 1) and
+    (m - 1, 0), do not vanish on these points; their falling factorials
+    would run to order m.  No order ideal of three jets holds them."""
+    jets = comb(m + 1, 2)
+    evidence = {"type": "full_rank", "rank": 3,
+                "rows": [jets - 3, jets - 2, jets - 1]}
+    start = time.perf_counter()
+    ok, detail = verify_certificate_json(_huge_mult_doc(evidence, points, m))
+    assert time.perf_counter() - start < 5
+    assert not ok
+    assert detail == {"piece": 0, "reason": "jet order not below piece size"}
+
+
+def test_prover_selects_order_ideals():
+    """The greedy lex row selection of a full_rank piece is an order ideal
+    of the staircase, so it never meets the verifier's jet-order bound."""
+    rng = random.Random(7)
+    grid = [(x, y) for x in range(7) for y in range(7)]
+    seen = 0
+    for _ in range(60):
+        m = rng.randint(3, 5)
+        size = rng.randint(3, comb(m + 1, 2) - 1)
+        points = frozenset(rng.sample(grid, size))
+        ev = dumnicki._certify_piece(points, m)
+        if not isinstance(ev, FullRank):
+            continue
+        seen += 1
+        jets = {dumnicki._staircase_jet(m, i) for i in ev.rows}
+        assert all((al - 1, be) in jets for al, be in jets if al)
+        assert all((al, be - 1) in jets for al, be in jets if be)
+        cert = EmptinessCertificate((), (Piece(points, m, ev),))
+        assert verify_certificate(points, (m,), cert) == (True, None)
+    assert seen >= 10
+
+
+def _pair_doc(points, evidence, cuts=()):
+    pts = [list(p) for p in points]
+    return _redigest({
+        "problem": {"points": pts, "mults": [1] * (len(cuts) + 1)},
+        "cuts": [list(c) for c in cuts],
+        "pieces": [{"points": pts[:1], "mult": 1, "evidence": evidence}]
+        + [{"points": pts[1:], "mult": 1, "evidence": evidence}] * len(cuts)})
+
+
+NOT_PAIRS = [
+    # one coordinate and one cut: the partition read p[1]
+    _pair_doc([[2], [0], [1]], {"type": "line_assignment",
+                                "direction": "vertical",
+                                "assignment": [[0, 1]]},
+              cuts=[[[1, 1], [0, 1], [-3, 2]]]),
+    # three coordinates: the determinant's jets read two
+    _pair_doc([[0, 0, 0]], {"type": "nonzero_determinant", "value": [1, 1]}),
+]
+
+
+@pytest.mark.parametrize("doc", NOT_PAIRS)
+def test_verify_requires_integer_pairs(doc):
+    assert verify_certificate_json(doc) == (
+        False, {"piece": None, "reason": "malformed document"})
+
+
+def test_points_from_json():
+    assert dumnicki.points_from_json([[1, 2], (3, -4)]) == {(1, 2), (3, -4)}
+    for bad in ([1, 2], [[1]], [[1, 2, 3]], [[1.0, 2]], [["1", 2]],
+                [[True, 2]], [{"x": 1, "y": 2}]):
+        with pytest.raises(ValueError):
+            dumnicki.points_from_json(bad)
+
+
+# SHA-256 of the canonical JSON of certificate_to_json(paper_family(n)) for
+# n = 1..10, recorded while cuts still carried Fraction coefficients.
+PAPER_SHA256 = {
+    1: "1e648b7c30e4e212ab7e9fbbcafb23f12f58446ce0405b570f2a6ff1203ed36d",
+    2: "0cd072f2e0ea633744d96748e21e3681a61ba31be5b704dddb81b0514103a794",
+    3: "924535763d2535cb5ca04018f22f3662d5abaa1f00899cae7220e25f288ae6b0",
+    4: "165b1fa323530948136ec31ad9b3955f07e66951d266418799784b2d8808e42a",
+    5: "80ec7144bb7eb4785db1a244ab169b5dd224a3f0649566b630682f354ddcd773",
+    6: "46c9062e1e38027b6e2278dbb35ecbe28d6705b646399ee3c84168428d1e8753",
+    7: "0f9cc059b32133a6ade912e3e0c46b1fbf8b556be7e327e994fd702049e69247",
+    8: "cde03705fea2786fd024e7a821cd5c935c0fd0b9d7fcdecd53dace4e24e6ee17",
+    9: "816fea42ecbf193d572ba2046a5d6381705d4e900b7cf0cdaf7d3ce4f7a10fdf",
+    10: "df239a646cf315a8cccc32130662f700447f725f7dc1cc789fa188dc1804738f",
+}
+
+
+def test_paper_certificates_are_pinned():
+    for n, want in PAPER_SHA256.items():
+        D, mults, cuts = paper_family(n)
+        doc = certificate_to_json(D, mults, prove_empty(D, mults, cuts))
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == want, n
+
+
 def _negative_mult_doc():
     D = triangle_set(1)
     cut = CutFunctional(1, 0, Fraction(-5, 2))  # x >= 3: nothing
@@ -392,6 +493,38 @@ def test_determinant_and_full_rank_evidence():
     assert not ok and detail["reason"] == "duplicate rows"
     ok, detail = swap(FullRank(len(E), tuple(range(1, len(E) + 1))))
     assert not ok and detail["reason"] == "row index out of range"
+
+
+def _frozen_candidate_cuts(D, target):
+    """The search's candidates as they were built before the sorted walk:
+    every threshold of every slope, each followed by a Fraction partition
+    of D, kept if its positive part holds 1 to target points."""
+    slopes = [(a, b) for a in range(-3, 4) for b in range(-3, 4)
+              if gcd(a, b) == 1]
+    out = []
+    for (a, b) in slopes:
+        vals = sorted({a * x + b * y for (x, y) in D})
+        for lo, hi in zip(vals, vals[1:]):
+            c = -Fraction(lo + hi, 2)
+            plus = frozenset(p for p in D if a * p[0] + b * p[1] + c > 0)
+            if 0 < len(plus) <= target:
+                out.append((CutFunctional(a, b, c), plus))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(st.tuples(st.integers(-4, 8), st.integers(-4, 8)),
+               max_size=25),
+       st.integers(0, 12))
+def test_candidate_cuts_match_frozen_generator(D, target):
+    D = frozenset(D)
+
+    def order(cands):  # the order search_cuts tries them in
+        return sorted(cands, key=lambda t: (target - len(t[1]),
+                                            t[0].as_triple()))
+
+    got = order(dumnicki._candidate_cuts(D, target))
+    assert got == order(_frozen_candidate_cuts(D, target))
 
 
 def test_search_prunes_undersized_systems():

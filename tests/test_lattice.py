@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,60 @@ def test_halfplane_partition_splits_and_rejects_vanishing():
     assert minus == {(0, 0), (0, 1), (0, 2)}
     with pytest.raises(ValueError):
         halfplane_partition(pts, CutFunctional(1, 0, -1))
+
+
+def _frozen_fraction_partition(points, a, b, c):
+    """halfplane_partition as it was before cuts had an integer form:
+    every point evaluated in Fraction arithmetic.  Kept as the oracle."""
+    plus, minus = set(), set()
+    for p in points:
+        v = a * p[0] + b * p[1] + c
+        if v > 0:
+            plus.add(p)
+        elif v < 0:
+            minus.add(p)
+        else:
+            raise ValueError(f"cut vanishes on lattice point {p}")
+    return frozenset(plus), frozenset(minus)
+
+
+big = st.integers(-10**30, 10**30)
+rationals = st.builds(Fraction, big, st.sampled_from(
+    [1, 2, 3, 4, 6, 7, 10**9 + 7, 2**61 - 1, 10**30]))
+lattice_coord = st.one_of(st.integers(-50, 50), big)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(lattice_coord, lattice_coord), min_size=1,
+                max_size=25),
+       rationals, rationals, rationals, st.integers(-1, 24))
+def test_integer_partition_matches_fraction_partition(points, a, b, c, on):
+    if a == 0 and b == 0:
+        a = Fraction(1, 3)
+    if on >= 0:  # move the line onto a point, to see the same error
+        x, y = points[on % len(points)]
+        c = -(a * x + b * y)
+    cut = CutFunctional(a, b, c)
+    assert cut.as_triple() == (a, b, c)
+    assert cut.den > 0 and math.gcd(*cut.num, cut.den) == 1
+    try:
+        want = _frozen_fraction_partition(points, a, b, c)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            halfplane_partition(points, cut)
+        assert str(got.value) == str(exc)
+    else:
+        assert halfplane_partition(points, cut) == want
+        assert all(cut.value(p) == a * p[0] + b * p[1] + c for p in points)
+
+
+def test_cut_integer_form_is_canonical():
+    cut = CutFunctional(Fraction(2, 4), 0, Fraction(-3, 6))
+    assert (cut.num, cut.den) == ((1, 0, -1), 2)
+    assert cut == CutFunctional(Fraction(1, 2), 0, Fraction(-1, 2))
+    assert hash(cut) == hash(CutFunctional(Fraction(1, 2), 0, Fraction(-1, 2)))
+    assert CutFunctional(-3, 1, Fraction(7, 2)).num == (-6, 2, 7)
+    assert CutFunctional(2, 4, 6).num == (2, 4, 6)  # den 1: no rescaling
 
 
 def test_staircases():
