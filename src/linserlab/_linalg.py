@@ -16,14 +16,24 @@ delay that proof, never fake it: it divides a minor, and the next lucky
 prime restarts the lift with a strictly better rank profile.
 
 `rank_exact` lifts the column kernels of A and of A^T at once, after one
-prime; `nullspace` lifts the kernel of A alone; `independent_rows` takes a
-greedy row selection mod p whose size is min(shape) or the proved rank.
+elimination mod RANK_PRIME; `nullspace` lifts the kernel of A alone;
+`independent_rows` takes a greedy row selection mod p whose size is
+min(shape) or the proved rank.
 Fraction-free (Bareiss) elimination is used for determinants only.
+
+Rank-only residues are taken mod RANK_PRIME, the largest prime below
+2**26.  There one product of residues fills 52 bits, so the elimination
+subtracts up to 2047 of them before an entry must be reduced, and it
+reduces only the pivot column and the pivot row at each step (Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008).  A rank mod RANK_PRIME is still
+a lower bound; an unlucky RANK_PRIME only sends the matrix on to the
+kernel lift, which runs over the stream of CERT_PRIMES and the primes
+below them.
 
 The halves of `rank_exact` can be called on their own: `rank_mod_p_array`
 eliminates an int64 array of residues, and `deficient_rank` proves a rank
-that is deficient mod CERT_PRIMES[0] without eliminating mod that prime
-again.  `fatpoints.cohomology` builds its residues directly and calls both.
+that is deficient mod RANK_PRIME.  `fatpoints.cohomology` builds its
+residues mod RANK_PRIME directly and calls both.
 """
 
 from __future__ import annotations
@@ -40,6 +50,10 @@ P_LIMIT = 2**31
 
 # Fixed prime list keeps results deterministic.
 CERT_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
+
+# The largest prime below 2**26: the modulus of rank-only residues, where
+# (p - 1)**2 < 2**52 leaves room for 2047 unreduced updates per entry.
+RANK_PRIME = 67_108_859
 
 
 def _row_scale(row):
@@ -75,27 +89,41 @@ def rank_mod_p(rows, p):
 def rank_mod_p_array(a, p):
     """Rank over GF(p) of an int64 array with entries in [0, p).
 
-    `a` is consumed.  The caller keeps p below P_LIMIT.
+    `a` is consumed.  The caller keeps p below P_LIMIT.  Each step reduces
+    the pivot column and the pivot row only, and subtracts products of
+    residues from the rows below without reducing them.  An entry holds at
+    most `lazy` such products between reductions, which keeps it inside
+    int64; after `lazy` updates the whole trailing block is reduced.  For
+    p near 2**31, `lazy` is 1 and the block is reduced after every update.
     """
     nrows, ncols = a.shape
+    lazy = (2**63 - p) // (p - 1)**2 - 1
+    pending = 0  # updates since the trailing block was last reduced
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        stuck = np.nonzero(a[r:, c])[0]
+        col = a[r:, c]
+        if pending:
+            col %= p
+        stuck = np.nonzero(col)[0]
         if stuck.size == 0:
             continue
         i = r + int(stuck[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
         # rows at or below r are zero left of column c
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        row = a[r, c:] % p if pending else a[r, c:]
+        a[r, c:] = row * pow(int(a[r, c]), -1, p) % p
         below = a[r + 1:, c]
         nz = np.nonzero(below)[0]
         if nz.size:
             rows_below = r + 1 + nz
-            a[rows_below, c:] = (a[rows_below, c:]
-                                 - np.outer(below[nz], a[r, c:])) % p
+            a[rows_below, c:] -= np.outer(below[nz], a[r, c:])
+            pending += 1
+            if pending == lazy:
+                a[r + 1:, c + 1:] %= p
+                pending = 0
         r += 1
     return r
 
@@ -226,26 +254,29 @@ def _bareiss_echelon(mat):
 def rank_exact(rows):
     """Exact rank over Q.
 
-    Full rank mod CERT_PRIMES[0] settles it (a nonzero minor mod p is
-    nonzero in Z); a deficient rank goes to `deficient_rank`.
+    Full rank mod RANK_PRIME settles it (a nonzero minor mod p is nonzero
+    in Z); a deficient rank goes to `deficient_rank`, which an unlucky
+    RANK_PRIME only costs time.
     """
     rows = [row for row in to_int_rows(rows) if any(row)]
     if not rows:
         return 0
     full = min(len(rows), len(rows[0]))
-    if rank_mod_p(rows, CERT_PRIMES[0]) == full:
+    if rank_mod_p(rows, RANK_PRIME) == full:
         return full
     return deficient_rank(np.array(rows, dtype=object), full)
 
 
 def deficient_rank(mat, full):
-    """Exact rank of an integer matrix whose rank mod CERT_PRIMES[0] < full.
+    """Exact rank of an integer matrix whose rank mod RANK_PRIME < full.
 
     `mat` is a numpy object array of ints without zero rows, and `full` is
     min(mat.shape).  The rank is proved by the lifted kernel of A or of
-    A^T, over the primes after CERT_PRIMES[0].
+    A^T, over the prime stream from CERT_PRIMES[0] on.  The lift needs the
+    reduced echelon form mod each of its primes, so it starts afresh
+    rather than reuse the elimination mod RANK_PRIME.
     """
-    lift, _ = _proved_kernel(mat, True, full, _batches(1))
+    lift, _ = _proved_kernel(mat, True, full, _batches())
     return lift.rank
 
 
@@ -325,15 +356,14 @@ def _prime_stream():
         q -= 2
 
 
-def _batches(skip):
-    """The prime stream after its first `skip` primes, in batches of 1, 2,
-    4, 4, ...
+def _batches():
+    """The prime stream in batches of 1, 2, 4, 4, ...
 
     One batch is eliminated in lockstep, which spreads numpy's per-call
     cost over its primes; small first batches keep a kernel that lifts
     from one or two primes from paying for four.
     """
-    stream = islice(_prime_stream(), skip, None)
+    stream = _prime_stream()
     size = 1
     while batch := list(islice(stream, size)):
         yield np.array(batch, dtype=np.int64)
@@ -482,7 +512,7 @@ def nullspace(rows, ncols=None):
         return [[Fraction(int(i == j)) for j in range(ncols or 0)]
                 for i in range(ncols or 0)]
     mat = np.array(to_int_rows(rows), dtype=object)
-    lift, vecs = _proved_kernel(mat, False, len(rows[0]), _batches(0))
+    lift, vecs = _proved_kernel(mat, False, len(rows[0]), _batches())
     if vecs is None:
         return []
     den = vecs[0][lift.free[0]]

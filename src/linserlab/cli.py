@@ -476,6 +476,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError,
             json.JSONDecodeError) as exc:
         return _error(args, parser.prog, str(exc))
+    except MemoryError as exc:  # a bare MemoryError has no message
+        return _error(args, parser.prog, str(exc) or "out of memory")
 
 
 def _error(args, prog: str, message: str) -> int:

@@ -4,9 +4,9 @@ The conditions matrix of L(d; m_1..m_r) holds the derivative conditions of
 each point in its affine chart, built by `lattice.jet_conditions` after the
 point is put in normal form (coprime integers over Q).  Cohomology numbers
 come from its rank: over GF(p) from the matrix of residues mod p; over Q
-from the residues mod a large prime first, where full rank is the proof,
-and only when that rank drops from the exact integer matrix and its kernel
-certificate.  On top of that sit initial-degree searches (alpha),
+from the residues mod a prime below 2**26 first, where full rank is the
+proof, and only when that rank drops from the exact integer matrix and its
+kernel certificate.  On top of that sit initial-degree searches (alpha),
 Waldschmidt sandwiches, Chudnovsky equality probes, Cremona reduction, the
 Pell family of square-zero classes, and semi-effectivity classification.
 """
@@ -169,12 +169,12 @@ def cohomology(system: FatPointSystem) -> SystemReport:
     """Exact h0/h1 of the system (h2 = 0 since d >= 0).
 
     The rank is read from the residue matrix first: mod q over GF(q), and
-    mod CERT_PRIMES[0] over Q, where full rank mod p is already the proof.
+    mod RANK_PRIME over Q, where full rank mod p is already the proof.
     Only a deficient rational rank builds the exact matrix, whose kernel
-    certificate goes on with the primes after CERT_PRIMES[0].
+    certificate runs over the prime stream from CERT_PRIMES[0] on.
     """
     fs = system.fieldspec
-    p = fs.p if fs.kind == "prime" else _linalg.CERT_PRIMES[0]
+    p = fs.p if fs.kind == "prime" else _linalg.RANK_PRIME
     residues = conditions_matrix(system, p)
     nrows, ncols = residues.shape
     full = min(nrows, ncols)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from linserlab import cli
 from linserlab.cli import main
 
 
@@ -216,6 +217,21 @@ def test_arithmetic_error_gives_json_envelope(tmp_path, capsys):
     code, rep = run(capsys, "cohomology", "--system", str(path))
     assert code == 1
     assert rep["command"] == "cohomology" and "error" in rep
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 8 GiB"), "Unable to allocate 8 GiB"),
+])
+def test_memory_error_gives_json_envelope(monkeypatch, capsys, exc,
+                                          message):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_cohomology", exhausted)
+    code, rep = run(capsys, "cohomology", "--degree", "4", "--mults", "2")
+    assert code == 1
+    assert rep["command"] == "cohomology" and rep["error"] == message
 
 
 def test_toric_fan_chain(tmp_path, capsys):

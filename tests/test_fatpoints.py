@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from linserlab import _linalg, fatpoints
-from linserlab._linalg import CERT_PRIMES, rank_exact, rank_mod_p
+from linserlab._linalg import (CERT_PRIMES, RANK_PRIME, rank_exact,
+                               rank_mod_p)
 from linserlab.fatpoints import (
     GF,
     FatPointSystem,
@@ -213,7 +214,7 @@ def test_nonspecial_system_never_builds_the_exact_matrix(monkeypatch):
     builds, primes = _spy_builds_and_primes(monkeypatch)
     rep = cohomology(FatPointSystem(10, pts, (3,) * 8))
     assert (rep.h0, rep.h1) == (18, 0)
-    assert builds == [CERT_PRIMES[0]] and primes == [CERT_PRIMES[0]]
+    assert builds == [RANK_PRIME] and primes == [RANK_PRIME]
 
 
 def test_double_conic_builds_exact_matrix_once(monkeypatch):
@@ -221,8 +222,10 @@ def test_double_conic_builds_exact_matrix_once(monkeypatch):
     builds, primes = _spy_builds_and_primes(monkeypatch)
     rep = cohomology(FatPointSystem(4, pts, (2,) * 5))
     assert (rep.h0, rep.h1) == (1, 1)
-    assert builds == [CERT_PRIMES[0], None]
-    assert primes.count(CERT_PRIMES[0]) == 1
+    assert builds == [RANK_PRIME, None]
+    # one rank pass mod RANK_PRIME; the lift starts at CERT_PRIMES[0]
+    assert primes[:2] == [RANK_PRIME, CERT_PRIMES[0]]
+    assert primes.count(RANK_PRIME) == 1
 
 
 def test_prime_field_builds_residues_only(monkeypatch):

@@ -2,13 +2,16 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from linserlab._linalg import (CERT_PRIMES, det_exact, independent_rows,
-                               independent_rows_mod_p, nullspace, rank_exact,
-                               rank_mod_p, to_int_rows)
+from linserlab import _linalg
+from linserlab._linalg import (CERT_PRIMES, RANK_PRIME, det_exact,
+                               independent_rows, independent_rows_mod_p,
+                               is_prime, nullspace, rank_exact, rank_mod_p,
+                               rank_mod_p_array, to_int_rows)
 
 
 def _sympy_rank(rows):
@@ -188,3 +191,108 @@ def test_independent_rows_have_full_rank(rows):
     picked = independent_rows(rows)
     assert len(picked) == _sympy_rank(rows)
     assert _sympy_rank([rows[i] for i in picked]) == len(picked)
+
+
+def _eager_rank_mod_p(a, p):
+    """Frozen copy of the modular rank loop that reduced every update."""
+    nrows, ncols = a.shape
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        stuck = np.nonzero(a[r:, c])[0]
+        if stuck.size == 0:
+            continue
+        i = r + int(stuck[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1:, c]
+        nz = np.nonzero(below)[0]
+        if nz.size:
+            rows_below = r + 1 + nz
+            a[rows_below, c:] = (a[rows_below, c:]
+                                 - np.outer(below[nz], a[r, c:])) % p
+        r += 1
+    return r
+
+
+def _reduction_interval(p):
+    return (2**63 - p) // (p - 1)**2 - 1
+
+
+# the largest prime below 2**30: the trailing block is reduced every 7 updates
+P30 = 1_073_741_789
+
+
+def test_reduction_intervals():
+    assert is_prime(RANK_PRIME) and is_prime(P30)
+    assert not any(is_prime(q) for q in range(RANK_PRIME + 1, 2**26))
+    assert [_reduction_interval(p) for p in CERT_PRIMES] == [1, 1, 1]
+    assert _reduction_interval(P30) == 7
+    assert _reduction_interval(RANK_PRIME) == 2047
+
+
+@st.composite
+def residue_matrices(draw):
+    """(a, p): an int64 matrix of residues mod p of rank at most k, with
+    some columns zero and entries drawn toward 0, 1 and p - 1."""
+    p = draw(st.sampled_from(CERT_PRIMES + (P30, RANK_PRIME, 2, 7)))
+    entries = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+    n = draw(st.integers(1, 16))
+    m = draw(st.integers(1, 16))
+    k = draw(st.integers(0, min(n, m)))
+    left = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    right = [[draw(entries) for _ in range(m)] for _ in range(k)]
+    zero = draw(st.sets(st.integers(0, m - 1)))
+    rows = [[0 if j in zero else sum(x * y for x, y in zip(row, col)) % p
+             for j, col in enumerate(zip(*right))] if k else [0] * m
+            for row in left]
+    return np.array(rows, dtype=np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_matrices())
+def test_lazy_rank_mod_p_is_the_eager_loop(case):
+    a, p = case
+    lazy, eager = a.copy(), a.copy()
+    assert rank_mod_p_array(lazy, p) == _eager_rank_mod_p(eager, p)
+    if _reduction_interval(p) == 1:
+        # the block is reduced after every update: the same final array
+        assert np.array_equal(lazy, eager)
+
+
+@pytest.mark.parametrize("p, n", [(CERT_PRIMES[0], 40), (P30, 40), (7, 40),
+                                  (RANK_PRIME, 2100)])
+@pytest.mark.parametrize("deficient", [False, True])
+def test_lazy_rank_mod_p_at_its_largest_updates(p, n, deficient):
+    """Row c < n - 1 is e_c + (p - 1) e_{n-1}, and the last row is p - 1
+    left of the diagonal.  Every step subtracts (p - 1)**2 from the last
+    entry, the most one update can, so it would leave int64 without the
+    block reduction; mod p it ends at x - (n - 1)."""
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(n - 1), np.arange(n - 1)] = 1
+    a[:n - 1, n - 1] = p - 1
+    a[n - 1, :n - 1] = p - 1
+    a[n - 1, n - 1] = (n - 1 if deficient else n) % p
+    assert rank_mod_p_array(a, p) == n - deficient
+
+
+def test_unlucky_rank_prime_goes_on_to_the_kernel_lift(monkeypatch):
+    mat = [[1, 1], [1, 1 + RANK_PRIME]]
+    assert rank_mod_p(mat, RANK_PRIME) == 1
+    assert rank_exact(mat) == 2
+    # unlucky for CERT_PRIMES[0] too: the greedy pick falls short, so
+    # independent_rows asks rank_exact, whose RANK_PRIME is unlucky
+    mat = [[1, 1], [1, 1 + CERT_PRIMES[0] * RANK_PRIME]]
+    assert independent_rows_mod_p(mat, CERT_PRIMES[0]) == [0]
+    assert rank_mod_p(mat, RANK_PRIME) == 1
+    ranks = []
+
+    def spy(rows):
+        ranks.append(rank_exact(rows))
+        return ranks[-1]
+
+    monkeypatch.setattr(_linalg, "rank_exact", spy)
+    assert independent_rows(mat) == [0, 1]
+    assert ranks == [2]

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts: each exits 0 on a small input."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,21 @@ import sys
 
 import pytest
 
+from linserlab._linalg import CERT_PRIMES, RANK_PRIME
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _run(script, argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    return proc.stdout
 
 
 @pytest.mark.parametrize("script, args", [
@@ -16,12 +31,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
     ("negativity_survey.py", ["--max-lines", "5", "--max-collinear", "5"]),
 ])
 def test_script_runs(script, args, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [a.format(tmp=tmp_path) for a in args]
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    _run(script, [a.format(tmp=tmp_path) for a in args], tmp_path)
+
+
+def test_time_rank_prints_both_primes(tmp_path):
+    doc = json.loads(_run("time_rank.py", ["--degrees", "16", "--repeat", "1"],
+                          tmp_path))
+    rows = doc["rows"]
+    assert [row["prime"] for row in rows] == [CERT_PRIMES[0], RANK_PRIME]
+    for row in rows:
+        assert row["shape"] == [145, 153] and row["rank"] == 145
+        assert 0 < row["best_s"] <= row["median_s"]
