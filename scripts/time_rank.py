@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
-"""Time the modular rank elimination on generic conditions matrices.
+"""Time the modular rank elimination and the exact determinant.
 
 For each degree the conditions matrix of a fixed nonspecial class is built
 at random rational points drawn from SEED, once mod CERT_PRIMES[0] and
 once mod RANK_PRIME, and `rank_mod_p_array` eliminates a fresh copy of it
 --repeat times.  The classes are those of the benchmark's generic workload, and
-d = 39 is (39; 15, 12^9).  Prints one JSON document: per degree and prime
-the matrix shape, the rank, and the best and median seconds.
+d = 39 is (39; 15, 12^9).
+
+For m in DET_MULTS, `det_exact` runs --repeat times on the square
+interpolation matrix of a fat point of multiplicity m at C(m + 1, 2)
+lattice points drawn from SEED in a box of side m + 4, as the benchmark's
+certify workload draws its pieces.
+
+Prints one JSON document: per degree and prime the matrix shape, the rank,
+and the best and median seconds ("rows"), and per m the shape, the bit
+length of the determinant and the best and median seconds ("det_rows").
 """
 
 import argparse
@@ -15,10 +23,13 @@ import random
 import statistics
 import sys
 import time
+from math import comb
 
 from linserlab import _linalg
+from linserlab.dumnicki import InterpolationProblem, interp_matrix
 from linserlab.fatpoints import (FatPointSystem, conditions_matrix,
                                  random_rational_points)
+from linserlab.lattice import triangle_staircase
 
 CLASSES = {
     16: (5,) * 9 + (4,),
@@ -29,6 +40,28 @@ CLASSES = {
 }
 
 SEED = 5
+
+DET_MULTS = (9, 12, 15)
+
+
+def _det_rows(repeat):
+    rng = random.Random(SEED)
+    rows = []
+    for m in DET_MULTS:
+        pts = set()
+        while len(pts) < comb(m + 1, 2):
+            pts.add((rng.randrange(m + 4), rng.randrange(m + 4)))
+        mat = interp_matrix(InterpolationProblem(pts, triangle_staircase(m)))
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            det = _linalg.det_exact(mat)
+            times.append(time.perf_counter() - t0)
+        rows.append({"m": m, "shape": [len(mat), len(mat[0])],
+                     "det_bits": abs(det.numerator).bit_length(),
+                     "best_s": min(times),
+                     "median_s": statistics.median(times)})
+    return rows
 
 
 def main() -> int:
@@ -57,8 +90,8 @@ def main() -> int:
                          "shape": list(residues.shape), "prime": p,
                          "rank": rank, "best_s": min(times),
                          "median_s": statistics.median(times)})
-    json.dump({"seed": SEED, "repeat": args.repeat, "rows": rows},
-              sys.stdout, indent=2)
+    json.dump({"seed": SEED, "repeat": args.repeat, "rows": rows,
+               "det_rows": _det_rows(args.repeat)}, sys.stdout, indent=2)
     print()
     return 0
 

@@ -18,8 +18,8 @@ prime restarts the lift with a strictly better rank profile.
 `rank_exact` lifts the column kernels of A and of A^T at once, after one
 elimination mod RANK_PRIME; `nullspace` lifts the kernel of A alone;
 `independent_rows` takes a greedy row selection mod p whose size is
-min(shape) or the proved rank.
-Fraction-free (Bareiss) elimination is used for determinants only.
+min(shape) or the proved rank; `det_exact` takes the determinant from its
+residues mod enough primes of the stream to pass twice the Hadamard bound.
 
 Rank-only residues are taken mod RANK_PRIME, the largest prime below
 2**26.  There one product of residues fills 52 bits, so the elimination
@@ -50,6 +50,10 @@ P_LIMIT = 2**31
 
 # Fixed prime list keeps results deterministic.
 CERT_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
+
+# Primes per stack when determinant residues are eliminated: a fixed stack
+# size bounds the memory of a large determinant, which needs many primes.
+_DET_CHUNK = 16
 
 # The largest prime below 2**26: the modulus of rank-only residues, where
 # (p - 1)**2 < 2**52 leaves room for 2047 unreduced updates per entry.
@@ -138,13 +142,15 @@ def _echelon_mod_p(a, primes):
     only some primes find a pivot, the others are dropped: a column
     independent of the earlier ones mod p is so over Q, so their rank
     profile is not the rational one.  Returns the stack and primes kept,
-    and the pivot columns.  Rows at or below the current pivot are zero
-    left of its column, so each step only touches the columns from the
-    pivot on.
+    the pivot columns, and per kept prime the product of its pivots, signed
+    by its row swaps: the determinant mod p of a square matrix whose rank
+    reaches its size.  Rows at or below the current pivot are zero left of
+    its column, so each step only touches the columns from the pivot on.
     """
     q = primes[:, None, None]
     nrows, ncols = a.shape[1:]
     pivots = []
+    dets = [1] * len(primes)
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -155,12 +161,15 @@ def _echelon_mod_p(a, primes):
             if not found.all():
                 if not found.any():
                     continue
+                dets = [d for d, f in zip(dets, found.tolist()) if f]
                 a, primes, stuck = a[found], primes[found], stuck[found]
                 q = primes[:, None, None]
             b, first = np.arange(len(primes)), stuck.argmax(axis=1) + r
             a[b, r], a[b, first] = a[b, first], a[b, r]
-        inv = [pow(x, -1, p) for x, p in zip(a[:, r, c].tolist(),
-                                             primes.tolist())]
+            dets = [-d if i != r else d for d, i in zip(dets, first.tolist())]
+        heads, ps = a[:, r, c].tolist(), primes.tolist()
+        inv = [pow(x, -1, p) for x, p in zip(heads, ps)]
+        dets = [d * x % p for d, x, p in zip(dets, heads, ps)]
         row = a[:, r, c:]
         row *= np.array(inv)[:, None]
         row %= q[:, 0]
@@ -171,7 +180,7 @@ def _echelon_mod_p(a, primes):
             block %= q
             a[:, rows, c:] = block
         pivots.append(c)
-    return a, primes, pivots
+    return a, primes, pivots, dets
 
 
 def _rref_free_mod_p(a, primes):
@@ -183,7 +192,7 @@ def _rref_free_mod_p(a, primes):
     the later pivots (to its right) never change.  Returns the block
     (batch, rank, free), the primes kept, the pivots and the free columns.
     """
-    a, primes, pivots = _echelon_mod_p(a, primes)
+    a, primes, pivots, _ = _echelon_mod_p(a, primes)
     taken = set(pivots)
     free = [j for j in range(a.shape[2]) if j not in taken]
     r = len(pivots)
@@ -194,61 +203,6 @@ def _rref_free_mod_p(a, primes):
         above -= a[:, :k, pivots[k], None] * block[:, k, None, :]
         above %= q
     return block, primes, pivots, free
-
-
-def _bareiss_echelon(mat):
-    """Fraction-free elimination with full pivoting.
-
-    Returns (rank, sign, last_pivot).  `mat` is consumed (list of int lists).
-    After step k every entry is a (k+1)x(k+1) minor of the input, so sizes
-    stay polynomial; the exact divisions below cannot leave a remainder.
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    sign = 1
-    prev = 1
-    r = 0
-    for _step in range(min(nrows, ncols)):
-        best = None
-        for i in range(r, nrows):
-            row = mat[i]
-            for j in range(r, ncols):
-                e = row[j]
-                if e:
-                    a = abs(e)
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != r:
-            mat[pi], mat[r] = mat[r], mat[pi]
-            sign = -sign
-        if pj != r:
-            for row in mat:
-                row[pj], row[r] = row[r], row[pj]
-            sign = -sign
-        piv = mat[r][r]
-        prow = mat[r]
-        for i in range(r + 1, nrows):
-            row = mat[i]
-            head = row[r]
-            row[r] = 0
-            if head:
-                for j in range(r + 1, ncols):
-                    row[j] = (row[j] * piv - head * prow[j]) // prev
-            elif piv != prev:
-                # Sylvester identity degenerates to a pure rescale, which is
-                # still needed to keep entries equal to minors.
-                for j in range(r + 1, ncols):
-                    row[j] = (row[j] * piv) // prev
-        prev = piv
-        r += 1
-    return r, sign, prev
 
 
 def rank_exact(rows):
@@ -489,16 +443,42 @@ def _annihilated(mat, vecs, free):
 
 
 def det_exact(rows):
-    """Exact determinant of a square matrix with int/Fraction entries."""
+    """Exact determinant of a square matrix with int/Fraction entries.
+
+    Each row is scaled to integers, and det**2 <= h2, the product of the
+    squared row norms (Hadamard).  Primes are taken from the stream until
+    their product M has M**2 > 4 h2; then det is the residue of least
+    absolute value mod M (Abbott, Bronstein and Mulders, ISSAC 1999).  The
+    residues are eliminated in stacks of _DET_CHUNK primes.  A prime whose
+    rank falls below n divides det, so its residue is 0, and a prime of
+    full rank gives det mod p as its signed pivot product: no prime needs
+    to be lucky, and no singularity test is separate.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    r, sign, last = _bareiss_echelon(to_int_rows(rows))
-    if r < n:
-        return Fraction(0)
-    return Fraction(sign * last, prod(map(_row_scale, rows)))
+    ints = to_int_rows(rows)
+    bound = 4 * prod(sum(e * e for e in row) for row in ints)
+    primes, modulus = [], 1
+    stream = _prime_stream()
+    while modulus * modulus <= bound:
+        primes.append(next(stream))
+        modulus *= primes[-1]
+    mat = np.array(ints, dtype=object)
+    residues = []
+    for k in range(0, len(primes), _DET_CHUNK):
+        chunk = np.array(primes[k:k + _DET_CHUNK], dtype=np.int64)
+        a = np.stack([(mat % p).astype(np.int64) for p in chunk.tolist()])
+        _, kept, pivots, dets = _echelon_mod_p(a, chunk)
+        full = dict(zip(kept.tolist(), dets)) if len(pivots) == n else {}
+        residues += [full.get(p, 0) for p in chunk.tolist()]
+    det = sum(r * (modulus // p) * pow(modulus // p, -1, p)
+              for r, p in zip(residues, primes)) % modulus
+    if det > modulus // 2:
+        det -= modulus
+    return Fraction(det, prod(map(_row_scale, rows)))
 
 
 def nullspace(rows, ncols=None):

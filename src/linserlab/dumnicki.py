@@ -336,8 +336,8 @@ def verify_certificate(D, mults: Sequence[int],
             if any(al + be >= len(pts) for al, be in sub):
                 return False, {"piece": idx,
                                "reason": "jet order not below piece size"}
-            if _linalg.det_exact(
-                    interp_matrix(InterpolationProblem(pts, sub))) == 0:
+            if _linalg.rank_exact(
+                    interp_matrix(InterpolationProblem(pts, sub))) < len(pts):
                 return False, {"piece": idx, "reason": "selected rows singular"}
         else:
             return False, {"piece": idx, "reason": "unknown evidence type"}

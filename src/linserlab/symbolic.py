@@ -291,6 +291,11 @@ def containment_suite(i: MonomialIdeal, r: int) -> ContainmentSuite:
 # Newton regions and multiplier ideals
 
 
+# Facet normals of a Newton region are enumerated for at most this many
+# variables (see `_newton_normals`).
+NEWTON_MAX_VARS = 3
+
+
 def _newton_normals(gens: Sequence[Exponent], n: int):
     """Inward normals covering every facet of conv(gens) + R_{>=0}^n.
 
@@ -301,8 +306,9 @@ def _newton_normals(gens: Sequence[Exponent], n: int):
     inequality nu.u >= min_g nu.g is valid on the region for every nu >= 0,
     and at an interior point every nonzero valid inequality is strict.
     """
-    if n > 3:
-        raise ValueError("Newton regions are supported in at most 3 variables")
+    if n > NEWTON_MAX_VARS:
+        raise ValueError(f"Newton regions are supported in at most "
+                         f"{NEWTON_MAX_VARS} variables")
     cands = set()
     for k in range(n):
         cands.add(tuple(1 if j == k else 0 for j in range(n)))

@@ -320,6 +320,22 @@ def test_symbolic_commands(tmp_path, capsys):
     assert [1, 1, 1] not in rep["power"]["gens"]
 
 
+def test_symbolic_suite_in_four_variables(tmp_path, capsys):
+    """The 4-cycle ideal: the containments are answered, and the ELS
+    chain, which needs 3-variable Newton regions, is reported unavailable
+    instead of failing the command."""
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(
+        {"vars": ["a", "b", "c", "d"],
+         "gens": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]}))
+    code, rep = run(capsys, "symbolic", "suite", "--ideal", str(path),
+                    "--r", "1")
+    assert code == 0
+    assert rep["els"] and rep["harbourne"]
+    assert rep["chain"] is None
+    assert "at most 3 variables" in rep["chain_unavailable"]
+
+
 def test_ot_commands(tmp_path, capsys):
     code, rep = run(capsys, "ot", "counts", "--m8")
     assert code == 0

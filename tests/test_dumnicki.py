@@ -5,7 +5,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 import sympy
@@ -468,7 +468,7 @@ def test_verify_rejects_negative_multiplicity():
 
 def test_determinant_and_full_rank_evidence():
     # paper pieces are square, so either evidence kind certifies them
-    from linserlab._linalg import det_exact
+    from linserlab._linalg import _prime_stream, det_exact, to_int_rows
     from linserlab.dumnicki import FullRank, Piece
 
     D, mults, cuts = paper_family(1)
@@ -489,6 +489,24 @@ def test_determinant_and_full_rank_evidence():
 
     ok, detail = swap(NonzeroDeterminant(det + 1))
     assert not ok and detail["piece"] == 0
+
+    # det + M has det's residue mod every prime det_exact used, M being
+    # their product: only the exact value rejects it
+    ints = to_int_rows(interp_matrix(InterpolationProblem(target.points, E)))
+    bound = 4 * prod(sum(e * e for e in row) for row in ints)
+    modulus, stream = 1, _prime_stream()
+    while modulus * modulus <= bound:
+        modulus *= next(stream)
+    ok, detail = swap(NonzeroDeterminant(det + modulus))
+    assert (ok, detail) == (False, {"piece": 0,
+                                    "reason": "determinant mismatch"})
+
+    # a value too long for json.loads on Python 3.11, given as an object
+    start = time.perf_counter()
+    ok, detail = swap(NonzeroDeterminant(Fraction(10**10000)))
+    assert time.perf_counter() - start < 1
+    assert (ok, detail) == (False, {"piece": 0,
+                                    "reason": "determinant mismatch"})
     ok, detail = swap(FullRank(len(E), (0,) * len(E)))
     assert not ok and detail["reason"] == "duplicate rows"
     ok, detail = swap(FullRank(len(E), tuple(range(1, len(E) + 1))))

@@ -1,6 +1,7 @@
 """Exact linear algebra against an independent oracle (sympy)."""
 
 from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -78,6 +79,57 @@ def test_det_matches_sympy(mat):
     assert det_exact(mat) == expected
 
 
+det_entries = st.one_of(
+    st.integers(-3, 3), st.integers(-2**80, 2**80),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 30)))
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n, n <= 8: dense, or a singular product of n x r and r x n
+    factors with r < n."""
+    n = draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([small_entries, det_entries]))
+    if draw(st.booleans()):
+        return [[draw(entries) for _ in range(n)] for _ in range(n)]
+    r = draw(st.integers(0, n - 1))
+    left = [[draw(small_entries) for _ in range(r)] for _ in range(n)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    return [[sum((row[k] * right[k][j] for k in range(r)), Fraction(0))
+             for j in range(n)] for row in left]
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_det_matches_bareiss_and_sympy(mat):
+    det = det_exact(mat)
+    assert det == _bareiss_det([row[:] for row in mat])
+    assert det == sympy.Matrix([[sympy.Rational(e) for e in row]
+                                for row in mat]).det()
+
+
+def test_det_edge_cases():
+    assert det_exact([[0]]) == 0
+    assert det_exact([[5]]) == 5
+    assert det_exact([]) == Fraction(1)
+    assert isinstance(det_exact([]), Fraction)
+    assert det_exact([[0, 1], [1, 0]]) == -1
+    with pytest.raises(ValueError):
+        det_exact([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        det_exact([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("value", [
+    CERT_PRIMES[0] - 1, -(CERT_PRIMES[0] - 1),
+    CERT_PRIMES[0] * CERT_PRIMES[1] - 1, Fraction(CERT_PRIMES[0] - 2, 3)])
+def test_det_just_below_the_prime_products(value):
+    """|det| = sqrt(h2), just below a product M of stream primes: a modulus
+    that only passed the Hadamard bound, not twice it, would read det - M."""
+    assert det_exact([[value]]) == value
+    assert det_exact([[value, 0], [0, 1]]) == value
+
+
 @settings(max_examples=30, deadline=None)
 @given(rational_matrix())
 def test_mod_p_rank_is_lower_bound(mat):
@@ -97,7 +149,8 @@ def test_rank_certifies_large_full_rank_fast():
 
 
 # Frozen copies of the eliminations the modular engine replaced: Fraction
-# Gauss-Jordan for the kernel, and the row-by-row greedy loop mod p.
+# Gauss-Jordan for the kernel, the row-by-row greedy loop mod p, and
+# fraction-free (Bareiss) elimination for rank and determinant.
 
 
 def _rref_kernel(rows, ncols=None):
@@ -146,6 +199,73 @@ def _greedy_rows_mod_p(rows, p):
         basis.append(([e * inv % p for e in cur], lead))
         picked.append(idx)
     return picked
+
+
+def _bareiss_echelon(mat):
+    """Fraction-free elimination with full pivoting.
+
+    Returns (rank, sign, last_pivot).  `mat` is consumed (list of int lists).
+    After step k every entry is a (k+1)x(k+1) minor of the input, so sizes
+    stay polynomial; the exact divisions below cannot leave a remainder.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    sign = 1
+    prev = 1
+    r = 0
+    for _step in range(min(nrows, ncols)):
+        best = None
+        for i in range(r, nrows):
+            row = mat[i]
+            for j in range(r, ncols):
+                e = row[j]
+                if e:
+                    a = abs(e)
+                    if best is None or a < best[0]:
+                        best = (a, i, j)
+                        if a == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != r:
+            mat[pi], mat[r] = mat[r], mat[pi]
+            sign = -sign
+        if pj != r:
+            for row in mat:
+                row[pj], row[r] = row[r], row[pj]
+            sign = -sign
+        piv = mat[r][r]
+        prow = mat[r]
+        for i in range(r + 1, nrows):
+            row = mat[i]
+            head = row[r]
+            row[r] = 0
+            if head:
+                for j in range(r + 1, ncols):
+                    row[j] = (row[j] * piv - head * prow[j]) // prev
+            elif piv != prev:
+                # Sylvester identity degenerates to a pure rescale, which is
+                # still needed to keep entries equal to minors.
+                for j in range(r + 1, ncols):
+                    row[j] = (row[j] * piv) // prev
+        prev = piv
+        r += 1
+    return r, sign, prev
+
+
+def _bareiss_det(rows):
+    """The determinant as `det_exact` computed it before the residues."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    r, sign, last = _bareiss_echelon(to_int_rows(rows))
+    if r < n:
+        return Fraction(0)
+    scales = (lcm(*(Fraction(e).denominator for e in row)) for row in rows)
+    return Fraction(sign * last, prod(scales))
 
 
 @st.composite

@@ -3,10 +3,12 @@
 A deficient rank mod p is proved by lifting the predicted kernel to Q and
 checking it exactly; these tests feed it random low-rank products and
 matrices built so that the first primes of the stream lie about the rank.
+The same matrices check that `det_exact` counts such primes as residue 0.
 """
 
 from fractions import Fraction
 from itertools import islice
+from math import prod
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from linserlab import _linalg
-from linserlab._linalg import (CERT_PRIMES, _annihilated, _bareiss_echelon,
-                               _prime_stream, _rational, independent_rows,
+from linserlab._linalg import (CERT_PRIMES, _annihilated, _prime_stream,
+                               _rational, det_exact, independent_rows,
                                nullspace, rank_exact, to_int_rows)
+from test_linalg import _bareiss_det, _bareiss_echelon
 
 
 def _bareiss_rank(rows):
@@ -87,21 +90,9 @@ def _with_invariants(n, m, diagonal, seed):
     return _matmul(_matmul(_unimodular(n, seed), d), _unimodular(m, seed + 1))
 
 
-def _spy_bareiss(monkeypatch):
-    calls = []
-    real = _linalg._bareiss_echelon
-
-    def spy(mat):
-        calls.append(len(mat))
-        return real(mat)
-
-    monkeypatch.setattr(_linalg, "_bareiss_echelon", spy)
-    return calls
-
-
 @pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (8, 5)])
-def test_minor_divisible_by_first_primes(monkeypatch, unlucky, shape):
+def test_minor_divisible_by_first_primes(unlucky, shape):
     """The first `unlucky` stream primes see rank 3 instead of 4.
 
     Their kernels are too big and cannot verify; a later prime has the
@@ -113,13 +104,11 @@ def test_minor_divisible_by_first_primes(monkeypatch, unlucky, shape):
     mat = _with_invariants(*shape, [1, 2, 3, big], seed=unlucky)
     ints = to_int_rows(mat)
     assert _linalg.rank_mod_p(ints, CERT_PRIMES[0]) == 3
-    calls = _spy_bareiss(monkeypatch)
     assert rank_exact(mat) == 4
-    assert calls == []
     assert _bareiss_rank(mat) == 4
 
 
-def test_unlucky_past_hadamard_bound_needs_no_bareiss(monkeypatch):
+def test_unlucky_past_hadamard_bound_needs_no_bareiss():
     """Every entry is divisible by the first two primes: both see rank 0.
 
     The zero kernel mod p cannot verify, although the Hadamard bound for
@@ -129,14 +118,12 @@ def test_unlucky_past_hadamard_bound_needs_no_bareiss(monkeypatch):
     p0, p1 = CERT_PRIMES[:2]
     mat = [[p0 * p1 * e for e in row]
            for row in _with_invariants(4, 5, [1, 1, 5], seed=9)]
-    calls = _spy_bareiss(monkeypatch)
     assert rank_exact(mat) == 3
-    assert calls == []
 
 
 @pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (8, 5)])
-def test_kernel_and_rows_past_unlucky_primes(monkeypatch, unlucky, shape):
+def test_kernel_and_rows_past_unlucky_primes(unlucky, shape):
     """The first `unlucky` primes of the stream, from CERT_PRIMES[0] on,
     see rank 3 instead of 4; nullspace still returns the verified kernel
     of the reduced echelon form, and independent_rows four rows, without
@@ -146,14 +133,28 @@ def test_kernel_and_rows_past_unlucky_primes(monkeypatch, unlucky, shape):
         big *= p
     mat = _with_invariants(*shape, [1, 2, 3, big], seed=unlucky)
     assert _linalg.rank_mod_p(mat, CERT_PRIMES[0]) == 3
-    calls = _spy_bareiss(monkeypatch)
     basis = nullspace(mat)
     picked = independent_rows(mat)
-    assert calls == []
     assert len(basis) == shape[1] - 4
     assert basis == [[Fraction(int(e.p), int(e.q)) for e in v]
                      for v in sympy.Matrix(mat).nullspace()]
     assert len(picked) == 4 and _bareiss_rank([mat[i] for i in picked]) == 4
+
+
+@pytest.mark.parametrize("unlucky", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_determinant_divisible_by_first_primes(unlucky, n):
+    """The first `unlucky` stream primes divide det: they see rank below n
+    and count with residue 0, and the later primes fix the value."""
+    big = 1
+    for p in islice(_prime_stream(), unlucky):
+        big *= p
+    diagonal = ([1] * n + [2, 3, big])[-n:]
+    mat = _with_invariants(n, n, diagonal, seed=unlucky)
+    assert _linalg.rank_mod_p(mat, CERT_PRIMES[0]) == n - 1
+    det = det_exact(mat)
+    assert det == prod(diagonal)
+    assert det == _bareiss_det(mat) == sympy.Matrix(mat).det()
 
 
 @pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
@@ -168,7 +169,7 @@ def test_nullspace_past_primes_that_move_a_pivot(unlucky):
     assert nullspace(mat) == [[Fraction(-1, big), Fraction(0), Fraction(1)]]
 
 
-def test_kernel_path_needs_many_primes(monkeypatch):
+def test_kernel_path_needs_many_primes():
     """Factors with 90-bit entries: the kernels take several batches."""
     state, draws = 7, []
     for _ in range(7 * 5 + 5 * 9):
@@ -177,9 +178,7 @@ def test_kernel_path_needs_many_primes(monkeypatch):
     left = [draws[5 * i:5 * i + 5] for i in range(7)]
     right = [draws[35 + 9 * i:35 + 9 * i + 9] for i in range(5)]
     mat = _matmul(left, right)
-    calls = _spy_bareiss(monkeypatch)
     assert rank_exact(mat) == 5
-    assert calls == []
     assert _bareiss_rank(mat) == 5
 
 
