@@ -1,7 +1,8 @@
 """Dense exact linear algebra over Q and over prime fields.
 
-Matrices are plain lists of rows; entries are ints or Fractions.  Rank,
-kernel and determinant computations never touch floating point.
+Matrices are plain lists of rows; entries are ints or Fractions, and a
+float is refused with TypeError rather than truncated.  Rank, kernel and
+determinant computations never touch floating point.
 
 One engine gives exact ranks, kernels and row selections.  A modular
 elimination (numpy, int64) bounds the rank from below: rank over GF(p)
@@ -60,24 +61,32 @@ _DET_CHUNK = 16
 RANK_PRIME = 67_108_859
 
 
-def _row_scale(row):
-    """The lcm of the denominators in a row."""
-    return lcm(*(e.denominator for e in row if isinstance(e, Fraction)))
+def _scaled_rows(rows):
+    """Each row times the lcm of its denominators, and the product of the
+    lcms.  Every entry must have a denominator (ints, bools, Fractions,
+    numpy integers); a float raises TypeError rather than be truncated."""
+    out, scale = [], 1
+    for row in rows:
+        try:
+            mult = lcm(*(e.denominator for e in row))
+        except AttributeError:
+            raise TypeError(f"row {row!r} has an entry that is not an "
+                            f"integer or a Fraction") from None
+        if mult == 1:
+            out.append([int(e) for e in row])
+        else:
+            out.append([int(e * mult) for e in row])
+            scale *= mult
+    return out, scale
 
 
 def to_int_rows(rows):
     """Scale each row by the lcm of its denominators.
 
-    Row scaling preserves rank and the column kernel.
+    Row scaling preserves rank and the column kernel.  Entries are ints or
+    Fractions; a float raises TypeError.
     """
-    out = []
-    for row in rows:
-        mult = _row_scale(row)
-        if mult == 1:
-            out.append([int(e) for e in row])
-        else:
-            out.append([int(e * mult) for e in row])
-    return out
+    return _scaled_rows(rows)[0]
 
 
 def rank_mod_p(rows, p):
@@ -230,21 +239,21 @@ def deficient_rank(mat, full):
     reduced echelon form mod each of its primes, so it starts afresh
     rather than reuse the elimination mod RANK_PRIME.
     """
-    lift, _ = _proved_kernel(mat, True, full, _batches())
+    lift, _ = _proved_kernel(mat, True, full)
     return lift.rank
 
 
-def _proved_kernel(mat, both, full, batches):
+def _proved_kernel(mat, both, full):
     """The first kernel lift to prove itself, and its integer basis.
 
-    Each batch of primes is reduced once and fed to the lift of the
+    Each batch of `_batches` is reduced once and fed to the lift of the
     column kernel of `mat` and, with `both`, of mat^T.  A lift is done
     when its rank mod p reaches `full` (the basis is then None), or when
     its lifted basis verifies exactly.  A wrong profile never verifies, so
     the loop only ends on the rational rank profile.
     """
     lifts = [_KernelLift(mat)] + ([_KernelLift(mat.T)] if both else [])
-    for primes in batches:
+    for primes in _batches():
         a = np.stack([(mat % p).astype(np.int64) for p in primes.tolist()])
         stacks = [a]
         if both:
@@ -459,7 +468,7 @@ def det_exact(rows):
         return Fraction(1)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    ints = to_int_rows(rows)
+    ints, scale = _scaled_rows(rows)
     bound = 4 * prod(sum(e * e for e in row) for row in ints)
     primes, modulus = [], 1
     stream = _prime_stream()
@@ -478,7 +487,7 @@ def det_exact(rows):
               for r, p in zip(residues, primes)) % modulus
     if det > modulus // 2:
         det -= modulus
-    return Fraction(det, prod(map(_row_scale, rows)))
+    return Fraction(det, scale)
 
 
 def nullspace(rows, ncols=None):
@@ -492,7 +501,7 @@ def nullspace(rows, ncols=None):
         return [[Fraction(int(i == j)) for j in range(ncols or 0)]
                 for i in range(ncols or 0)]
     mat = np.array(to_int_rows(rows), dtype=object)
-    lift, vecs = _proved_kernel(mat, False, len(rows[0]), _batches())
+    lift, vecs = _proved_kernel(mat, False, len(rows[0]))
     if vecs is None:
         return []
     den = vecs[0][lift.free[0]]

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ._linalg import independent_rows, nullspace, rank_exact
 from .fatpoints import (DEFAULT_SEED, PlaneDivisorClass,
                         general_position_lines, normalize_proj)
-from .lattice import cross
+from .lattice import canonical, cross
 
 
 @dataclass(frozen=True)
@@ -86,20 +86,6 @@ class Circuit:
     coeffs: Tuple[int, ...]
 
 
-def _normalize_dependency(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    from math import gcd, lcm
-    den = lcm(*(f.denominator for f in vec))
-    ints = [int(f * den) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def circuits(a: LineArrangement, max_size: int) -> List[Circuit]:
     """Minimal dependent subsets of size <= max_size.  Size-3 circuits are
     concurrent triples; in a plane arrangement no circuit exceeds size 4."""
@@ -121,7 +107,7 @@ def circuits(a: LineArrangement, max_size: int) -> List[Circuit]:
             ker = nullspace([[Fraction(cols[i][k]) for i in sub]
                              for k in range(3)])
             assert len(ker) == 1
-            coeffs = _normalize_dependency(ker[0])
+            coeffs = canonical(ker[0])
             for k in range(3):
                 assert sum(c * cols[i][k]
                            for c, i in zip(coeffs, sub)) == 0

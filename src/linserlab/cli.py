@@ -481,7 +481,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, RecursionError) as exc:
         return _error(args, parser.prog, str(exc))
     except MemoryError as exc:  # a bare MemoryError has no message
         return _error(args, parser.prog, str(exc) or "out of memory")

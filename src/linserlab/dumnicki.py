@@ -365,17 +365,26 @@ def _evidence_to_json(ev: PieceEvidence) -> dict:
     raise TypeError(f"unknown evidence {ev!r}")
 
 
+def _json_int(x) -> int:
+    """An integer read from a document: a JSON int, where `int()` would
+    also take a float, a bool or a string (and overflow on Infinity)."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def _evidence_from_json(doc: dict) -> PieceEvidence:
     t = doc["type"]
     if t == "line_assignment":
         return LineAssignment(doc["direction"],
-                              tuple((int(c), int(k))
+                              tuple((_json_int(c), _json_int(k))
                                     for c, k in doc["assignment"]))
     if t == "nonzero_determinant":
-        n, d = doc["value"]
-        return NonzeroDeterminant(Fraction(int(n), int(d)))
+        n, d = map(_json_int, doc["value"])
+        return NonzeroDeterminant(Fraction(n, d))
     if t == "full_rank":
-        return FullRank(int(doc["rank"]), tuple(int(i) for i in doc["rows"]))
+        return FullRank(_json_int(doc["rank"]),
+                        tuple(map(_json_int, doc["rows"])))
     raise ValueError(f"unknown evidence type {t!r}")
 
 
@@ -410,7 +419,7 @@ def certificate_to_json(D, mults, cert: EmptinessCertificate) -> dict:
 
 def _cut_coefficient(pair) -> Fraction:
     """One [num, den] coefficient of a cut; the denominator must be nonzero."""
-    num, den = (int(x) for x in pair)
+    num, den = map(_json_int, pair)
     if den == 0:
         raise ValueError(f"cut coefficient {pair!r} has a zero denominator")
     return Fraction(num, den)
@@ -419,7 +428,8 @@ def _cut_coefficient(pair) -> Fraction:
 def cut_from_json(triple) -> CutFunctional:
     """A cut [[num, den], [num, den], [num, den]] as certificates store it.
 
-    Raises ValueError on a zero denominator or a wrong number of values.
+    Raises ValueError on a zero denominator, a value that is not a JSON
+    int, or a wrong number of values.
     """
     a, b, c = (_cut_coefficient(pair) for pair in triple)
     return CutFunctional(a, b, c)
@@ -446,10 +456,10 @@ def certificate_from_json(doc: dict):
     """(D, mults, certificate) from a JSON document; digest not checked."""
     seen = {}  # one tuple per point, shared by D and the pieces: less memory
     D = points_from_json(doc["problem"]["points"], seen)
-    mults = tuple(int(m) for m in doc["problem"]["mults"])
+    mults = tuple(map(_json_int, doc["problem"]["mults"]))
     cuts = tuple(cut_from_json(triple) for triple in doc["cuts"])
     pieces = tuple(
-        Piece(points_from_json(pd["points"], seen), int(pd["mult"]),
+        Piece(points_from_json(pd["points"], seen), _json_int(pd["mult"]),
               _evidence_from_json(pd["evidence"]))
         for pd in doc["pieces"]
     )
@@ -469,7 +479,8 @@ def verify_certificate_json(doc: dict):
         digest_ok = _digest({k: doc[k] for k in ("problem", "cuts",
                                                  "pieces")}) == doc["digest"]
         D, mults, cert = certificate_from_json(doc)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError):
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,
+            RecursionError):  # the digest's json.dumps of a deep document
         return False, {"piece": None, "reason": "malformed document"}
     ok, detail = verify_certificate(D, mults, cert)
     if not ok:

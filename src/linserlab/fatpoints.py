@@ -16,13 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, isqrt
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _linalg
-from .lattice import cross, jet_conditions
+from .lattice import canonical, cross, jet_conditions
 
 DEFAULT_SEED = 987654321
 
@@ -73,16 +73,9 @@ def normalize_proj(coords, fieldspec: FieldSpec = QQ) -> Tuple:
         inv = pow(lead, p - 2, p)
         return tuple((x * inv) % p for x in c)
     fracs = [Fraction(x) for x in coords]
-    if all(x == 0 for x in fracs):
+    if not any(fracs):
         raise ValueError("(0:0:0) is not a projective point")
-    mult = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * mult) for x in fracs]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return canonical(fracs)
 
 
 def affine_point(u, v, fieldspec: FieldSpec = QQ) -> Tuple:
@@ -235,6 +228,18 @@ def generic_cohomology(d: int, mults: Sequence[int], seed: int = DEFAULT_SEED,
     return best
 
 
+def _collinear_points(r: int, rng: random.Random):
+    """r points b + t c on the line through two random points b and c, at
+    r distinct random t in increasing order, and that line."""
+    b, c = random_rational_points(2, rng)
+    ts = set()
+    while len(ts) < r:
+        ts.add(_rand_fraction(rng))
+    pts = tuple(normalize_proj(tuple(x + t * y for x, y in zip(b, c)))
+                for t in sorted(ts))
+    return pts, normalize_proj(cross(b, c))
+
+
 def _rand_line(rng: random.Random):
     while True:
         line = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
@@ -283,15 +288,7 @@ def make_config(kind: str, params: dict, seed: int = DEFAULT_SEED) -> PointConfi
         return PointConfig(kind, random_rational_points(r, rng), seed=seed)
     if kind == "collinear":
         r = params["r"]
-        base = random_rational_points(2, rng)
-        ts = set()
-        while len(ts) < r:
-            ts.add(_rand_fraction(rng))
-        pts = tuple(
-            normalize_proj(tuple(b + t * q for b, q in zip(base[0], base[1])))
-            for t in sorted(ts)
-        )
-        line = normalize_proj(cross(base[0], base[1]))
+        pts, line = _collinear_points(r, rng)
         return PointConfig(kind, pts, lines=(line,), seed=seed)
     if kind == "star":
         s = params["s"]
@@ -541,13 +538,7 @@ def collinear_constraint_experiment(d: int, mults: Sequence[int], groups,
     pts = []
     seen = set()
     for g in sizes:
-        base = random_rational_points(2, rng)
-        ts = set()
-        while len(ts) < g:
-            ts.add(_rand_fraction(rng))
-        for t in sorted(ts):
-            q = normalize_proj(
-                tuple(b + t * c for b, c in zip(base[0], base[1])))
+        for q in _collinear_points(g, rng)[0]:
             if q in seen:
                 raise ValueError("degenerate draw, change the seed")
             seen.add(q)

@@ -153,12 +153,25 @@ def cross(u, v):
 
 
 def primitive(v) -> Tuple[int, ...]:
-    """The integer vector divided by the gcd of its entries."""
-    v = tuple(int(x) for x in v)
+    """The rational vector as coprime integers in the same direction.
+
+    Entries are ints or Fractions: the vector is scaled by the lcm of the
+    denominators, then divided by the gcd of the result.
+    """
+    den = lcm(*(x.denominator for x in v))
+    v = [int(x * den) for x in v]
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
+
+
+def canonical(v) -> Tuple[int, ...]:
+    """`primitive(v)` with its first nonzero entry positive: one
+    representative per line through the origin, as for projective points
+    and linear dependencies."""
+    v = primitive(v)
+    return v if next(x for x in v if x) > 0 else tuple(-x for x in v)
 
 
 def triangle_set(d: int) -> MonomialSet:

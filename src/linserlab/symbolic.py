@@ -312,37 +312,26 @@ def _newton_normals(gens: Sequence[Exponent], n: int):
     cands = set()
     for k in range(n):
         cands.add(tuple(1 if j == k else 0 for j in range(n)))
+
+    def add(nu):  # the orientation of nu >= 0, if it has one
+        if min(nu) < 0:
+            nu = tuple(-x for x in nu)
+        if min(nu) >= 0 and max(nu) > 0:
+            cands.add(primitive(nu))
+
     if n == 2:
         for p, q in itertools.combinations(gens, 2):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            nu = (dy, -dx)
-            if min(nu) < 0:
-                nu = (-dy, dx)
-            if min(nu) >= 0 and max(nu) > 0:
-                cands.add(primitive(nu))
+            add((q[1] - p[1], p[0] - q[0]))
     if n == 3:
         axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        pairs = list(itertools.combinations(gens, 2))
-        for p, q in pairs:
+        for p, q in itertools.combinations(gens, 2):
             d = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
             for ax in axes:
-                nu = cross(d, ax)
-                if max(nu) == 0 and min(nu) == 0:
-                    continue
-                if min(nu) < 0:
-                    nu = tuple(-x for x in nu)
-                if min(nu) >= 0 and max(nu) > 0:
-                    cands.add(primitive(nu))
+                add(cross(d, ax))
         for p, q, s in itertools.combinations(gens, 3):
             u = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
             v = (s[0] - p[0], s[1] - p[1], s[2] - p[2])
-            nu = cross(u, v)
-            if max(nu) == 0 and min(nu) == 0:
-                continue
-            if min(nu) < 0:
-                nu = tuple(-x for x in nu)
-            if min(nu) >= 0 and max(nu) > 0:
-                cands.add(primitive(nu))
+            add(cross(u, v))
     out = []
     for nu in sorted(cands):
         h = min(sum(nk * gk for nk, gk in zip(nu, g)) for g in gens)

@@ -25,10 +25,6 @@ def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _cross2(u, v) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def hull_polygon(points) -> Tuple[Tuple[int, int], ...]:
     """Convex hull vertices, CCW, collinear points dropped, canonical start.
 
@@ -95,7 +91,7 @@ class Cone2:
         object.__setattr__(self, "generators", gens)
         if len(gens) not in (1, 2):
             raise ValueError("a cone has one or two generators")
-        if len(gens) == 2 and _cross2(gens[0], gens[1]) <= 0:
+        if len(gens) == 2 and _cross((0, 0), gens[0], gens[1]) <= 0:
             raise ValueError("two-generator cones must be strictly convex")
 
 
@@ -120,16 +116,16 @@ class UnboundedPolygon:
         dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:])]
         neg = (-r[0], -r[1])
         walk = [neg] + dirs + [r]
-        if any(_cross2(u, v) <= 0 for u, v in zip(walk, walk[1:])):
+        if any(_cross((0, 0), u, v) <= 0 for u, v in zip(walk, walk[1:])):
             raise ValueError("chain is not convex toward the ray")
 
 
 def _angle_key(v):
     x, y = v
     half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    # -x/y grows with the angle inside each open half-plane; the axis
-    # directions (1,0) and (-1,0) start their half-planes
-    return (half, Fraction(-x, y) if y != 0 else Fraction(-(10 ** 9)))
+    # the axis directions (1,0) and (-1,0) start their half-planes, and
+    # -x/y grows with the angle inside each open half-plane
+    return (half, y != 0, Fraction(-x, y) if y != 0 else 0)
 
 
 def _vertex_cone(d1, d2) -> Cone2:
@@ -140,7 +136,7 @@ def _vertex_cone(d1, d2) -> Cone2:
     r2 = (-d2[1], d2[0])
     if r2[0] * d1[0] + r2[1] * d1[1] < 0:
         r2 = (-r2[0], -r2[1])
-    if _cross2(r1, r2) > 0:
+    if _cross((0, 0), r1, r2) > 0:
         return Cone2((r1, r2))
     return Cone2((r2, r1))
 
@@ -205,9 +201,6 @@ class Cell:
 class Subdivision:
     cells: Tuple[Cell, ...]
     heights: Tuple[Tuple[Tuple[int, int], Fraction], ...]
-
-    def height_map(self) -> Dict[Tuple[int, int], Fraction]:
-        return dict(self.heights)
 
 
 def _freeze_heights(heights: Dict) -> Tuple:

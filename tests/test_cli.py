@@ -93,6 +93,34 @@ def test_verify_malformed_document(tmp_path, capsys):
     assert rep["reason"] == "malformed document"
 
 
+def test_verify_deeply_nested_file(tmp_path, capsys):
+    """json.load raised RecursionError past the exit-code contract."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 1
+    assert rep["command"] == "verify" and "recursion" in rep["error"]
+
+
+@pytest.mark.parametrize("value", [float("inf"), 1.5, True])
+def test_verify_non_integer_multiplicity(tmp_path, capsys, value):
+    """Python's json reads Infinity, where int() overflowed (exit 1);
+    1.5 and true were read as 1."""
+    from linserlab.dumnicki import (_digest, certificate_to_json,
+                                    paper_family, prove_empty)
+
+    D, mults, cuts = paper_family(1)
+    doc = certificate_to_json(D, mults, prove_empty(D, mults, cuts))
+    doc["problem"]["mults"][0] = value
+    doc["digest"] = _digest({k: doc[k] for k in ("problem", "cuts",
+                                                 "pieces")})
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, "verify", str(path))
+    assert code == 2
+    assert rep["verified"] is False and rep["reason"] == "malformed document"
+
+
 @pytest.mark.parametrize("points, cuts, evidence", [
     ([[0], [1]], [[[1, 1], [0, 1], [-1, 2]]],
      {"type": "line_assignment", "direction": "vertical",

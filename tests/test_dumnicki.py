@@ -460,6 +460,61 @@ def _negative_mult_doc():
     return certificate_to_json(D, (-1, 2), cert)
 
 
+def _one_point_doc(evidence):
+    return _redigest({"problem": {"points": [[0, 0]], "mults": [1]},
+                      "cuts": [], "pieces": [{"points": [[0, 0]], "mult": 1,
+                                              "evidence": evidence}]})
+
+
+def determinant_doc():
+    return _one_point_doc({"type": "nonzero_determinant", "value": [1, 1]})
+
+
+def full_rank_doc():
+    return _one_point_doc({"type": "full_rank", "rank": 1, "rows": [0]})
+
+
+# (document, path to one integer in it)
+INTEGER_SLOTS = [
+    (paper_doc, ("problem", "mults", 0)),
+    (paper_doc, ("pieces", 0, "mult")),
+    (paper_doc, ("cuts", 0, 2, 0)),
+    (paper_doc, ("cuts", 0, 2, 1)),
+    (paper_doc, ("pieces", 0, "evidence", "assignment", 0, 0)),
+    (paper_doc, ("pieces", 0, "evidence", "assignment", 0, 1)),
+    (determinant_doc, ("pieces", 0, "evidence", "value", 1)),
+    (full_rank_doc, ("pieces", 0, "evidence", "rank")),
+    (full_rank_doc, ("pieces", 0, "evidence", "rows", 0)),
+]
+
+
+@pytest.mark.parametrize("make, path", INTEGER_SLOTS, ids=[
+    make.__name__ + ":" + "/".join(map(str, path))
+    for make, path in INTEGER_SLOTS])
+@pytest.mark.parametrize("value", [float("inf"), 1.0, 1.5, True, "1"])
+def test_verify_reads_integers_strictly(make, path, value):
+    """`int()` overflowed on Infinity and read 1.0, 1.5, True and "1" as
+    1; a certificate integer must be a JSON int."""
+    doc = make()
+    assert verify_certificate_json(doc) == (True, None)
+    slot = doc
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = value
+    assert verify_certificate_json(_redigest(doc)) == (
+        False, {"piece": None, "reason": "malformed document"})
+
+
+def test_verify_survives_deep_nesting():
+    deep = []
+    for _ in range(10**5):
+        deep = [deep]
+    doc = paper_doc()
+    doc["problem"]["points"] = deep
+    assert verify_certificate_json(doc) == (
+        False, {"piece": None, "reason": "malformed document"})
+
+
 def test_verify_rejects_negative_multiplicity():
     ok, detail = verify_certificate_json(_negative_mult_doc())
     assert not ok

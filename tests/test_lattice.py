@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linserlab._linalg import CERT_PRIMES
-from linserlab.lattice import (CutFunctional, collision_staircase,
-                               halfplane_partition, integer_threshold,
-                               is_staircase, jet_conditions, triangle_set,
+from linserlab.lattice import (CutFunctional, canonical,
+                               collision_staircase, halfplane_partition,
+                               integer_threshold, is_staircase,
+                               jet_conditions, primitive, triangle_set,
                                triangle_staircase)
 
 
@@ -167,3 +168,45 @@ def test_jet_conditions_edges():
     assert jet_conditions(cols, [((1, 1, 1), [(1, 1)])]).tolist() == [[-2, 0]]
     assert jet_conditions(cols, [((1, 1, 1), [])]).shape == (0, 2)
     assert jet_conditions([], [((1, 1, 1), [(0, 0)])], 7).shape == (1, 0)
+
+
+def test_primitive_takes_rationals_and_keeps_the_direction():
+    assert primitive((Fraction(1, 2), 1)) == (1, 2)
+    assert primitive((Fraction(-2, 3), Fraction(4, 9), 0)) == (-3, 2, 0)
+    assert primitive((-4, 6)) == (-2, 3)
+    assert canonical((-4, 6)) == (2, -3)
+    assert canonical((0, Fraction(-1, 2), Fraction(1, 3))) == (0, 3, -2)
+    for zero in ((0, 0), (Fraction(0), 0, 0)):
+        with pytest.raises(ValueError):
+            primitive(zero)
+
+
+def _frozen_normalize_dependency(vec):
+    """The circuit normalization of arrangements before `canonical`."""
+    den = math.lcm(*(f.denominator for f in vec))
+    ints = [int(f * den) for f in vec]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    ints = [x // g for x in ints]
+    lead = next(x for x in ints if x)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6,
+                         max_denominator=10**4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(rationals, st.just(Fraction(0))), min_size=1,
+                max_size=6).filter(any))
+def test_canonical_matches_frozen_dependency_normalization(vec):
+    v = canonical(vec)
+    assert v == _frozen_normalize_dependency(vec)
+    assert all(type(x) is int for x in v)
+    # the same line through the origin, and the same canonical vector for
+    # every nonzero rational multiple
+    assert primitive(vec) in (v, tuple(-x for x in v))
+    assert canonical([Fraction(-7, 3) * x for x in vec]) == v

@@ -39,6 +39,18 @@ def test_to_int_rows_clears_denominators():
     assert ints[1] == [2, 0]
 
 
+def test_exact_rows_take_integers_and_refuse_floats():
+    """Every entry is read through its denominator: bools and numpy
+    integers count as integers, and a float is refused, not truncated."""
+    assert to_int_rows([[True, np.int64(-3), Fraction(5, 4)]]) == [[4, -12, 5]]
+    assert det_exact([[np.int64(2), Fraction(1, 3)], [1, 1]]) == Fraction(5, 3)
+    for call in (to_int_rows, rank_exact, det_exact, nullspace,
+                 independent_rows):
+        for rows in ([[0.5]], [[1, 0.25], [0, 1]], [[np.float64(2.0)]]):
+            with pytest.raises(TypeError):
+                call(rows)
+
+
 small_entries = st.integers(min_value=-9, max_value=9)
 
 

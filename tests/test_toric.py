@@ -54,6 +54,17 @@ def test_normal_fan_square():
     ]
 
 
+def test_normal_fan_orders_steep_generators_exactly():
+    """A generator at angle 1e-9 comes after (1, 0), at angle 0; a
+    sentinel key for horizontal directions once put it first."""
+    n = 10**9 + 1
+    assert gens(normal_fan([(0, 0), (1, -n), (0, 5)])) == [
+        ((1, 0), (n, 1)),
+        ((n, 1), (-n - 5, -1)),
+        ((-n - 5, -1), (1, 0)),
+    ]
+
+
 def test_normal_fan_segment():
     cones = normal_fan([(0, 0), (3, 0)])
     assert gens(cones) == [((1, 0),), ((-1, 0),)]
