@@ -39,6 +39,7 @@ residues mod RANK_PRIME directly and calls both.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm, prod
@@ -309,14 +310,31 @@ def is_prime(n):
     return True
 
 
+# The prime stream found so far, extended on demand by `_prime_stream`
+# under the lock, so that two threads never append the same prime.
+_STREAM = list(CERT_PRIMES)
+_STREAM_LOCK = threading.Lock()
+
+
 def _prime_stream():
-    """CERT_PRIMES, then every prime below them in descending order."""
-    yield from CERT_PRIMES
-    q = CERT_PRIMES[-1] - 2
-    while q > 2:
-        if is_prime(q):
-            yield q
-        q -= 2
+    """CERT_PRIMES, then every prime below them in descending order.
+
+    Each prime is found by `is_prime` once per process and kept in
+    `_STREAM`, which later streams read back.
+    """
+    i = 0
+    while True:
+        if i == len(_STREAM):
+            with _STREAM_LOCK:
+                q = _STREAM[-1] - 2
+                while i == len(_STREAM) and q > 2:
+                    if is_prime(q):
+                        _STREAM.append(q)
+                    q -= 2
+            if i == len(_STREAM):
+                return
+        yield _STREAM[i]
+        i += 1
 
 
 def _batches():

@@ -73,14 +73,25 @@ def _envelope(args, **fields) -> dict:
 # subcommand handlers
 
 
+def _ints(values) -> tuple:
+    """A list of JSON ints from an input file; a float, bool or string is
+    a ValueError rather than an integer."""
+    return tuple(map(dumnicki._json_int, values))
+
+
+def _point(values, dim: int) -> tuple:
+    """`dim` JSON ints: a lattice point, a ray or a line."""
+    point = _ints(values)
+    if len(point) != dim:
+        raise ValueError(f"{values!r} is not a list of {dim} integers")
+    return point
+
+
 def _system_from_json(doc: dict) -> fatpoints.FatPointSystem:
-    pts = tuple(
-        tuple(Fraction(int(c[0]), int(c[1])) for c in p)
-        for p in doc["points"]
-    )
-    pts = tuple(fatpoints.normalize_proj(p) for p in pts)
-    return fatpoints.FatPointSystem(int(doc["degree"]), pts,
-                                    tuple(int(m) for m in doc["mults"]))
+    pts = tuple(fatpoints.normalize_proj([Fraction(*_point(c, 2)) for c in p])
+                for p in doc["points"])
+    return fatpoints.FatPointSystem(dumnicki._json_int(doc["degree"]), pts,
+                                    _ints(doc["mults"]))
 
 
 def _report_fields(rep: fatpoints.SystemReport) -> dict:
@@ -146,14 +157,18 @@ def run_empty(args) -> int:
     elif args.problem:
         doc = _load(args.problem)
         if "degree" in doc:
-            D = triangle_set(int(doc["degree"]))
+            D = triangle_set(dumnicki._json_int(doc["degree"]))
         else:
             D = dumnicki.points_from_json(doc["points"])
-        mults = tuple(int(m) for m in doc["mults"])
+        mults = _ints(doc["mults"])
         if "cuts" in doc:
             cuts = tuple(dumnicki.cut_from_json(t) for t in doc["cuts"])
         else:
-            cuts = dumnicki.search_cuts(D, mults, args.budget)
+            try:
+                cuts = dumnicki.search_cuts(D, mults, args.budget)
+                missing = "no cut list found: every candidate cut failed"
+            except dumnicki.BudgetSpent:
+                cuts, missing = None, "no cut list found within budget"
         default_out = "certificate.json"
     else:
         raise ValueError("need --family or --problem")
@@ -165,9 +180,7 @@ def run_empty(args) -> int:
                             reason="expected dimension is positive",
                             expected_dimension=edim), args.output)
             return EXIT_COUNTER
-        _emit(_envelope(args, certified=False,
-                        reason="no cut list found within budget"),
-              args.output)
+        _emit(_envelope(args, certified=False, reason=missing), args.output)
         return EXIT_UNDECIDED
 
     result = dumnicki.prove_empty(D, mults, cuts)
@@ -210,10 +223,10 @@ def run_toric(args) -> int:
         doc = _load(args.input)
         if "chain" in doc:
             poly = toric.UnboundedPolygon(
-                tuple(tuple(int(c) for c in p) for p in doc["chain"]),
-                tuple(int(c) for c in doc["ray"]))
+                tuple(_point(p, 2) for p in doc["chain"]),
+                _point(doc["ray"], 2))
         else:
-            poly = [tuple(int(c) for c in p) for p in doc["vertices"]]
+            poly = [_point(p, 2) for p in doc["vertices"]]
         cones = toric.normal_fan(poly)
         _emit(_envelope(args, cones=[[list(g) for g in c.generators]
                                      for c in cones]), args.output)
@@ -335,7 +348,7 @@ def _arrangement_from_args(args) -> arrangements.LineArrangement:
     if args.arrangement:
         doc = _load(args.arrangement)
         return arrangements.LineArrangement(
-            tuple(tuple(int(c) for c in f) for f in doc["lines"]))
+            tuple(_point(f, 3) for f in doc["lines"]))
     raise ValueError("need --arrangement, --m8 or --generic")
 
 

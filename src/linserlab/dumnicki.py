@@ -546,13 +546,20 @@ def _candidate_cuts(D, target: int):
                        frozenset(ranked[:k]))
 
 
+class BudgetSpent(RuntimeError):
+    """The cut search used its whole budget and found no cut list."""
+
+
 def search_cuts(D, mults: Sequence[int], budget: int
                 ) -> Optional[Tuple[CutFunctional, ...]]:
     """Depth-first search for a cut list certified piece by piece.
 
     budget bounds the number of piece-certification attempts.  A branch
     keeps a cut only when its positive part is certified empty for the next
-    multiplicity, so any returned list yields a valid certificate.
+    multiplicity, so any returned list yields a valid certificate.  Returns
+    None when every candidate failed within the budget, and raises
+    BudgetSpent when the whole budget went without an answer.  Neither
+    proves the system nonempty: the candidates are only small-slope cuts.
     """
     D = frozenset(D)
     attempts = [max(0, budget)]
@@ -587,7 +594,11 @@ def search_cuts(D, mults: Sequence[int], budget: int
         return None
 
     got = dfs(D, 0)
-    return tuple(got) if got is not None else None
+    if got is not None:
+        return tuple(got)
+    if attempts[0] <= 0:
+        raise BudgetSpent(f"no cut list found within {budget} attempts")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,14 @@ def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
     return jet_conditions(monomial_exponents(d), blocks, p)
 
 
+def _residues(system: FatPointSystem):
+    """The conditions matrix mod the prime its rank is read at, and that
+    prime: q over GF(q), RANK_PRIME over Q."""
+    fs = system.fieldspec
+    p = fs.p if fs.kind == "prime" else _linalg.RANK_PRIME
+    return conditions_matrix(system, p), p
+
+
 def cohomology(system: FatPointSystem) -> SystemReport:
     """Exact h0/h1 of the system (h2 = 0 since d >= 0).
 
@@ -166,13 +174,11 @@ def cohomology(system: FatPointSystem) -> SystemReport:
     Only a deficient rational rank builds the exact matrix, whose kernel
     certificate runs over the prime stream from CERT_PRIMES[0] on.
     """
-    fs = system.fieldspec
-    p = fs.p if fs.kind == "prime" else _linalg.RANK_PRIME
-    residues = conditions_matrix(system, p)
+    residues, p = _residues(system)
     nrows, ncols = residues.shape
     full = min(nrows, ncols)
     rank = _linalg.rank_mod_p_array(residues, p)
-    if rank < full and fs.kind == "rationals":
+    if rank < full and system.fieldspec.kind == "rationals":
         rank = _linalg.deficient_rank(conditions_matrix(system), full)
     h0 = ncols - rank
     chi = ncols - sum(m * (m + 1) // 2 for m in system.mults)
@@ -323,21 +329,50 @@ def alpha(points: Sequence[Tuple], m) -> int:
     """Least degree t with L(t; m_1, ..., m_r) nonzero at the given points.
 
     `m` is one multiplicity (>= 1) for every point, or one per point.
+
+    If f is in L(t), then l f is in L(t+1) for every linear form l, so
+    alpha is found by bisection between a degree proved empty (lo = -1 at
+    first) and the chi bound, the least t with C(t+2, 2) > sum C(m_i+1, 2),
+    where chi > 0 proves L(t) nonempty.  A probe at t reads the rank of
+    the conditions mod RANK_PRIME: full column rank proves L(t) empty, so
+    lo = t; a deficient rank only suggests L(t) nonempty, so hi = t
+    tentatively.  The first probe is at hi - 1, which settles a nonspecial
+    system with one modular rank.  When hi = lo + 1 below the chi bound,
+    the kernel certificate of `_linalg.deficient_rank` proves L(hi)
+    nonempty; if it finds full rank instead (RANK_PRIME divided a minor),
+    lo = hi and the search resumes below the chi bound.  So emptiness is
+    proved only by a full modular rank, and nonemptiness only by chi or by
+    the certificate.  Below the chi bound no row is missing from the
+    column count: a point with m_i > t alone gives C(t+2, 2) rows, and
+    otherwise every condition is a row.
     """
     if isinstance(m, int):
         if m < 1:
             raise ValueError("multiplicity must be >= 1")
         m = (m,) * len(points)
-    mults = tuple(m)
+    points, mults = tuple(points), tuple(m)
     conditions = sum(comb(k + 1, 2) for k in mults)
-    t = 0
+    bound = 0
+    while comb(bound + 2, 2) <= conditions:
+        bound += 1
+    FatPointSystem(bound, points, mults)  # validates points and mults
+    lo, hi, t = -1, bound, bound - 1
     while True:
-        rep = cohomology(FatPointSystem(t, tuple(points), mults))
-        if rep.h0 > 0:
-            return t
-        # chi > 0 forces h0 > 0, so the loop is finite
-        assert comb(t + 2, 2) <= conditions
-        t += 1
+        while hi - lo > 1:
+            residues, p = _residues(FatPointSystem(t, points, mults))
+            if _linalg.rank_mod_p_array(residues, p) == residues.shape[1]:
+                lo = t
+            else:
+                hi = t
+            t = (lo + hi) // 2
+        if hi == bound:
+            return hi
+        full = comb(hi + 2, 2)
+        exact = conditions_matrix(FatPointSystem(hi, points, mults))
+        if _linalg.deficient_rank(exact, full) < full:
+            return hi
+        lo, hi = hi, bound
+        t = (lo + hi) // 2
 
 
 def waldschmidt_sandwich(points: Sequence[Tuple], k: int):

@@ -198,6 +198,54 @@ def test_empty_undecided_on_zero_budget(tmp_path, capsys):
     assert rep["reason"] == "no cut list found within budget"
 
 
+def test_empty_names_an_exhausted_search(tmp_path, capsys):
+    # (4; 2^5) is the double conic: no cut list exists, and the search
+    # runs out of candidates after 2,507 of its 4,000 attempts
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps({"degree": 4, "mults": [2] * 5}))
+    code, rep = run(capsys, "empty", "--problem", str(prob))
+    assert code == 3
+    assert rep["reason"] == "no cut list found: every candidate cut failed"
+    code, rep = run(capsys, "empty", "--problem", str(prob),
+                    "--budget", "2000")
+    assert code == 3
+    assert rep["reason"] == "no cut list found within budget"
+
+
+FLOAT_INPUTS = [
+    (["cohomology", "--system"],
+     {"degree": 1, "mults": [1, 1],
+      "points": [[[1.5, 1], [0, 1], [1, 1]], [[1, 1], [0, 1], [1, 1]]]}),
+    (["cohomology", "--system"],
+     {"degree": 1.0, "mults": [1], "points": [[[1, 1], [0, 1], [1, 1]]]}),
+    (["cohomology", "--system"],
+     {"degree": 1, "mults": [True], "points": [[[1, 1], [0, 1], [1, 1]]]}),
+    (["cohomology", "--system"],
+     {"degree": 1, "mults": [1], "points": [[[1, 1], [0, 1], [1]]]}),
+    (["empty", "--problem"], {"degree": 4.5, "mults": [2] * 5}),
+    (["empty", "--problem"], {"degree": 4, "mults": [2, 2, 2, 2, "2"]}),
+    (["toric", "fan", "--input"], {"vertices": [[0, 0], [2.5, 0], [0, 1]]}),
+    (["toric", "fan", "--input"],
+     {"chain": [[0, 0], [1, -1], [2, -1], [3, 0]], "ray": [0, 1.0]}),
+    (["toric", "fan", "--input"], {"vertices": [[0, 0], [2, 0], [0, 1, 1]]}),
+    (["ot", "counts", "--arrangement"],
+     {"lines": [[1, 0, 0], [0, 1, 0], [1, 1, 0.5]]}),
+    (["ot", "counts", "--arrangement"],
+     {"lines": [[1, 0, 0], [0, 1, 0], [1, 1]]}),
+]
+
+
+@pytest.mark.parametrize("argv, doc", FLOAT_INPUTS)
+def test_file_readers_take_only_integers(tmp_path, capsys, argv, doc):
+    # before, int() truncated 1.5 to 1 and read true and "2" as integers
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, *argv, str(path))
+    assert code == 1
+    assert rep["command"] == argv[0]
+    assert "integer" in rep["error"]
+
+
 def test_empty_with_explicit_cuts(tmp_path, capsys):
     prob = tmp_path / "problem.json"
     prob.write_text(json.dumps({

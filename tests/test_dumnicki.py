@@ -605,6 +605,17 @@ def test_search_prunes_undersized_systems():
     assert search_cuts(triangle_set(4), (3, 2, 2), budget=10_000) is None
 
 
+def test_search_tells_exhaustion_from_a_spent_budget():
+    # the double conic (4; 2^5) has no cut list; its 2,507 candidates
+    # fail within a budget of 4000, and a smaller budget is spent first
+    D = triangle_set(4)
+    assert search_cuts(D, (2,) * 5, budget=4000) is None
+    with pytest.raises(dumnicki.BudgetSpent):
+        search_cuts(D, (2,) * 5, budget=2000)
+    with pytest.raises(dumnicki.BudgetSpent):
+        search_cuts(triangle_set(1), (1, 1, 1), budget=0)
+
+
 def test_search_recovers_nine_cut_family():
     D, mults, _ = paper_family(1)
     cuts = search_cuts(D, mults, budget=4000)

@@ -368,6 +368,97 @@ def test_sandwich_bounds_alpha(r, m, k, seed):
     assert m * lo <= alpha(pts, m)
 
 
+def _linear_alpha(points, m):
+    """The initial degree by a linear scan of `cohomology`, frozen from
+    before the bisection, as the oracle."""
+    if isinstance(m, int):
+        m = (m,) * len(points)
+    t = 0
+    while cohomology(FatPointSystem(t, tuple(points), tuple(m))).h0 == 0:
+        t += 1
+    return t
+
+
+_CONFIGS = st.sampled_from([("random", "r", 1, 10), ("star", "s", 2, 5),
+                            ("collinear", "r", 2, 7),
+                            ("pencil_products", "k", 2, 2)])
+
+
+@st.composite
+def _alpha_cases(draw):
+    kind, key, least, most = draw(_CONFIGS)
+    size = draw(st.integers(least, most))
+    pts = make_config(kind, {key: size},
+                      seed=draw(st.integers(0, 10**6))).points
+    if draw(st.booleans()):
+        return pts, draw(st.integers(1, 3))
+    return pts, tuple(draw(st.lists(st.integers(1, 4), min_size=len(pts),
+                                    max_size=len(pts))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_alpha_cases())
+def test_alpha_matches_the_linear_scan(case):
+    pts, m = case
+    assert alpha(pts, m) == _linear_alpha(pts, m)
+
+
+def test_alpha_validates_its_input():
+    pts = make_config("random", {"r": 3}, seed=1).points
+    for m in (0, (1, 1), (1, 0, 1)):
+        with pytest.raises(ValueError):
+            alpha(pts, m)
+    assert alpha((), 2) == 0
+
+
+def _spy(monkeypatch, module, name, fake=None):
+    """Record (args, answer) for each call of module.name; `fake(k,
+    answer)` replaces the answer of the k-th call (from 0)."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        out = real(*args)
+        if fake is not None:
+            out = fake(len(calls), out)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_alpha_of_a_nonspecial_system_costs_one_modular_rank(monkeypatch):
+    # 12 general points, m = 3: 72 conditions, chi > 0 from degree 11 on
+    pts = make_config("random", {"r": 12}, seed=3).points
+    ranks = _spy(monkeypatch, _linalg, "rank_mod_p_array")
+    proofs = _spy(monkeypatch, _linalg, "deficient_rank")
+    scans = _spy(monkeypatch, fatpoints, "cohomology")
+    assert alpha(pts, 3) == 11
+    assert (len(ranks), len(proofs), len(scans)) == (1, 0, 0)
+
+
+def test_alpha_survives_an_unlucky_probe(monkeypatch):
+    # The first probe (degree 2 of 9 general points, empty) reads one rank
+    # short, as if RANK_PRIME divided every maximal minor; the certificate
+    # at degree 2 then finds full rank and the search resumes.
+    pts = make_config("random", {"r": 9}, seed=4).points
+    ranks = _spy(monkeypatch, _linalg, "rank_mod_p_array",
+                 lambda k, rank: rank - (k == 0))
+    proofs = _spy(monkeypatch, _linalg, "deficient_rank")
+    assert alpha(pts, 1) == 3
+    assert len(ranks) == 3
+    assert [(args[1], rank) for args, rank in proofs] == [(6, 6)]
+
+
+def test_alpha_proves_a_special_degree(monkeypatch):
+    # (4; 2^5) is the double conic: alpha(2) of five general points is 4,
+    # below the chi bound 5, so its nonemptiness needs the certificate.
+    pts = make_config("random", {"r": 5}, seed=6).points
+    proofs = _spy(monkeypatch, _linalg, "deficient_rank")
+    assert alpha(pts, 2) == 4
+    assert [(args[1], rank) for args, rank in proofs] == [(15, 14)]
+
+
 def test_pencil_speciality_is_stable():
     cfg = make_config("pencil_products", {"k": 3}, seed=11)
     assert len(cfg.points) == 9

@@ -1,6 +1,9 @@
 """Exact linear algebra against an independent oracle (sympy)."""
 
+import sys
+import threading
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 
 import numpy as np
@@ -428,3 +431,46 @@ def test_unlucky_rank_prime_goes_on_to_the_kernel_lift(monkeypatch):
     monkeypatch.setattr(_linalg, "rank_exact", spy)
     assert independent_rows(mat) == [0, 1]
     assert ranks == [2]
+
+
+def _walk(count):
+    walk, q = list(CERT_PRIMES), CERT_PRIMES[-1] - 2
+    while len(walk) < count:
+        if is_prime(q):
+            walk.append(q)
+        q -= 2
+    return walk
+
+
+def test_prime_stream_is_cached_in_order(monkeypatch):
+    walk = _walk(400)
+    # a fresh cache is extended on demand, then read back by later streams
+    monkeypatch.setattr(_linalg, "_STREAM", list(CERT_PRIMES))
+    assert list(islice(_linalg._prime_stream(), 150)) == walk[:150]
+    assert len(_linalg._STREAM) == 150
+    assert list(islice(_linalg._prime_stream(), 400)) == walk
+    assert list(islice(_linalg._prime_stream(), 5)) == walk[:5]
+    assert _linalg._STREAM == walk
+
+
+def test_prime_stream_cache_takes_concurrent_readers(monkeypatch):
+    walk = _walk(300)
+    monkeypatch.setattr(_linalg, "_STREAM", list(CERT_PRIMES))
+    got = []
+
+    def take():
+        got.append(list(islice(_linalg._prime_stream(), 300)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [walk] * 8
+    assert _linalg._STREAM == walk

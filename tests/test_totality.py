@@ -5,6 +5,12 @@
 {0, 1, 2, 3} and one JSON document on stdout.  Values are drawn at random,
 and spliced into a valid certificate at a random place, with and without
 a fresh digest, so that they also reach the checks past the decoder.
+
+The other subcommands that read a file (`cohomology --system`,
+`empty --problem`, `toric fan`, `ot --arrangement`) keep the same contract
+on values spliced into a valid input.  Their integers are drawn small: a
+degree of 2**80 is a well-formed request for a huge computation, and this
+checks the readers, not resource limits.
 """
 
 import contextlib
@@ -59,14 +65,19 @@ def _paths(x, path=()):
         yield from _paths(v, path + (k,))
 
 
-@st.composite
-def spliced(draw):
-    doc = copy.deepcopy(VALID)
+def _splice(draw, doc, values):
+    """Replace the value at a random place below the root of doc."""
     path = draw(st.sampled_from(list(_paths(doc))[1:]))
     slot = doc
     for key in path[:-1]:
         slot = slot[key]
-    slot[path[-1]] = draw(SCALARS | JSON)
+    slot[path[-1]] = draw(values)
+
+
+@st.composite
+def spliced(draw):
+    doc = copy.deepcopy(VALID)
+    _splice(draw, doc, SCALARS | JSON)
     if draw(st.booleans()):
         doc["digest"] = _digest({k: doc[k] for k in ("problem", "cuts",
                                                      "pieces")})
@@ -101,3 +112,71 @@ def test_verify_command_keeps_the_exit_code_contract(doc):
     assert code in (0, 1, 2, 3)
     rep = json.loads(out.getvalue())
     assert rep["command"] == "verify"
+
+
+SMALL = (st.none() | st.booleans() | st.integers(-3, 9)
+         | st.floats(allow_nan=True, allow_infinity=True)
+         | st.text(max_size=4))
+
+SMALL_JSON = st.recursive(
+    SMALL, lambda inner: (st.lists(inner, max_size=4)
+                          | st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=12)
+
+# (argv before the input path, argv after it, a valid input)
+READERS = (
+    (["cohomology", "--system"], [],
+     {"degree": 2, "mults": [2, 1],
+      "points": [[[0, 1], [0, 1], [1, 1]], [[1, 1], [0, 1], [1, 1]]]}),
+    (["empty", "--problem"], ["--budget", "20"],
+     {"degree": 1, "mults": [1, 1, 1]}),
+    (["empty", "--problem"], ["--budget", "20"],
+     {"points": [[0, 0], [1, 0], [0, 1]], "mults": [1, 1, 1],
+      "cuts": [[[1, 1], [0, 1], [-1, 2]], [[0, 1], [1, 1], [-1, 2]]]}),
+    (["toric", "fan", "--input"], [],
+     {"vertices": [[0, 0], [2, 0], [0, 1]]}),
+    (["toric", "fan", "--input"], [],
+     {"chain": [[0, 0], [1, -1], [2, -1], [3, 0]], "ray": [0, 1]}),
+    (["ot", "counts", "--arrangement"], [],
+     {"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}),
+)
+
+
+@st.composite
+def reader_inputs(draw):
+    head, tail, valid = draw(st.sampled_from(READERS))
+    if not draw(st.booleans()):
+        return head, tail, draw(SMALL_JSON)
+    doc = copy.deepcopy(valid)
+    _splice(draw, doc, SMALL_JSON)
+    return head, tail, doc
+
+
+def test_the_reader_inputs_start_valid(tmp_path):
+    for head, tail, doc in READERS:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(head + [str(path)] + tail
+                        + ["--certificate", str(tmp_path / "cert.json")]
+                        * (head[0] == "empty"))
+        assert code == 0, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(reader_inputs())
+def test_file_readers_keep_the_exit_code_contract(case):
+    head, tail, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        cert = ["--certificate", os.path.join(tmp, "cert.json")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(head + [path] + tail + cert * (head[0] == "empty"))
+    assert code in (0, 1, 2, 3)
+    rep = json.loads(out.getvalue())
+    assert rep["command"] == head[0]
