@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the modular rank elimination and the exact determinant.
+"""Time the modular rank elimination, the kernel proof and the determinant.
 
 For each degree the conditions matrix of a fixed nonspecial class is built
 at random rational points drawn from SEED, once mod CERT_PRIMES[0] and
@@ -12,9 +12,16 @@ interpolation matrix of a fat point of multiplicity m at C(m + 1, 2)
 lattice points drawn from SEED in a box of side m + 4, as the benchmark's
 certify workload draws its pieces.
 
+For n in CONIC_STEPS, `deficient_rank` runs --repeat times on the exact
+conditions matrix of the double conic (4n; (2n)^5) at five random rational
+points drawn from SEED, whose rank drops by one: one elimination mod
+RANK_PRIME, then the p-adic kernel lift.
+
 Prints one JSON document: per degree and prime the matrix shape, the rank,
-and the best and median seconds ("rows"), and per m the shape, the bit
-length of the determinant and the best and median seconds ("det_rows").
+and the best and median seconds ("rows"), per m the shape, the bit length
+of the determinant and the best and median seconds ("det_rows"), and per
+double conic the shape, the rank and the best and median seconds
+("kernel_rows").
 """
 
 import argparse
@@ -43,6 +50,8 @@ SEED = 5
 
 DET_MULTS = (9, 12, 15)
 
+CONIC_STEPS = (1, 2, 3, 4)
+
 
 def _det_rows(repeat):
     rng = random.Random(SEED)
@@ -60,6 +69,23 @@ def _det_rows(repeat):
         rows.append({"m": m, "shape": [len(mat), len(mat[0])],
                      "det_bits": abs(det.numerator).bit_length(),
                      "best_s": min(times),
+                     "median_s": statistics.median(times)})
+    return rows
+
+
+def _kernel_rows(repeat):
+    pts = random_rational_points(5, random.Random(SEED))
+    rows = []
+    for n in CONIC_STEPS:
+        d, mults = 4 * n, (2 * n,) * 5
+        mat = conditions_matrix(FatPointSystem(d, pts, mults))
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            rank = _linalg.deficient_rank(mat, min(mat.shape))
+            times.append(time.perf_counter() - t0)
+        rows.append({"d": d, "mults": list(mults), "shape": list(mat.shape),
+                     "rank": rank, "best_s": min(times),
                      "median_s": statistics.median(times)})
     return rows
 
@@ -91,7 +117,9 @@ def main() -> int:
                          "rank": rank, "best_s": min(times),
                          "median_s": statistics.median(times)})
     json.dump({"seed": SEED, "repeat": args.repeat, "rows": rows,
-               "det_rows": _det_rows(args.repeat)}, sys.stdout, indent=2)
+               "det_rows": _det_rows(args.repeat),
+               "kernel_rows": _kernel_rows(args.repeat)}, sys.stdout,
+              indent=2)
     print()
     return 0
 

@@ -7,41 +7,46 @@ determinant computations never touch floating point.
 One engine gives exact ranks, kernels and row selections.  A modular
 elimination (numpy, int64) bounds the rank from below: rank over GF(p)
 never exceeds rank over Q, so a full rank mod p settles the exact rank at
-once.  A deficient rank r mod p predicts the kernel: the reduced echelon
-form mod p gives the basis that is the identity on the free columns.  That
-basis is lifted to Q by Chinese remaindering over a stream of primes and
-rational reconstruction.  A lifted basis that keeps the identity pattern
-and that A annihilates exactly over Z proves rank <= r, and it is then the
-kernel basis of the reduced echelon form over Q.  An unlucky prime can only
-delay that proof, never fake it: it divides a minor, and the next lucky
-prime restarts the lift with a strictly better rank profile.
+once.  A deficient rank r mod p also names the pivot columns P and the
+rows R that carry them (`rank_profile_mod_p`), and B = A[R, P] is then
+invertible mod p.  The kernel that this profile predicts, the solution X
+of B X = -A[R, F] over the free columns F, is lifted from that one
+elimination p-adically (`_Lift`, after Dixon): B is inverted mod p once
+(`_gauss_jordan`, which finds the profile too where no rank pass came
+first), each step adds one p-adic digit, and rational reconstruction
+turns the digits into a basis.  A basis that keeps the identity on F and that A
+annihilates exactly over Z proves rank <= r.  An unlucky prime can only
+delay that proof, never fake it: past the Hadamard bound of the minors a
+failing basis proves the rank larger than r, and the lift starts again
+at the next prime below.
 
-`rank_exact` lifts the column kernels of A and of A^T at once, after one
-elimination mod RANK_PRIME; `nullspace` lifts the kernel of A alone;
+`rank_exact` races the kernels of A and of A^T, stepping the one with
+less work done; `nullspace` lifts the kernel of A alone and also asks for
+the rational pivots, the profile of the reduced echelon form;
 `independent_rows` takes a greedy row selection mod p whose size is
 min(shape) or the proved rank; `det_exact` takes the determinant from its
-residues mod enough primes of the stream to pass twice the Hadamard bound.
+residues mod enough primes of the stream from CERT_PRIMES[0] on to pass
+twice the Hadamard bound.
 
 Rank-only residues are taken mod RANK_PRIME, the largest prime below
 2**26.  There one product of residues fills 52 bits, so the elimination
 subtracts up to 2047 of them before an entry must be reduced, and it
 reduces only the pivot column and the pivot row at each step (Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008).  A rank mod RANK_PRIME is still
-a lower bound; an unlucky RANK_PRIME only sends the matrix on to the
-kernel lift, which runs over the stream of CERT_PRIMES and the primes
-below them.
+Giorgi and Pernet, ACM TOMS 35(3), 2008).  The same bound keeps the lift
+in int64: its digits lie below RANK_PRIME, and the exact B is split into
+26-bit limbs.
 
-The halves of `rank_exact` can be called on their own: `rank_mod_p_array`
-eliminates an int64 array of residues, and `deficient_rank` proves a rank
-that is deficient mod RANK_PRIME.  `fatpoints.cohomology` builds its
-residues mod RANK_PRIME directly and calls both.
+The halves of `rank_exact` can be called on their own:
+`rank_profile_mod_p` eliminates an int64 array of residues, and
+`deficient_rank` proves a rank that is deficient mod RANK_PRIME from that
+profile.  `fatpoints.cohomology` builds its residues mod RANK_PRIME
+directly and calls both.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
@@ -60,6 +65,12 @@ _DET_CHUNK = 16
 # The largest prime below 2**26: the modulus of rank-only residues, where
 # (p - 1)**2 < 2**52 leaves room for 2047 unreduced updates per entry.
 RANK_PRIME = 67_108_859
+
+# The kernel lift splits exact integers into limbs of _LIMB bits and takes
+# digits mod primes up to RANK_PRIME < 2**26, so a product of a limb and a
+# digit is below 2**52 and int64 holds a sum of _INNER of them.
+_LIMB = 26
+_INNER = 2**11 - 1
 
 
 def _scaled_rows(rows):
@@ -96,50 +107,66 @@ def rank_mod_p(rows, p):
         raise ValueError(f"rank_mod_p needs 2 <= p < 2**31, got {p}")
     if not rows or not rows[0]:
         return 0
-    return rank_mod_p_array(
-        np.array([[e % p for e in row] for row in rows], dtype=np.int64), p)
+    return rank_mod_p_array(_residues(rows, p), p)
+
+
+def _residues(rows, p):
+    """The int64 array of the integer rows mod p."""
+    return np.array([[e % p for e in row] for row in rows], dtype=np.int64)
 
 
 def rank_mod_p_array(a, p):
-    """Rank over GF(p) of an int64 array with entries in [0, p).
+    """Rank over GF(p) of an int64 array with entries in [0, p); `a` is
+    consumed (see `rank_profile_mod_p`)."""
+    return len(rank_profile_mod_p(a, p)[0])
 
-    `a` is consumed.  The caller keeps p below P_LIMIT.  Each step reduces
-    the pivot column and the pivot row only, and subtracts products of
-    residues from the rows below without reducing them.  An entry holds at
-    most `lazy` such products between reductions, which keeps it inside
-    int64; after `lazy` updates the whole trailing block is reduced.  For
-    p near 2**31, `lazy` is 1 and the block is reduced after every update.
+
+def rank_profile_mod_p(a, p):
+    """Pivot columns and pivot rows of an echelon form of `a` over GF(p).
+
+    `a` is an int64 array with entries in [0, p) and is consumed.  The
+    caller keeps p below P_LIMIT.  Each step reduces the pivot column and
+    the pivot row only, and subtracts products of residues from the rows
+    below without reducing them.  An entry holds at most `lazy` such
+    products between reductions, which keeps it inside int64; after `lazy`
+    updates the whole trailing block is reduced.  For p near 2**31, `lazy`
+    is 1 and the block is reduced after every update.
+
+    The pivot rows are the original indices of the rows that the swaps
+    bring up, in order; B = a[rows][:, pivots] is then invertible mod p.
     """
     nrows, ncols = a.shape
     lazy = (2**63 - p) // (p - 1)**2 - 1
     pending = 0  # updates since the trailing block was last reduced
-    r = 0
+    order = list(range(nrows))
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         col = a[r:, c]
         if pending:
             col %= p
-        stuck = np.nonzero(col)[0]
+        stuck = col.nonzero()[0]
         if stuck.size == 0:
             continue
         i = r + int(stuck[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+            order[r], order[i] = order[i], order[r]
         # rows at or below r are zero left of column c
         row = a[r, c:] % p if pending else a[r, c:]
         a[r, c:] = row * pow(int(a[r, c]), -1, p) % p
         below = a[r + 1:, c]
-        nz = np.nonzero(below)[0]
+        nz = below.nonzero()[0]
         if nz.size:
-            rows_below = r + 1 + nz
-            a[rows_below, c:] -= np.outer(below[nz], a[r, c:])
+            a[r + 1 + nz, c:] -= below[nz, None] * a[r, c:]
             pending += 1
             if pending == lazy:
                 a[r + 1:, c + 1:] %= p
                 pending = 0
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots, order[:len(pivots)]
 
 
 def _echelon_mod_p(a, primes):
@@ -193,84 +220,75 @@ def _echelon_mod_p(a, primes):
     return a, primes, pivots, dets
 
 
-def _rref_free_mod_p(a, primes):
-    """The free-column block of the reduced row echelon forms.
-
-    Like `_echelon_mod_p`.  Back substitution only updates that block:
-    the pivot columns of the reduced form are the identity, and clearing
-    pivot k from the rows above uses their echelon entries there, which
-    the later pivots (to its right) never change.  Returns the block
-    (batch, rank, free), the primes kept, the pivots and the free columns.
-    """
-    a, primes, pivots, _ = _echelon_mod_p(a, primes)
-    taken = set(pivots)
-    free = [j for j in range(a.shape[2]) if j not in taken]
-    r = len(pivots)
-    block = a[:, :r][:, :, free]
-    q = primes[:, None, None]
-    for k in range(r - 1, 0, -1):
-        above = block[:, :k]
-        above -= a[:, :k, pivots[k], None] * block[:, k, None, :]
-        above %= q
-    return block, primes, pivots, free
-
-
 def rank_exact(rows):
     """Exact rank over Q.
 
     Full rank mod RANK_PRIME settles it (a nonzero minor mod p is nonzero
-    in Z); a deficient rank goes to `deficient_rank`, which an unlucky
-    RANK_PRIME only costs time.
+    in Z); a deficient rank goes to `deficient_rank` with the profile of
+    that one elimination.  An unlucky RANK_PRIME only costs time.
     """
     rows = [row for row in to_int_rows(rows) if any(row)]
     if not rows:
         return 0
     full = min(len(rows), len(rows[0]))
-    if rank_mod_p(rows, RANK_PRIME) == full:
+    profile = rank_profile_mod_p(_residues(rows, RANK_PRIME), RANK_PRIME)
+    if len(profile[0]) == full:
         return full
-    return deficient_rank(np.array(rows, dtype=object), full)
+    return deficient_rank(np.array(rows, dtype=object), full, profile)
 
 
-def deficient_rank(mat, full):
+def deficient_rank(mat, full, profile=None):
     """Exact rank of an integer matrix whose rank mod RANK_PRIME < full.
 
     `mat` is a numpy object array of ints without zero rows, and `full` is
-    min(mat.shape).  The rank is proved by the lifted kernel of A or of
-    A^T, over the prime stream from CERT_PRIMES[0] on.  The lift needs the
-    reduced echelon form mod each of its primes, so it starts afresh
-    rather than reuse the elimination mod RANK_PRIME.
+    min(mat.shape).  `profile` is the (pivots, rows) that
+    `rank_profile_mod_p` found for mat mod RANK_PRIME; without it,
+    `_gauss_jordan` finds them.  The kernels of A and of A^T that the
+    profile predicts are lifted p-adically (`_Lift`), and the first to
+    verify exactly proves the rank.
     """
-    lift, _ = _proved_kernel(mat, True, full)
-    return lift.rank
+    return _lift_kernel(mat, full, profile, False)[0]
 
 
-def _proved_kernel(mat, both, full):
-    """The first kernel lift to prove itself, and its integer basis.
+def _lift_kernel(mat, full, profile, rref):
+    """(rank, integer kernel basis, free columns) of the integer matrix
+    `mat`, proved; the basis is None when the rank mod p reaches `full`.
 
-    Each batch of `_batches` is reduced once and fed to the lift of the
-    column kernel of `mat` and, with `both`, of mat^T.  A lift is done
-    when its rank mod p reaches `full` (the basis is then None), or when
-    its lifted basis verifies exactly.  A wrong profile never verifies, so
-    the loop only ends on the rational rank profile.
+    `_dixon` lifts the kernel of mat (and, unless `rref`, of mat^T) that
+    the profile mod p predicts.  With `rref` the basis must also be that
+    of the reduced echelon form (`_reduced`).  When p was unlucky or its
+    pivots are not the rational ones, the next prime below starts again:
+    such a prime costs time only.
     """
-    lifts = [_KernelLift(mat)] + ([_KernelLift(mat.T)] if both else [])
-    for primes in _batches():
-        a = np.stack([(mat % p).astype(np.int64) for p in primes.tolist()])
-        stacks = [a]
-        if both:
-            stacks.append(np.ascontiguousarray(a.transpose(0, 2, 1)))
-        # The side with fewer entries to lift tends to verify first, and
-        # then the other side's elimination of this batch is skipped.
-        for lift, stack in sorted(zip(lifts, stacks),
-                                  key=lambda pair: pair[0].size()):
-            if not lift.add(stack, primes):
-                continue  # every prime of the batch had a worse profile
-            if lift.rank == full:
-                return lift, None
-            vecs = lift.basis()
-            if vecs is not None and _annihilated(lift.mat, vecs, lift.free):
-                return lift, vecs
-    raise ArithmeticError("the prime stream ran out")
+    p, inverse = RANK_PRIME, None
+    while True:
+        if profile is None:
+            *profile, inverse = _gauss_jordan((mat % p).astype(np.int64), p)
+        pivots, rows = profile
+        if len(pivots) == full:
+            return full, None, None
+        found = _dixon(mat, pivots, rows, inverse, p, not rref)
+        if found and (not rref or _reduced(*found, pivots)):
+            return (len(pivots),) + found
+        p, profile = _prime_below(p), None
+
+
+def _reduced(vecs, free, pivots):
+    """Whether no kernel vector is nonzero at a pivot after its own free
+    column.  For a basis that is the identity on the free columns, this
+    holds exactly when the pivots are the rational rank profile, and the
+    basis is then that of the reduced echelon form."""
+    return not any(v[c] for v, f in zip(vecs, free) for c in pivots if c > f)
+
+
+def _prime_below(p):
+    """The largest prime below the odd prime p."""
+    q = p - 2
+    while q > 2 and not is_prime(q):
+        q -= 2
+    if q < 3:
+        raise ArithmeticError("no odd prime is left to lift over")
+    return q
 
 
 # Strong-pseudoprime bases.  The least composite passing all three is
@@ -337,70 +355,127 @@ def _prime_stream():
         i += 1
 
 
-def _batches():
-    """The prime stream in batches of 1, 2, 4, 4, ...
+def _limbs(b):
+    """The limbs of an integer object array, stacked: an int64 array L of
+    shape (n,) + b.shape with b = sum_j L[j] 2**(26 j).  Every limb but
+    the last lies in [0, 2**26), and the last in [-2**25, 2**25)."""
+    bits = max(map(abs, b.ravel().tolist()), default=0).bit_length()
+    limbs = []
+    for _ in range(bits // _LIMB):
+        limbs.append(b & (2**_LIMB - 1))
+        b = b >> _LIMB
+    limbs.append(b)
+    return np.array(limbs, dtype=np.int64)
 
-    One batch is eliminated in lockstep, which spreads numpy's per-call
-    cost over its primes; small first batches keep a kernel that lifts
-    from one or two primes from paying for four.
+
+def _dot(a, b):
+    """a @ b exactly, for int64 factors with |a| |b| < 2**52 (a may be a
+    stack): in int64 over inner chunks of _INNER terms, whose sums fit,
+    and as Python ints across chunks."""
+    n = a.shape[-1]
+    if n <= _INNER:
+        return a @ b
+    return sum((a[..., k:k + _INNER] @ b[k:k + _INNER]).astype(object)
+               for k in range(0, n, _INNER))
+
+
+def _gauss_jordan(a, p):
+    """Pivot columns, pivot rows and C = B^-1 mod p, B = a[rows][:, pivots],
+    for an int64 array `a` with entries in [0, p < P_LIMIT): the profile
+    of `rank_profile_mod_p` and the inverse from one elimination.
+
+    Gauss-Jordan on [a | I], with the row swaps and the lazy reduction of
+    `rank_profile_mod_p`.  Each pivot row ends as a combination of pivot
+    rows that is the identity on the pivots, so its right block, read at
+    the pivot rows, is a row of C.  On a pivot block B itself the pivots
+    lie on the diagonal, and C is B^-1.
     """
-    stream = _prime_stream()
-    size = 1
-    while batch := list(islice(stream, size)):
-        yield np.array(batch, dtype=np.int64)
-        size = min(2 * size, 4)
+    m, n = a.shape
+    g = np.zeros((m, n + m), dtype=np.int64)
+    g[:, :n] = a
+    g.reshape(-1)[n::n + m + 1] = 1  # the identity block: g[i, n + i]
+    lazy = (2**63 - p) // (p - 1)**2 - 1
+    pending = 0
+    order = list(range(m))
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        col = g[:, c] % p
+        stuck = col[r:].nonzero()[0]
+        if stuck.size == 0:
+            continue
+        i = r + int(stuck[0])
+        if i != r:
+            g[[r, i]] = g[[i, r]]
+            col[[r, i]] = col[[i, r]]
+            order[r], order[i] = order[i], order[r]
+        row = g[r, c:] % p if pending else g[r, c:]
+        row = row * pow(int(col[r]), -1, p) % p
+        g[:, c:] -= col[:, None] * row
+        g[r, c:] = row
+        pending += 1
+        if pending == lazy:
+            g %= p
+            pending = 0
+        pivots.append(c)
+    rows = order[:len(pivots)]
+    return pivots, rows, g[:len(rows), [n + i for i in rows]] % p
 
 
-class _KernelLift:
-    """The RREF kernel of one matrix, lifted from many primes to Q.
+class _Lift:
+    """Dixon's p-adic lift of the kernel that a rank profile predicts
+    (J. D. Dixon, Numer. Math. 40, 1982).
 
-    A prime's reduced echelon form gives the kernel basis that is the
-    identity on the free columns; what is left to lift is the block of the
-    pivot rows in the free columns.  Residues are kept as mixed-radix
-    (Garner) digits, so a new prime costs only int64 vector operations.
-    A prime whose (rank, pivots) profile is lexicographically better
-    restarts the accumulation; a worse one divides a minor and is skipped.
+    With B = mat[rows, pivots] and the free columns F, the kernel vector of
+    f in F is e_f + X[:, f] on the pivots, where B X = -mat[rows, F].  A
+    step takes one p-adic digit x = C r mod p of X, with C = B^-1 mod p,
+    and updates the residual r <- (r - B x) / p exactly; B x is summed
+    from int64 products of B's 26-bit limbs (Chen and Storjohann, ISSAC
+    2005).  On a geometric schedule of steps the digits are reconstructed
+    as rationals, and `_annihilated` proves the basis.  X is a quotient of
+    minors of mat[rows], each at most sqrt(h2), h2 the product of the
+    squared row norms (Hadamard); once p**steps > 2 h2 the reconstruction
+    is X itself, so a basis that still fails proves the rank over Q larger
+    than len(rows), and the lift is `spent`.
     """
 
-    def __init__(self, mat):
-        self.mat = mat  # exact integer matrix, numpy object array
-        self.ncols = mat.shape[1]
-        self.profile = None
+    def __init__(self, mat, pivots, rows, limbs, powers, inverse, p):
+        self.mat, self.pivots, self.rows, self.p = mat, pivots, rows, p
+        # B = sum(limbs * powers), and inverse = C
+        self.limbs, self.powers, self.inverse = limbs, powers, inverse
+        taken = set(pivots)
+        self.free = [j for j in range(mat.shape[1]) if j not in taken]
+        self.residual, self.digits = None, []
+        self.target, self.last = 1, None  # steps of the next and last try
+        self.vecs, self.spent = None, False
 
-    def size(self):
-        """Entries left to lift; the column count before the first prime."""
-        if self.profile is None:
-            return self.ncols
-        return self.rank * len(self.free)
+    def cost(self):
+        """Digits lifted after the next step, times the columns of each."""
+        return (len(self.digits) + 1) * len(self.free)
 
-    def add(self, a, primes):
-        """Fold in a stack of the matrix mod `primes` (consumed).
-
-        Returns whether the batch was folded in.
-        """
-        blocks, primes, pivots, free = _rref_free_mod_p(a, primes)
-        profile = (-len(pivots), pivots)
-        if self.profile is not None and profile > self.profile:
-            return False
-        if profile != self.profile:
-            self.profile, self.rank, self.pivots = profile, len(pivots), pivots
-            self.free = free
-            self.primes, self.digits, self.modulus = [], [], 1
-        blocks = blocks.reshape(len(primes), -1)
-        for block, p in zip(blocks, primes.tolist()):
-            if self.primes:
-                s = self.digits[-1] % p
-                for d, q in zip(self.digits[-2::-1], self.primes[-2::-1]):
-                    s = (d % p + q % p * s) % p
-                block = (block - s) % p * pow(self.modulus % p, -1, p) % p
-            self.digits.append(block)
-            self.primes.append(p)
-            self.modulus *= p
-        return True
-
-    def bound(self):
-        """Numerator and denominator bound N, with 2 N**2 < modulus."""
-        return isqrt((self.modulus - 1) // 2)
+    def step(self):
+        """Lift one digit; on the schedule, try the basis."""
+        p = self.p
+        if self.residual is None:
+            self.residual = -self.mat[self.rows][:, self.free]
+        x = _dot(self.inverse, (self.residual % p).astype(np.int64)) % p
+        bx = (_dot(self.limbs, x).astype(object) * self.powers).sum(axis=0)
+        self.residual = (self.residual - bx) // p
+        self.digits.append(x)
+        steps = len(self.digits)
+        if steps < self.target:
+            return
+        vecs = self.basis()
+        if vecs is not None and _annihilated(self.mat, vecs, self.free):
+            self.vecs = vecs
+            return
+        if self.last is None:  # a step count with p**last > 2 h2
+            h2 = prod(int(row.dot(row)) for row in self.mat[self.rows])
+            self.last = -(-(2 * h2).bit_length() // (p.bit_length() - 1))
+        self.spent = steps >= self.last
+        self.target = min(steps + (steps + 1) // 2, self.last)
 
     def basis(self):
         """Integer kernel vectors by rational reconstruction, or None.
@@ -408,12 +483,14 @@ class _KernelLift:
         The entries share a running common denominator, so an entry that
         is small once multiplied by it needs no reconstruction of its own.
         """
-        m, bound = self.modulus, self.bound()
+        p = self.p
+        acc = self.digits[-1].astype(object)
+        for d in self.digits[-2::-1]:
+            acc = acc * p + d
+        m = p ** len(self.digits)
+        bound = isqrt((m - 1) // 2)
         den, scaled = 1, []
-        for e in range(len(self.digits[0])):
-            x = int(self.digits[-1][e])
-            for d, q in zip(self.digits[-2::-1], self.primes[-2::-1]):
-                x = x * q + int(d[e])
+        for x in acc.flat:
             y = x * den % m
             if y > m // 2:
                 y -= m
@@ -427,13 +504,45 @@ class _KernelLift:
         k = len(self.free)
         vecs = []
         for j, f in enumerate(self.free):
-            v = [0] * self.ncols
+            v = [0] * self.mat.shape[1]
             v[f] = den
             for i, c in enumerate(self.pivots):
                 y, at = scaled[i * k + j]
-                v[c] = -y * (den // at)
+                v[c] = y * (den // at)
             vecs.append(v)
         return vecs
+
+
+def _dixon(mat, pivots, rows, inverse, p, both):
+    """The proved kernel basis of mat and its free columns, or None when p
+    was unlucky (rank over Q > len(pivots)).
+
+    B = mat[rows, pivots] is split into limbs, and C = B^-1 mod p is the
+    given `inverse` or made here.  With `both` the kernel of mat^T, lifted
+    from B^T and C^T, races that of mat: the side with fewer digits times
+    columns after its next step (on a tie, mat) takes it, and the first
+    to verify wins.  Neither fewer columns nor smaller entries reliably
+    tells which side needs fewer digits.
+    """
+    limbs = _limbs(mat[rows][:, pivots])
+    if inverse is None:
+        residues = limbs[-1] % p
+        for limb in limbs[-2::-1]:
+            residues = (residues * pow(2, _LIMB, p) + limb) % p
+        inverse = _gauss_jordan(residues, p)[2]
+    powers = np.array([1 << (_LIMB * j) for j in range(len(limbs))],
+                      dtype=object)[:, None, None]
+    lifts = [_Lift(mat, pivots, rows, limbs, powers, inverse, p)]
+    if both:
+        lifts.append(_Lift(mat.T, rows, pivots, limbs.transpose(0, 2, 1),
+                           powers, inverse.T, p))
+    while True:
+        lift = min(lifts, key=_Lift.cost)
+        lift.step()
+        if lift.vecs is not None:
+            return lift.vecs, lift.free
+        if lift.spent:
+            return None
 
 
 def _rational(x, m, nbound, dbound):
@@ -513,16 +622,18 @@ def nullspace(rows, ncols=None):
 
     The basis of the reduced row echelon form: one Fraction vector per
     free column, 1 there and 0 on the other free columns.  It is lifted
-    over the prime stream from CERT_PRIMES[0] on.
+    p-adically from one elimination mod RANK_PRIME, and a prime whose
+    pivots are not the rational profile passes the lift on to the next
+    prime below.
     """
     if not rows:
         return [[Fraction(int(i == j)) for j in range(ncols or 0)]
                 for i in range(ncols or 0)]
     mat = np.array(to_int_rows(rows), dtype=object)
-    lift, vecs = _proved_kernel(mat, False, len(rows[0]))
+    _, vecs, free = _lift_kernel(mat, mat.shape[1], None, True)
     if vecs is None:
         return []
-    den = vecs[0][lift.free[0]]
+    den = vecs[0][free[0]]
     return [[Fraction(e, den) for e in v] for v in vecs]
 
 
@@ -538,7 +649,7 @@ def independent_rows_mod_p(rows, p):
                          f"got {p}")
     if not rows or not rows[0]:
         return []
-    a = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
+    a = _residues(rows, p)
     return _echelon_mod_p(np.ascontiguousarray(a.T)[None],
                           np.array([p], dtype=np.int64))[2]
 

@@ -172,14 +172,16 @@ def cohomology(system: FatPointSystem) -> SystemReport:
     The rank is read from the residue matrix first: mod q over GF(q), and
     mod RANK_PRIME over Q, where full rank mod p is already the proof.
     Only a deficient rational rank builds the exact matrix, whose kernel
-    certificate runs over the prime stream from CERT_PRIMES[0] on.
+    certificate is lifted from the rank profile of that one elimination.
     """
     residues, p = _residues(system)
     nrows, ncols = residues.shape
     full = min(nrows, ncols)
-    rank = _linalg.rank_mod_p_array(residues, p)
+    profile = _linalg.rank_profile_mod_p(residues, p)
+    rank = len(profile[0])
     if rank < full and system.fieldspec.kind == "rationals":
-        rank = _linalg.deficient_rank(conditions_matrix(system), full)
+        rank = _linalg.deficient_rank(conditions_matrix(system), full,
+                                      profile)
     h0 = ncols - rank
     chi = ncols - sum(m * (m + 1) // 2 for m in system.mults)
     h1 = h0 - chi

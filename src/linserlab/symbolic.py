@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .dumnicki import _json_int
 from .lattice import cross, primitive
 
 Exponent = Tuple[int, ...]
@@ -459,5 +460,8 @@ def ideal_to_json(i: MonomialIdeal) -> Dict:
 
 
 def ideal_from_json(data: Dict) -> MonomialIdeal:
+    """The ideal of {"vars": [...], "gens": [[e, ...], ...]}; every
+    exponent must be a JSON int."""
     return MonomialIdeal(tuple(data["vars"]),
-                         tuple(tuple(g) for g in data["gens"]))
+                         tuple(tuple(map(_json_int, g))
+                               for g in data["gens"]))

@@ -232,6 +232,16 @@ FLOAT_INPUTS = [
      {"lines": [[1, 0, 0], [0, 1, 0], [1, 1, 0.5]]}),
     (["ot", "counts", "--arrangement"],
      {"lines": [[1, 0, 0], [0, 1, 0], [1, 1]]}),
+    (["symbolic", "suite", "--ideal"],
+     {"vars": ["x", "y", "z"], "gens": [[1.5, 1, 0], [1, 0, 1], [0, 1, 1]]}),
+    (["symbolic", "suite", "--ideal"],
+     {"vars": ["x", "y", "z"], "gens": [[1, 1, 0], [1, 0, 1], [True, 1, 0]]}),
+    (["toric", "subdivide", "--input"],
+     {"heights": [[[0, 0], 0, 1], [[1, 0], 0, 1], [[0, 1], 0.5, 1]]}),
+    (["toric", "subdivide", "--input"],
+     {"heights": [[[0, 0], 0, 1], [[1.0, 0], 0, 1], [[0, 1], 1, 1]]}),
+    (["toric", "subdivide", "--input"],
+     {"heights": [[[0, 0], 0, 1], [[1, 0], 0, 1], [[0, 1], 1, "2"]]}),
 ]
 
 

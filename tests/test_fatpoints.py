@@ -186,54 +186,76 @@ def test_builder_refuses_other_moduli():
 
 
 def _spy_builds_and_primes(monkeypatch):
-    """Moduli of every build, and primes of every modular elimination."""
-    builds, primes = [], []
-    build, rank, echelon = (fatpoints.conditions_matrix,
-                            _linalg.rank_mod_p_array, _linalg._echelon_mod_p)
+    """Moduli of every build, primes of every rank pass and stacked
+    elimination, and (prime, shape) of every Gauss-Jordan elimination."""
+    builds, primes, inverses = [], [], []
+    build, profile, echelon, inverse = (
+        fatpoints.conditions_matrix, _linalg.rank_profile_mod_p,
+        _linalg._echelon_mod_p, _linalg._gauss_jordan)
 
     def spy_build(system, p=None):
         builds.append(p)
         return build(system, p)
 
-    def spy_rank(a, p):
+    def spy_profile(a, p):
         primes.append(p)
-        return rank(a, p)
+        return profile(a, p)
 
     def spy_echelon(a, batch):
         primes.extend(batch.tolist())
         return echelon(a, batch)
 
+    def spy_inverse(a, p):
+        inverses.append((p, a.shape))
+        return inverse(a, p)
+
     monkeypatch.setattr(fatpoints, "conditions_matrix", spy_build)
-    monkeypatch.setattr(_linalg, "rank_mod_p_array", spy_rank)
+    monkeypatch.setattr(_linalg, "rank_profile_mod_p", spy_profile)
     monkeypatch.setattr(_linalg, "_echelon_mod_p", spy_echelon)
-    return builds, primes
+    monkeypatch.setattr(_linalg, "_gauss_jordan", spy_inverse)
+    return builds, primes, inverses
 
 
 def test_nonspecial_system_never_builds_the_exact_matrix(monkeypatch):
     pts = make_config("random", {"r": 8}, seed=11).points
-    builds, primes = _spy_builds_and_primes(monkeypatch)
+    builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
     rep = cohomology(FatPointSystem(10, pts, (3,) * 8))
     assert (rep.h0, rep.h1) == (18, 0)
     assert builds == [RANK_PRIME] and primes == [RANK_PRIME]
+    assert inverses == []
+
+
+def _eliminated_once(monkeypatch, d, mults):
+    """The (h0, h1) of the system at random points, checking that the
+    kernel proof reuses the rank profile of the one elimination mod
+    RANK_PRIME: the exact matrix is built once, only the square pivot
+    block is inverted, once, and no other prime (no CERT_PRIMES) is
+    eliminated."""
+    pts = make_config("random", {"r": len(mults)}, seed=11).points
+    builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
+    rep = cohomology(FatPointSystem(d, pts, mults))
+    rank = (d + 1) * (d + 2) // 2 - rep.h0
+    assert builds == [RANK_PRIME, None]
+    assert primes == [RANK_PRIME]
+    assert inverses == [(RANK_PRIME, (rank, rank))]
+    return rep.h0, rep.h1
 
 
 def test_double_conic_builds_exact_matrix_once(monkeypatch):
-    pts = make_config("random", {"r": 5}, seed=11).points
-    builds, primes = _spy_builds_and_primes(monkeypatch)
-    rep = cohomology(FatPointSystem(4, pts, (2,) * 5))
-    assert (rep.h0, rep.h1) == (1, 1)
-    assert builds == [RANK_PRIME, None]
-    # one rank pass mod RANK_PRIME; the lift starts at CERT_PRIMES[0]
-    assert primes[:2] == [RANK_PRIME, CERT_PRIMES[0]]
-    assert primes.count(RANK_PRIME) == 1
+    assert _eliminated_once(monkeypatch, 4, (2,) * 5) == (1, 1)
+
+
+def test_fixed_line_system_builds_exact_matrix_once(monkeypatch):
+    # m1 + m2 > d: the line through the first two points is fixed
+    assert _eliminated_once(monkeypatch, 9, (6, 5, 1, 1)) == (18, 1)
 
 
 def test_prime_field_builds_residues_only(monkeypatch):
     pts = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 3))
-    builds, primes = _spy_builds_and_primes(monkeypatch)
+    builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
     rep = cohomology(FatPointSystem(4, pts, (2,) * 5, fieldspec=GF(7)))
     assert (rep.h0, rep.h1) == (1, 1)
-    assert builds == [7] and primes == [7]
+    assert builds == [7] and primes == [7] and inverses == []
 
 
 @pytest.mark.parametrize("d, mults, trials", [

@@ -397,6 +397,26 @@ def test_lazy_rank_mod_p_is_the_eager_loop(case):
         assert np.array_equal(lazy, eager)
 
 
+@settings(max_examples=100, deadline=None)
+@given(residue_matrices())
+def test_gauss_jordan_inverts_the_pivot_block(case):
+    """Both eliminations find the greedy independent columns and the same
+    pivot rows, and Gauss-Jordan inverts the block they pick."""
+    a, p = case
+    pivots, rows = _linalg.rank_profile_mod_p(a.copy(), p)
+    assert pivots == independent_rows_mod_p(a.T.tolist(), p)
+    assert len(set(rows)) == len(rows) == len(pivots)
+    assert _linalg._gauss_jordan(a.copy(), p)[:2] == (pivots, rows)
+    block = a[rows][:, pivots]
+    for got in (_linalg._gauss_jordan(a.copy(), p),
+                _linalg._gauss_jordan(block.copy(), p)):
+        inv = got[2]
+        assert inv.shape == block.shape
+        assert [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
+                 for col in inv.T] for row in block] == [
+            [int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+
+
 @pytest.mark.parametrize("p, n", [(CERT_PRIMES[0], 40), (P30, 40), (7, 40),
                                   (RANK_PRIME, 2100)])
 @pytest.mark.parametrize("deficient", [False, True])
@@ -474,3 +494,111 @@ def test_prime_stream_cache_takes_concurrent_readers(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert got == [walk] * 8
     assert _linalg._STREAM == walk
+
+
+# The p-adic kernel lift: exact answers on large entries, restarts past an
+# unlucky RANK_PRIME, and the int64 pieces it is built from.
+
+@st.composite
+def big_products(draw):
+    """U V for an n x r U and an r x m V with entries of up to 150 bits:
+    wide, tall and square, of rank at most r (0 <= r <= min(n, m))."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(n, m)))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-2**150, 2**150))
+    left = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    right = [[draw(entries) for _ in range(m)] for _ in range(r)]
+    if r == 0:
+        return [[0] * m for _ in range(n)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+@settings(max_examples=80, deadline=None)
+@given(big_products())
+def test_dixon_lift_matches_sympy(mat):
+    oracle = sympy.Matrix(mat)
+    assert rank_exact(mat) == oracle.rank()
+    assert nullspace(mat) == [[Fraction(int(e.p), int(e.q)) for e in v]
+                              for v in oracle.nullspace()]
+
+
+def _spy_eliminations(monkeypatch):
+    """(name, prime) of every rank pass and Gauss-Jordan elimination."""
+    calls = []
+    for name in ("rank_profile_mod_p", "_gauss_jordan"):
+        def spy(a, p, real=getattr(_linalg, name), name=name):
+            calls.append((name, p))
+            return real(a, p)
+        monkeypatch.setattr(_linalg, name, spy)
+    return calls
+
+
+def test_unlucky_rank_prime_restarts_the_lift(monkeypatch):
+    # Mod RANK_PRIME the rank is 1: the pivot block [1] is inverted, and
+    # the lifted kernel (0, 1) fails once past its Hadamard bound.  The
+    # next prime sees full rank.
+    calls = _spy_eliminations(monkeypatch)
+    assert rank_exact([[1, 0], [0, RANK_PRIME]]) == 2
+    q = _linalg._prime_below(RANK_PRIME)
+    assert calls == [("rank_profile_mod_p", RANK_PRIME),
+                     ("_gauss_jordan", RANK_PRIME), ("_gauss_jordan", q)]
+
+
+def test_wrong_rank_profile_moves_to_the_next_prime(monkeypatch):
+    # Mod RANK_PRIME the pivot is column 1: the kernel (1, -RANK_PRIME)
+    # verifies, but it is not the reduced echelon one.
+    calls = _spy_eliminations(monkeypatch)
+    assert nullspace([[RANK_PRIME, 1]]) == [[Fraction(-1, RANK_PRIME), 1]]
+    q = _linalg._prime_below(RANK_PRIME)
+    assert calls == [("_gauss_jordan", RANK_PRIME), ("_gauss_jordan", q)]
+
+
+def test_prime_below():
+    q = _linalg._prime_below(RANK_PRIME)
+    assert is_prime(q) and not any(is_prime(k) for k in range(q + 1,
+                                                               RANK_PRIME))
+    assert _linalg._prime_below(11) == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=12))
+def test_limbs_sum_to_the_entries(values):
+    limbs = _linalg._limbs(np.array(values, dtype=object))
+    assert limbs.dtype == np.int64 and limbs.shape[1:] == (len(values),)
+    assert [sum(int(limb[i]) << (26 * j) for j, limb in enumerate(limbs))
+            for i in range(len(values))] == values
+    assert all(0 <= int(e) < 2**26 for limb in limbs[:-1] for e in limb)
+    assert all(-2**25 <= int(e) < 2**25 for e in limbs[-1])
+
+
+def test_dot_is_exact_past_one_int64_chunk():
+    # 5000 products of 2**26 - 1 and RANK_PRIME - 1 overflow int64 in one
+    # sum; the chunks are summed as Python ints
+    n = 5000
+    a = np.full((2, n), 2**26 - 1, dtype=np.int64)
+    a[1] *= -1
+    b = np.full((n, 1), RANK_PRIME - 1, dtype=np.int64)
+    want = n * (2**26 - 1) * (RANK_PRIME - 1)
+    assert [int(x) for x in _linalg._dot(a, b).flat] == [want, -want]
+
+
+@pytest.mark.parametrize("p", [RANK_PRIME, P30, CERT_PRIMES[0], 7])
+def test_gauss_jordan_of_a_pivot_block(p):
+    # a unit lower times a unit upper triangular matrix: every leading
+    # principal minor is 1, as on a pivot block of the rank pass, and the
+    # lazy reduction runs many steps (every 7 mod P30)
+    n = 24
+    rng = np.random.default_rng(p)
+    one = np.eye(n, dtype=np.int64)
+    lower = np.tril(rng.integers(0, p, (n, n)), -1) + one
+    upper = np.triu(rng.integers(0, p, (n, n)), 1) + one
+    b = [[sum(int(lower[i, k]) * int(upper[k, j]) for k in range(n)) % p
+          for j in range(n)] for i in range(n)]
+    pivots, rows, inv = _linalg._gauss_jordan(np.array(b, dtype=np.int64), p)
+    assert pivots == rows == list(range(n))
+    assert all(0 <= int(e) < p for e in inv.flat)
+    assert [[sum(b[i][k] * int(inv[k, j]) for k in range(n)) % p
+             for j in range(n)] for i in range(n)] == [
+        [int(i == j) for j in range(n)] for i in range(n)]

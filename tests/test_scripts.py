@@ -42,3 +42,12 @@ def test_time_rank_prints_both_primes(tmp_path):
     for row in rows:
         assert row["shape"] == [145, 153] and row["rank"] == 145
         assert 0 < row["best_s"] <= row["median_s"]
+    # the kernel proof on the double-conic ladder, whose rank drops by one
+    kernel = doc["kernel_rows"]
+    assert [(row["d"], row["mults"]) for row in kernel] == [
+        (4 * n, [2 * n] * 5) for n in (1, 2, 3, 4)]
+    assert [row["shape"] for row in kernel] == [[15, 15], [50, 45],
+                                                [105, 91], [180, 153]]
+    assert [row["rank"] for row in kernel] == [14, 44, 90, 152]
+    for row in kernel:
+        assert 0 < row["best_s"] <= row["median_s"]

@@ -7,10 +7,11 @@ and spliced into a valid certificate at a random place, with and without
 a fresh digest, so that they also reach the checks past the decoder.
 
 The other subcommands that read a file (`cohomology --system`,
-`empty --problem`, `toric fan`, `ot --arrangement`) keep the same contract
-on values spliced into a valid input.  Their integers are drawn small: a
-degree of 2**80 is a well-formed request for a huge computation, and this
-checks the readers, not resource limits.
+`empty --problem`, `toric fan`, `toric subdivide`, `ot --arrangement`,
+`symbolic --ideal`) keep the same contract on values spliced into a valid
+input.  Their integers are drawn small: a degree of 2**80 is a well-formed
+request for a huge computation, and this checks the readers, not resource
+limits.
 """
 
 import contextlib
@@ -140,6 +141,11 @@ READERS = (
      {"chain": [[0, 0], [1, -1], [2, -1], [3, 0]], "ray": [0, 1]}),
     (["ot", "counts", "--arrangement"], [],
      {"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}),
+    (["symbolic", "suite", "--ideal"], [],
+     {"vars": ["x", "y", "z"], "gens": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}),
+    (["toric", "subdivide", "--input"], [],
+     {"heights": [[[0, 0], 0, 1], [[2, 0], 0, 1], [[0, 2], 0, 1],
+                  [[1, 1], 1, 2]]}),
 )
 
 
