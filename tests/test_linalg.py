@@ -555,6 +555,36 @@ def test_wrong_rank_profile_moves_to_the_next_prime(monkeypatch):
     assert calls == [("_gauss_jordan", RANK_PRIME), ("_gauss_jordan", q)]
 
 
+def _unimodular(n, seed):
+    """A unit lower times a unit upper triangular integer matrix."""
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.integers(-3, 4, (n, n)), -1) + np.eye(n, dtype=int)
+    upper = np.triu(rng.integers(-3, 4, (n, n)), 1) + np.eye(n, dtype=int)
+    return (lower.astype(object) @ upper.astype(object)).tolist()
+
+
+@pytest.mark.parametrize("unlucky", [1, 3])
+@pytest.mark.parametrize("shape", [(6, 6), (5, 8), (8, 5)])
+def test_restarts_past_several_unlucky_primes(unlucky, shape):
+    """U D V with D = diag(1, 2, 3, q) and q the product of RANK_PRIME and
+    the primes just below it: each of them sees rank 3, and the lift
+    restarts until a prime sees the rank 4 and the rational pivots."""
+    q, p = 1, RANK_PRIME
+    for _ in range(unlucky):
+        q, p = q * p, _linalg._prime_below(p)
+    n, m = shape
+    d = [[[1, 2, 3, q][i] if i == j and i < 4 else 0 for j in range(m)]
+         for i in range(n)]
+    mat = (np.array(_unimodular(n, unlucky), dtype=object)
+           @ np.array(d, dtype=object)
+           @ np.array(_unimodular(m, unlucky + 1), dtype=object)).tolist()
+    assert rank_mod_p(mat, RANK_PRIME) == 3
+    oracle = sympy.Matrix(mat)
+    assert rank_exact(mat) == oracle.rank() == 4
+    assert nullspace(mat) == [[Fraction(int(e.p), int(e.q)) for e in v]
+                              for v in oracle.nullspace()]
+
+
 def test_prime_below():
     q = _linalg._prime_below(RANK_PRIME)
     assert is_prime(q) and not any(is_prime(k) for k in range(q + 1,
