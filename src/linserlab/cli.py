@@ -304,29 +304,18 @@ def run_symbolic(args) -> int:
     ideal = symbolic.ideal_from_json(_load(args.ideal))
     if args.action == "suite":
         suite = symbolic.containment_suite(ideal, args.r)
-        # The ELS chain needs Newton regions; the containments do not.
-        extra = {}
-        if len(ideal.variables) > symbolic.NEWTON_MAX_VARS:
-            chain = None
-            extra["chain_unavailable"] = (
-                f"Newton regions are supported in at most "
-                f"{symbolic.NEWTON_MAX_VARS} variables")
-        else:
-            c = symbolic.els_chain_check(ideal, args.r)
-            chain = {"left": c.left, "middle": c.middle, "right": c.right}
+        c = symbolic.els_chain_check(ideal, args.r)
+        chain = {"left": c.left, "middle": c.middle, "right": c.right}
         _emit(_envelope(args, ideal=symbolic.ideal_to_json(ideal), r=args.r,
                         els=suite.els, harbourne=suite.harbourne,
                         hh1=suite.hh1, hh2=suite.hh2, hh3=suite.hh3,
-                        hh4=suite.hh4, chain=chain, **extra), args.output)
+                        hh4=suite.hh4, chain=chain), args.output)
         return EXIT_OK
     if args.action == "multiplier":
+        # The multiplier is exact, so "stabilized" always holds; the field
+        # stays for readers of the envelope.
         t = Fraction(args.t)
-        try:
-            result = symbolic.asymptotic_multiplier(ideal, t)
-        except symbolic.StabilizationError as exc:
-            _emit(_envelope(args, stabilized=False, detail=str(exc)),
-                  args.output)
-            return EXIT_UNDECIDED
+        result = symbolic.asymptotic_multiplier(ideal, t)
         _emit(_envelope(args, t=_frac(t), stabilized=True,
                         multiplier=symbolic.ideal_to_json(result)),
               args.output)

@@ -340,7 +340,8 @@ def alpha(points: Sequence[Tuple], m) -> int:
     lo = t; a deficient rank only suggests L(t) nonempty, so hi = t
     tentatively.  The first probe is at hi - 1, which settles a nonspecial
     system with one modular rank.  When hi = lo + 1 below the chi bound,
-    the kernel certificate of `_linalg.deficient_rank` proves L(hi)
+    the kernel certificate of `_linalg.deficient_rank`, lifted from the
+    (pivots, rows) of the probe that set hi, proves L(hi)
     nonempty; if it finds full rank instead (RANK_PRIME divided a minor),
     lo = hi and the search resumes below the chi bound.  So emptiness is
     proved only by a full modular rank, and nonemptiness only by chi or by
@@ -362,16 +363,19 @@ def alpha(points: Sequence[Tuple], m) -> int:
     while True:
         while hi - lo > 1:
             residues, p = _residues(FatPointSystem(t, points, mults))
-            if _linalg.rank_mod_p_array(residues, p) == residues.shape[1]:
+            profile = _linalg.rank_profile_mod_p(residues, p)
+            if len(profile[0]) == residues.shape[1]:
                 lo = t
             else:
-                hi = t
+                hi, hi_profile = t, profile
             t = (lo + hi) // 2
         if hi == bound:
             return hi
         full = comb(hi + 2, 2)
         exact = conditions_matrix(FatPointSystem(hi, points, mults))
-        if _linalg.deficient_rank(exact, full) < full:
+        if _linalg.deficient_rank(
+                exact, full,
+                hi_profile if p == _linalg.RANK_PRIME else None) < full:
             return hi
         lo, hi = hi, bound
         t = (lo + hi) // 2

@@ -7,14 +7,21 @@ dual to minimal vertex covers of the generator hypergraph.  Multiplier
 ideals of monomial ideals follow the Newton-polyhedron membership rule:
 x^a lies in the multiplier ideal at coefficient c exactly when a + (1,..,1)
 is interior to c times the Newton region.
+
+The asymptotic multiplier ideal J(t) of the symbolic powers of a
+squarefree I needs no Newton region: the symbolic polyhedron
+Q = {a >= 0 : sum over k in P of a_k >= 1 for every minimal prime P} turns
+Howald's rule into J(t) = intersection over P of P^max(0, floor(t) + 1 - |P|),
+in any number of variables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dumnicki import _json_int
@@ -227,16 +234,18 @@ def _prime_power(variables, prime: PrimeSupport, m: int) -> MonomialIdeal:
     return MonomialIdeal(tuple(variables), tuple(gens))
 
 
+def _intersect_prime_powers(i: MonomialIdeal, exponent) -> MonomialIdeal:
+    """The intersection of P^exponent(P) over the minimal primes P of I."""
+    return functools.reduce(intersect, (
+        _prime_power(i.variables, p, exponent(p)) for p in minimal_primes(i)))
+
+
 def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
     """Intersection of the m-th powers of the minimal primes."""
     if m < 1:
         raise ValueError("m must be >= 1")
     _require_squarefree(i)
-    acc: Optional[MonomialIdeal] = None
-    for p in minimal_primes(i):
-        pm = _prime_power(i.variables, p, m)
-        acc = pm if acc is None else intersect(acc, pm)
-    assert acc is not None
+    acc = _intersect_prime_powers(i, lambda p: m)
     if m == 1:
         assert acc == i
     return acc
@@ -389,41 +398,24 @@ def howald_multiplier(i: MonomialIdeal, c) -> MonomialIdeal:
     return MonomialIdeal(i.variables, tuple(hits))
 
 
-class StabilizationError(RuntimeError):
-    """Asymptotic computation did not settle within the sampled range."""
+def asymptotic_multiplier(i: MonomialIdeal, t) -> MonomialIdeal:
+    """Asymptotic multiplier ideal J(t) of the symbolic-power system of a
+    squarefree I, exactly: the intersection over the minimal primes P of
+    P^max(0, floor(t) + 1 - |P|).
 
-    def __init__(self, values):
-        super().__init__(
-            "no stabilization: "
-            + " ; ".join(f"p={p}: {ideal}" for p, ideal in values))
-        self.values = values
-
-
-def asymptotic_multiplier(i: MonomialIdeal, t,
-                          p_range: Optional[Sequence[int]] = None
-                          ) -> MonomialIdeal:
-    """Stabilized multiplier ideal of the symbolic-power system at
-    coefficient t: howald_multiplier(I^(p), t/p) over p in p_range, with
-    the last three samples required to agree."""
+    I^(m) is the set of lattice points of mQ, with Q = {a >= 0 : sum over
+    k in P of a_k >= 1 for every P} the symbolic polyhedron, so by
+    Howald's theorem J(t) = {x^a : sum over k in P of (a_k + 1) > t for
+    every P}.  For integer a that inequality says sum over k in P of
+    a_k >= floor(t) + 1 - |P|, which is membership in the power of P.
+    """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
     _require_squarefree(i)
-    if p_range is None:
-        d = t.denominator
-        p_range = tuple(d * k for k in range(1, 7))
-    p_range = tuple(int(p) for p in p_range)
-    if len(p_range) < 3:
-        raise ValueError("need at least three sample values of p")
-    if any(p < 1 or (t * p).denominator != 1 for p in p_range):
-        raise ValueError("p values must be positive multiples of the "
-                         "denominator of t")
-    values = [(p, howald_multiplier(symbolic_power(i, p), t / p))
-              for p in p_range]
-    tail = [ideal for _, ideal in values[-3:]]
-    if not (tail[0] == tail[1] == tail[2]):
-        raise StabilizationError(values)
-    return tail[-1]
+    k = floor(t) + 1
+    return _intersect_prime_powers(
+        i, lambda p: max(0, k - len(p.variables)))
 
 
 @dataclass(frozen=True)
@@ -433,16 +425,18 @@ class ElsChain:
     right: bool
 
 
-def els_chain_check(i: MonomialIdeal, r: int,
-                    p_range: Optional[Sequence[int]] = None) -> ElsChain:
+def els_chain_check(i: MonomialIdeal, r: int) -> ElsChain:
     """The containment chain behind uniform symbolic-power bounds:
-    I^(re) <= J(re) <= J(e)^r <= I^r with J(t) the asymptotic multiplier
-    ideal of the symbolic-power system."""
+    I^(re) <= J(re) <= J(e)^r <= I^r with e = bight(I) and J(t) the
+    asymptotic multiplier ideal of the symbolic-power system, the
+    intersection of the P^max(0, floor(t) + 1 - |P|) over the minimal
+    primes P (`asymptotic_multiplier`).  It holds in any number of
+    variables (Ein, Lazarsfeld and Smith)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     e = bight(i)
-    j_re = asymptotic_multiplier(i, r * e, p_range)
-    j_e = asymptotic_multiplier(i, e, p_range)
+    j_re = asymptotic_multiplier(i, r * e)
+    j_e = asymptotic_multiplier(i, e)
     j_e_r = power(j_e, r)
     return ElsChain(
         subset(symbolic_power(i, r * e), j_re),

@@ -407,9 +407,9 @@ def test_symbolic_commands(tmp_path, capsys):
 
 
 def test_symbolic_suite_in_four_variables(tmp_path, capsys):
-    """The 4-cycle ideal: the containments are answered, and the ELS
-    chain, which needs 3-variable Newton regions, is reported unavailable
-    instead of failing the command."""
+    """The 4-cycle ideal: the containments and the ELS chain are both
+    answered, since the asymptotic multiplier ideals need no Newton
+    region."""
     path = tmp_path / "c4.json"
     path.write_text(json.dumps(
         {"vars": ["a", "b", "c", "d"],
@@ -418,8 +418,8 @@ def test_symbolic_suite_in_four_variables(tmp_path, capsys):
                     "--r", "1")
     assert code == 0
     assert rep["els"] and rep["harbourne"]
-    assert rep["chain"] is None
-    assert "at most 3 variables" in rep["chain_unavailable"]
+    assert rep["chain"] == {"left": True, "middle": True, "right": True}
+    assert "chain_unavailable" not in rep
 
 
 def test_ot_commands(tmp_path, capsys):

@@ -452,7 +452,7 @@ def _spy(monkeypatch, module, name, fake=None):
 def test_alpha_of_a_nonspecial_system_costs_one_modular_rank(monkeypatch):
     # 12 general points, m = 3: 72 conditions, chi > 0 from degree 11 on
     pts = make_config("random", {"r": 12}, seed=3).points
-    ranks = _spy(monkeypatch, _linalg, "rank_mod_p_array")
+    ranks = _spy(monkeypatch, _linalg, "rank_profile_mod_p")
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     scans = _spy(monkeypatch, fatpoints, "cohomology")
     assert alpha(pts, 3) == 11
@@ -462,10 +462,12 @@ def test_alpha_of_a_nonspecial_system_costs_one_modular_rank(monkeypatch):
 def test_alpha_survives_an_unlucky_probe(monkeypatch):
     # The first probe (degree 2 of 9 general points, empty) reads one rank
     # short, as if RANK_PRIME divided every maximal minor; the certificate
-    # at degree 2 then finds full rank and the search resumes.
+    # at degree 2, lifted from that profile, then finds full rank and the
+    # search resumes.
     pts = make_config("random", {"r": 9}, seed=4).points
-    ranks = _spy(monkeypatch, _linalg, "rank_mod_p_array",
-                 lambda k, rank: rank - (k == 0))
+    ranks = _spy(monkeypatch, _linalg, "rank_profile_mod_p",
+                 lambda k, prof: (prof[0][:-1], prof[1][:-1]) if k == 0
+                 else prof)
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     assert alpha(pts, 1) == 3
     assert len(ranks) == 3
@@ -479,6 +481,18 @@ def test_alpha_proves_a_special_degree(monkeypatch):
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     assert alpha(pts, 2) == 4
     assert [(args[1], rank) for args, rank in proofs] == [(15, 14)]
+
+
+def test_alpha_certificate_reuses_the_probe_profile(monkeypatch):
+    # The double conic again: the certificate at degree 4 inverts only the
+    # 14 x 14 pivot block of the probe at degree 4, and eliminates nothing
+    # but the probes' residues.
+    pts = make_config("random", {"r": 5}, seed=6).points
+    builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
+    assert alpha(pts, 2) == 4
+    assert builds == [RANK_PRIME] * len(primes) + [None]
+    assert set(primes) == {RANK_PRIME}
+    assert inverses == [(RANK_PRIME, (14, 14))]
 
 
 def test_pencil_speciality_is_stable():

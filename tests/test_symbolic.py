@@ -1,13 +1,15 @@
 """Squarefree monomial ideals, symbolic powers, Newton-region multipliers."""
 
+import itertools
 from fractions import Fraction
+from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linserlab.symbolic import (
-    StabilizationError,
+    ElsChain,
     asymptotic_multiplier,
     bight,
     containment_suite,
@@ -31,12 +33,12 @@ from linserlab.symbolic import (
 EDGES = ideal([(1, 1, 0), (1, 0, 1), (0, 1, 1)])  # (xy, xz, yz)
 
 
-def squarefree_ideals(max_vars=4, max_gens=4):
+def squarefree_ideals(max_vars=4, max_gens=4, min_vars=2):
     def build(n, supports):
         gens = [tuple(1 if k in s else 0 for k in range(n)) for s in supports]
         return ideal(gens, nvars=n)
 
-    return st.integers(min_value=2, max_value=max_vars).flatmap(
+    return st.integers(min_value=min_vars, max_value=max_vars).flatmap(
         lambda n: st.builds(
             build,
             st.just(n),
@@ -205,10 +207,72 @@ def test_asymptotic_validation():
     with pytest.raises(ValueError):
         asymptotic_multiplier(EDGES, 0)
     with pytest.raises(ValueError):
-        asymptotic_multiplier(EDGES, 2, p_range=(1, 2))
-    with pytest.raises(ValueError):
-        asymptotic_multiplier(EDGES, Fraction(1, 2), p_range=(1, 2, 3))
-    assert issubclass(StabilizationError, RuntimeError)
+        asymptotic_multiplier(ideal([(2, 0, 0), (0, 1, 1)]), 2)
+
+
+def _sampled_asymptotic_multiplier(i, t):
+    """howald_multiplier(I^(p), t/p) at p = d, 2d, ..., 6d (d the
+    denominator of t), or None unless the last three samples agree.  The
+    sampled computation, frozen from before the exact formula, kept as
+    the oracle."""
+    t = Fraction(t)
+    values = [howald_multiplier(symbolic_power(i, p), t / p)
+              for p in (t.denominator * k for k in range(1, 7))]
+    return values[-1] if values[-3] == values[-2] == values[-1] else None
+
+
+_T = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+      Fraction(2), Fraction(5, 2), Fraction(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=squarefree_ideals(max_vars=3, max_gens=3), t=st.sampled_from(_T))
+def test_asymptotic_multiplier_matches_the_sampled_oracle(i, t):
+    sampled = _sampled_asymptotic_multiplier(i, t)
+    assume(sampled is not None)
+    assert asymptotic_multiplier(i, t) == sampled
+
+
+def _in_howald_set(primes, a, t):
+    """x^a in J(t) by Howald's rule on the symbolic polyhedron."""
+    return all(sum(a[k] + 1 for k in p.variables) > t for p in primes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(i=squarefree_ideals(max_vars=5, max_gens=5, min_vars=4),
+       t=st.sampled_from(_T))
+def test_asymptotic_multiplier_matches_its_definition(i, t):
+    primes = minimal_primes(i)
+    j = asymptotic_multiplier(i, t)
+    for a in j.gens:
+        assert _in_howald_set(primes, a, t)
+        for k in range(i.nvars):
+            if a[k]:
+                lower = a[:k] + (a[k] - 1,) + a[k + 1:]
+                assert not _in_howald_set(primes, lower, t)
+    # membership is decided inside the box a_k <= floor(t) + 1: capping a
+    # coordinate there keeps every sum over a prime through it above t
+    box = range(floor(t) + 2)
+    for a in itertools.product(box, repeat=i.nvars):
+        assert contains(j, a) == _in_howald_set(primes, a, t)
+
+
+BEYOND_THREE = {  # 4-cycle, 4-path, three faces of a tetrahedron, 5-cycle
+    "C4": ideal([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]),
+    "P4": ideal([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+    "T4": ideal([(1, 1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1)]),
+    "C5": ideal([(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0),
+                 (0, 0, 0, 1, 1), (1, 0, 0, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name,r", [("C4", 1), ("C4", 2), ("P4", 1),
+                                    ("P4", 2), ("T4", 1), ("T4", 2),
+                                    ("C5", 1)])
+def test_els_chain_beyond_three_variables(name, r):
+    # a theorem (Ein, Lazarsfeld and Smith): every link holds
+    assert els_chain_check(BEYOND_THREE[name], r) == ElsChain(True, True,
+                                                              True)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
