@@ -17,11 +17,18 @@ conditions matrix of the double conic (4n; (2n)^5) at five random rational
 points drawn from SEED, whose rank drops by one: one elimination mod
 RANK_PRIME, then the p-adic kernel lift.
 
+`fatpoints.cohomology` runs --repeat times on each class of
+PEELED_CLASSES at random rational points drawn from SEED: two fixed-line
+classes and the double conics (4n; (2n)^5), n = 1..3, which the Bezout
+peel splits before any matrix, and (6; 2^9) at the nine base points of a
+cubic pencil, which no peel touches and whose rank drops by two.
+
 Prints one JSON document: per degree and prime the matrix shape, the rank,
 and the best and median seconds ("rows"), per m the shape, the bit length
-of the determinant and the best and median seconds ("det_rows"), and per
+of the determinant and the best and median seconds ("det_rows"), per
 double conic the shape, the rank and the best and median seconds
-("kernel_rows").
+("kernel_rows"), and per peeled class the residual class that the peel
+reaches, h0, and the best and median seconds ("cohomology_rows").
 """
 
 import argparse
@@ -32,10 +39,10 @@ import sys
 import time
 from math import comb
 
-from linserlab import _linalg
+from linserlab import _linalg, fatpoints
 from linserlab.dumnicki import InterpolationProblem, interp_matrix
 from linserlab.fatpoints import (FatPointSystem, conditions_matrix,
-                                 random_rational_points)
+                                 make_config, random_rational_points)
 from linserlab.lattice import triangle_staircase
 
 CLASSES = {
@@ -51,6 +58,15 @@ SEED = 5
 DET_MULTS = (9, 12, 15)
 
 CONIC_STEPS = (1, 2, 3, 4)
+
+PEELED_CLASSES = (  # (d, mults); None: the nine pencil points
+    (13, (8, 7, 1, 1, 1)),
+    (15, (9, 9, 1, 1, 1, 1)),
+    (4, (2,) * 5),
+    (8, (4,) * 5),
+    (12, (6,) * 5),
+    (6, None),
+)
 
 
 def _det_rows(repeat):
@@ -90,6 +106,28 @@ def _kernel_rows(repeat):
     return rows
 
 
+def _cohomology_rows(repeat):
+    rows = []
+    for d, mults in PEELED_CLASSES:
+        if mults is None:
+            pts = make_config("pencil_products", {"k": 3}, seed=SEED).points
+            mults = (2,) * 9
+        else:
+            pts = random_rational_points(len(mults), random.Random(SEED))
+        system = FatPointSystem(d, pts, mults)
+        residual = fatpoints._peel(system)
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            rep = fatpoints.cohomology(system)
+            times.append(time.perf_counter() - t0)
+        rows.append({"d": d, "mults": list(mults),
+                     "residual": [residual.d, list(residual.mults)],
+                     "h0": rep.h0, "best_s": min(times),
+                     "median_s": statistics.median(times)})
+    return rows
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--degrees", type=int, nargs="+", default=sorted(CLASSES),
@@ -118,7 +156,8 @@ def main() -> int:
                          "median_s": statistics.median(times)})
     json.dump({"seed": SEED, "repeat": args.repeat, "rows": rows,
                "det_rows": _det_rows(args.repeat),
-               "kernel_rows": _kernel_rows(args.repeat)}, sys.stdout,
+               "kernel_rows": _kernel_rows(args.repeat),
+               "cohomology_rows": _cohomology_rows(args.repeat)}, sys.stdout,
               indent=2)
     print()
     return 0

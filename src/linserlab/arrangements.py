@@ -181,9 +181,13 @@ def _coeff_row(form: OTForm, shift: Tuple[int, ...],
     return row
 
 
-def graded_counts(a: LineArrangement, max_deg: int) -> GradedCounts:
+def graded_counts(a: LineArrangement, max_deg: int,
+                  circs: Optional[Sequence[Circuit]] = None) -> GradedCounts:
     """Minimal generator counts per degree and the number of linear
     syzygies among the minimal quadrics, all by exact rank computations.
+
+    `circs`, when given, holds the circuits of `a` up to size max_deg + 1
+    at least (as `circuits` lists them); the larger ones are ignored.
 
     dim of the degree-k piece is the rank of all monomial shifts of the
     circuit forms into degree k; subtracting the rank of the shifts with a
@@ -194,7 +198,10 @@ def graded_counts(a: LineArrangement, max_deg: int) -> GradedCounts:
     if not 1 <= max_deg <= 4:
         raise ValueError("max_deg must be between 1 and 4")
     d = len(a)
-    gens = ot_generators(a, min(len(a), max_deg + 1))
+    if circs is None:
+        circs = circuits(a, min(len(a), max_deg + 1))
+    gens = [_circuit_form(c, d) for c in circs
+            if len(c.indices) <= max_deg + 1]
     by_degree: Dict[int, List[OTForm]] = {}
     for f in gens:
         by_degree.setdefault(f.degree, []).append(f)

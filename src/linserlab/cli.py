@@ -344,9 +344,9 @@ def _arrangement_from_args(args) -> arrangements.LineArrangement:
 def run_ot(args) -> int:
     arr = _arrangement_from_args(args)
     if args.action == "counts":
-        gc = arrangements.graded_counts(arr, args.maxdeg)
-        sing = arrangements.singular_points(arr)
         circs = arrangements.circuits(arr, min(len(arr), 4))
+        gc = arrangements.graded_counts(arr, args.maxdeg, circs)
+        sing = arrangements.singular_points(arr)
         _emit(_envelope(args, lines=len(arr),
                         singular_points=[[list(p), t] for p, t in sing],
                         circuits={"size3": sum(1 for c in circs

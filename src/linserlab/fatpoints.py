@@ -3,10 +3,13 @@
 The conditions matrix of L(d; m_1..m_r) holds the derivative conditions of
 each point in its affine chart, built by `lattice.jet_conditions` after the
 point is put in normal form (coprime integers over Q).  Cohomology numbers
-come from its rank: over GF(p) from the matrix of residues mod p; over Q
-from the residues mod a prime below 2**26 first, where full rank is the
-proof, and only when that rank drops from the exact integer matrix and its
-kernel certificate.  On top of that sit initial-degree searches (alpha),
+come from its rank: over GF(p) from the matrix of residues mod p.  Over Q
+the fixed lines and conics are split off first by Bezout (a curve that
+meets the base points more often than its degree allows is a component of
+every member), and the rank of the residual system is read from the
+residues mod a prime below 2**26, where full rank is the proof, and only
+when that rank drops from the exact integer matrix and its kernel
+certificate.  On top of that sit initial-degree searches (alpha),
 Waldschmidt sandwiches, Chudnovsky equality probes, Cremona reduction, the
 Pell family of square-zero classes, and semi-effectivity classification.
 """
@@ -16,13 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _linalg
-from .lattice import canonical, cross, jet_conditions
+from .lattice import canonical, cross, dot, jet_conditions
 
 DEFAULT_SEED = 987654321
 
@@ -72,6 +75,13 @@ def normalize_proj(coords, fieldspec: FieldSpec = QQ) -> Tuple:
             raise ValueError("(0:0:0) is not a projective point")
         inv = pow(lead, p - 2, p)
         return tuple((x * inv) % p for x in c)
+    if all(type(x) is int for x in coords):  # `canonical` without Fractions
+        g = gcd(*coords)
+        if g == 0:
+            raise ValueError("(0:0:0) is not a projective point")
+        if (coords[0] or coords[1] or coords[2]) < 0:
+            g = -g
+        return (coords[0] // g, coords[1] // g, coords[2] // g)
     fracs = [Fraction(x) for x in coords]
     if not any(fracs):
         raise ValueError("(0:0:0) is not a projective point")
@@ -166,24 +176,137 @@ def _residues(system: FatPointSystem):
     return conditions_matrix(system, p), p
 
 
+def _collinear_sets(pts):
+    """The lines through three or more of the integer points `pts`, each
+    as the sorted tuple of the indices of all the points on it.
+
+    One numpy pass reads every det(p_i, p_j, p_k) mod RANK_PRIME.  An
+    exact zero is a zero mod p too, so no collinear triple is missed, and
+    each modular zero is confirmed in integers.
+    """
+    if len(pts) < 3:
+        return []
+    p = _linalg.RANK_PRIME
+    a = np.array([[c % p for c in pt] for pt in pts], dtype=np.int64)
+    b, c = a[:, [1, 2, 0]], a[:, [2, 0, 1]]
+    lines = (b[:, None] * c[None] - c[:, None] * b[None]) % p  # p_i x p_j
+    zero = (lines @ a.T) % p == 0
+    hits = np.triu(np.count_nonzero(zero, axis=2) > 2, 1)
+    out = set()
+    for i, j in zip(*np.nonzero(hits)):
+        line = cross(pts[i], pts[j])
+        on = tuple(k for k in np.flatnonzero(zero[i, j]).tolist()
+                   if dot(line, pts[k]) == 0)
+        if len(on) > 2:
+            out.add(on)
+    return sorted(out)
+
+
+def _conic_through(pts, five):
+    """The indices of the points on the conic through the five points
+    indexed by `five`, or None if three of those five are collinear.
+
+    With no three collinear the conic is smooth and unique: the member of
+    the pencil spanned by the line pairs L12 L34 and L13 L24 through
+    p5, which lies on neither pair.
+    """
+    q = [pts[k] for k in five]
+    if any(dot(cross(u, v), w) == 0
+           for i, u in enumerate(q) for j, v in enumerate(q[i + 1:], i + 1)
+           for w in q[j + 1:]):
+        return None
+    l12, l34, l13, l24 = (cross(q[0], q[1]), cross(q[2], q[3]),
+                          cross(q[0], q[2]), cross(q[1], q[3]))
+    lam = dot(l13, q[4]) * dot(l24, q[4])
+    mu = dot(l12, q[4]) * dot(l34, q[4])
+    return tuple(k for k, x in enumerate(pts)
+                 if lam * dot(l12, x) * dot(l34, x)
+                 == mu * dot(l13, x) * dot(l24, x))
+
+
+def _peel(system: FatPointSystem) -> FatPointSystem:
+    """The residual system left when the fixed lines and conics of a
+    system over Q are split off by Bezout; h0 is unchanged.
+
+    A line through points whose multiplicities sum to more than d meets
+    every curve of L(d) more often than d, so it is a component of each:
+    L(d; m) = L . L(d - 1; m_p - 1 on the line, clamped at 0).  A smooth
+    conic, the one through the five points of largest multiplicity with no
+    three of them collinear, is split off the same way when the
+    multiplicities on it sum to more than 2d.  The collinear sets depend
+    only on the points and are found once; the loop then runs on (d, m)
+    until neither curve is fixed or d < 0.  The residual keeps the points
+    with a positive multiplicity; its degree may be negative (L(d) = 0).
+    A curve that is not found only leaves the work to the rank.
+    """
+    pts = [normalize_proj(pt) for pt in system.points]
+    if len(set(pts)) < len(pts):  # the same point twice is no line
+        return system
+    d, m = system.d, list(system.mults)
+    multi = _collinear_sets(pts)
+    conics = {}
+    while d >= 0:
+        top = sorted(range(len(m)), key=m.__getitem__, reverse=True)
+        curve = next((line for line in multi
+                      if sum(m[k] for k in line) > d), None)
+        step = 1
+        if curve is None and len(m) > 1 and m[top[0]] + m[top[1]] > d:
+            curve = top[:2]  # a collinear set holding both was taken above
+        if (curve is None and len(m) > 4
+                and sum(m[k] for k in top[:5]) > 2 * d):
+            five = tuple(sorted(top[:5]))
+            if five not in conics:
+                conics[five] = _conic_through(pts, five)
+            curve, step = conics[five], 2
+            if curve is not None and sum(m[k] for k in curve) <= 2 * d:
+                curve = None
+        if curve is None:
+            break
+        d -= step
+        for k in curve:
+            m[k] = max(0, m[k] - 1)
+    if d == system.d:
+        return system
+    kept = [k for k in range(len(m)) if m[k]]
+    return FatPointSystem(d, tuple(pts[k] for k in kept),
+                          tuple(m[k] for k in kept))
+
+
+def _chi(d: int, mults) -> int:
+    return comb(d + 2, 2) - sum(m * (m + 1) // 2 for m in mults)
+
+
 def cohomology(system: FatPointSystem) -> SystemReport:
     """Exact h0/h1 of the system (h2 = 0 since d >= 0).
 
-    The rank is read from the residue matrix first: mod q over GF(q), and
-    mod RANK_PRIME over Q, where full rank mod p is already the proof.
-    Only a deficient rational rank builds the exact matrix, whose kernel
-    certificate is lifted from the rank profile of that one elimination.
+    Over Q the fixed lines and conics are split off first (`_peel`), which
+    leaves h0 unchanged: a residual of negative degree has h0 = 0, one
+    without points h0 = C(d + 2, 2).  Otherwise h0 is read from the rank
+    of the residual's conditions: mod RANK_PRIME first, where full rank is
+    already the proof, and only a deficient rank builds the exact matrix,
+    whose kernel certificate is lifted from the rank profile of that one
+    elimination.  A system over GF(q) is not peeled; its rank is read mod
+    q.  chi and speciality are those of the given system.
     """
-    residues, p = _residues(system)
-    nrows, ncols = residues.shape
-    full = min(nrows, ncols)
-    profile = _linalg.rank_profile_mod_p(residues, p)
-    rank = len(profile[0])
-    if rank < full and system.fieldspec.kind == "rationals":
-        rank = _linalg.deficient_rank(conditions_matrix(system), full,
-                                      profile)
-    h0 = ncols - rank
-    chi = ncols - sum(m * (m + 1) // 2 for m in system.mults)
+    if system.d < 0:
+        raise ValueError("degree must be nonnegative")
+    rational = system.fieldspec.kind == "rationals"
+    residual = _peel(system) if rational else system
+    if residual.d < 0:
+        h0 = 0
+    elif not residual.mults:
+        h0 = comb(residual.d + 2, 2)
+    else:
+        residues, p = _residues(residual)
+        nrows, ncols = residues.shape
+        full = min(nrows, ncols)
+        profile = _linalg.rank_profile_mod_p(residues, p)
+        rank = len(profile[0])
+        if rank < full and rational:
+            rank = _linalg.deficient_rank(conditions_matrix(residual), full,
+                                          profile)
+        h0 = ncols - rank
+    chi = _chi(system.d, system.mults)
     h1 = h0 - chi
     return SystemReport(
         d=system.d,
@@ -340,14 +463,17 @@ def alpha(points: Sequence[Tuple], m) -> int:
     lo = t; a deficient rank only suggests L(t) nonempty, so hi = t
     tentatively.  The first probe is at hi - 1, which settles a nonspecial
     system with one modular rank.  When hi = lo + 1 below the chi bound,
-    the kernel certificate of `_linalg.deficient_rank`, lifted from the
-    (pivots, rows) of the probe that set hi, proves L(hi)
-    nonempty; if it finds full rank instead (RANK_PRIME divided a minor),
-    lo = hi and the search resumes below the chi bound.  So emptiness is
-    proved only by a full modular rank, and nonemptiness only by chi or by
-    the certificate.  Below the chi bound no row is missing from the
-    column count: a point with m_i > t alone gives C(t+2, 2) rows, and
-    otherwise every condition is a row.
+    the fixed lines and conics of L(hi) are split off first (`_peel`): a
+    residual of negative degree proves L(hi) empty, and one with chi > 0
+    (one without points, say) proves it nonempty.  Otherwise the kernel
+    certificate of `_linalg.deficient_rank`, lifted from the (pivots,
+    rows) of the probe that set hi, proves L(hi) nonempty; if it finds
+    full rank instead (RANK_PRIME divided a minor), L(hi) is empty.  An
+    empty L(hi) sets lo = hi and the search resumes below the chi bound.
+    So emptiness is proved only by a full modular rank or by Bezout, and
+    nonemptiness only by chi or by the certificate.  Below the chi bound
+    no row is missing from the column count: a point with m_i > t alone
+    gives C(t+2, 2) rows, and otherwise every condition is a row.
     """
     if isinstance(m, int):
         if m < 1:
@@ -371,12 +497,16 @@ def alpha(points: Sequence[Tuple], m) -> int:
             t = (lo + hi) // 2
         if hi == bound:
             return hi
-        full = comb(hi + 2, 2)
-        exact = conditions_matrix(FatPointSystem(hi, points, mults))
-        if _linalg.deficient_rank(
-                exact, full,
-                hi_profile if p == _linalg.RANK_PRIME else None) < full:
-            return hi
+        system = FatPointSystem(hi, points, mults)
+        residual = _peel(system)
+        if residual.d >= 0:
+            if _chi(residual.d, residual.mults) > 0:  # as with no points
+                return hi
+            full = comb(hi + 2, 2)
+            if _linalg.deficient_rank(
+                    conditions_matrix(system), full,
+                    hi_profile if p == _linalg.RANK_PRIME else None) < full:
+                return hi
         lo, hi = hi, bound
         t = (lo + hi) // 2
 

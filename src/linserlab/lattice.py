@@ -152,6 +152,12 @@ def cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
+def dot(u, v) -> int:
+    """Pairing of a point and a line of the plane: zero when the point
+    lies on the line."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def primitive(v) -> Tuple[int, ...]:
     """The rational vector as coprime integers in the same direction.
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import is_prime
 from .fatpoints import DEFAULT_SEED, general_position_lines, normalize_proj
-from .lattice import cross
+from .lattice import cross, dot
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +256,12 @@ class IncidenceConfig:
     incidence: Tuple[Tuple[int, ...], ...]
 
 
-def _dot(p, l) -> int:
-    return p[0] * l[0] + p[1] * l[1] + p[2] * l[2]
-
-
 def _incidence_from_coords(points, lines, modulus: Optional[int] = None):
     rows = []
     for p in points:
         row = []
         for l in lines:
-            d = _dot(p, l)
+            d = dot(p, l)
             row.append(1 if (d % modulus == 0 if modulus else d == 0) else 0)
         rows.append(tuple(row))
     return tuple(rows)

@@ -32,6 +32,7 @@ from linserlab.fatpoints import (
     speciality_stability,
     waldschmidt_sandwich,
 )
+from linserlab.lattice import cross, dot
 
 SEEDS = (11, 23, 77)
 
@@ -225,13 +226,11 @@ def test_nonspecial_system_never_builds_the_exact_matrix(monkeypatch):
     assert inverses == []
 
 
-def _eliminated_once(monkeypatch, d, mults):
-    """The (h0, h1) of the system at random points, checking that the
-    kernel proof reuses the rank profile of the one elimination mod
-    RANK_PRIME: the exact matrix is built once, only the square pivot
-    block is inverted, once, and no other prime (no CERT_PRIMES) is
-    eliminated."""
-    pts = make_config("random", {"r": len(mults)}, seed=11).points
+def _eliminated_once(monkeypatch, pts, d, mults):
+    """The (h0, h1) of the system, checking that the kernel proof reuses
+    the rank profile of the one elimination mod RANK_PRIME: the exact
+    matrix is built once, only the square pivot block is inverted, once,
+    and no other prime (no CERT_PRIMES) is eliminated."""
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
     rep = cohomology(FatPointSystem(d, pts, mults))
     rank = (d + 1) * (d + 2) // 2 - rep.h0
@@ -241,13 +240,167 @@ def _eliminated_once(monkeypatch, d, mults):
     return rep.h0, rep.h1
 
 
-def test_double_conic_builds_exact_matrix_once(monkeypatch):
-    assert _eliminated_once(monkeypatch, 4, (2,) * 5) == (1, 1)
+def test_cubic_pencil_builds_exact_matrix_once(monkeypatch):
+    # the nine base points of the pencil spanned by two triples of lines:
+    # each line carries 2 + 2 + 2 = d and a conic through five of them
+    # carries at most 6 * 2 = 2d, so nothing is peeled and the rank drops
+    pts = make_config("pencil_products", {"k": 3}, seed=11).points
+    assert _eliminated_once(monkeypatch, pts, 6, (2,) * 9) == (3, 2)
 
 
-def test_fixed_line_system_builds_exact_matrix_once(monkeypatch):
-    # m1 + m2 > d: the line through the first two points is fixed
-    assert _eliminated_once(monkeypatch, 9, (6, 5, 1, 1)) == (18, 1)
+def _peeled(monkeypatch, d, mults):
+    """The (h0, h1) at random points and the moduli of the matrices
+    built, checking that neither the exact matrix nor a kernel proof was
+    needed."""
+    pts = make_config("random", {"r": len(mults)}, seed=11).points
+    builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
+    lifts = []
+    monkeypatch.setattr(_linalg, "deficient_rank",
+                        lambda *args: lifts.append(args))
+    rep = cohomology(FatPointSystem(d, pts, mults))
+    assert lifts == [] and inverses == [] and None not in builds
+    return rep.h0, rep.h1, builds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_double_conic_peels_without_a_matrix(monkeypatch, n):
+    # the conic through the five points is fixed 2n times: (0; 0^5)
+    chi = comb(4 * n + 2, 2) - 5 * comb(2 * n + 1, 2)
+    assert _peeled(monkeypatch, 4 * n, (2 * n,) * 5) == (1, 1 - chi, [])
+
+
+def test_fixed_line_peels_without_exact_matrix(monkeypatch):
+    # m1 + m2 > d: the line through the first two points is fixed twice,
+    # and the residual (7; 4, 3, 1, 1) has full rank mod RANK_PRIME
+    assert _peeled(monkeypatch, 9, (6, 5, 1, 1)) == (18, 1, [RANK_PRIME])
+
+
+def test_peel_refuses_a_line_at_exactly_d():
+    pts = make_config("random", {"r": 3}, seed=11).points
+    at_d = FatPointSystem(4, pts[:2], (2, 2))
+    assert fatpoints._peel(at_d) is at_d
+    above = fatpoints._peel(FatPointSystem(4, pts[:2], (3, 2)))
+    assert (above.d, above.mults) == (3, (2, 1))
+    # a third point off the line keeps its multiplicity
+    three = fatpoints._peel(FatPointSystem(4, pts, (3, 2, 1)))
+    assert (three.d, three.mults) == (3, (2, 1, 1))
+
+
+def test_conic_refuses_three_collinear_points():
+    circle = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (3, 4, 5),
+              (5, 12, 13), (1, 1, 1)]
+    assert fatpoints._conic_through(circle, (0, 1, 2, 3, 4)) == (
+        0, 1, 2, 3, 4, 5)
+    assert fatpoints._conic_through(circle, (0, 1, 2, 5, 4)) == (
+        0, 1, 2, 3, 4, 5)
+    # (1:0:1), (0:0:1) and (-1:0:1) lie on y = 0: no smooth conic
+    pts = circle[:4] + [(0, 0, 1)]
+    assert fatpoints._conic_through(pts, (0, 1, 2, 3, 4)) is None
+    system = FatPointSystem(4, tuple(pts), (2,) * 5)
+    assert cohomology(system).h0 == 15 - rank_exact(
+        conditions_matrix(system).tolist())
+
+
+def test_collinear_sets_are_confirmed_exactly():
+    # four points on x = y, three on x + y = 2z, two on neither;
+    # (1:1:1) lies on both lines
+    pts = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (5, 5, 3), (2, 0, 1),
+           (0, 2, 1), (7, -3, 1), (4, -9, 1)]
+    assert fatpoints._collinear_sets(pts) == [(0, 1, 2, 3), (1, 4, 5)]
+    # (0:p:1) is (0:0:1) mod p = RANK_PRIME, but not over Q
+    assert fatpoints._collinear_sets([(0, 0, 1), (1, 0, 1),
+                                      (0, RANK_PRIME, 1)]) == []
+
+
+def _collinear_oracle(pts):
+    lines = set()
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            line = cross(pts[i], pts[j])
+            on = tuple(k for k, pt in enumerate(pts) if dot(line, pt) == 0)
+            if len(on) > 2:
+                lines.add(on)
+    return sorted(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_collinear_sets_match_the_triple_loop(data):
+    # a small grid makes collinear triples common; adding multiples of
+    # RANK_PRIME makes triples that are collinear mod p only
+    coord = st.integers(-3, 3).flatmap(
+        lambda x: st.sampled_from([x, x + RANK_PRIME, x - 2 * RANK_PRIME]))
+    pts = data.draw(st.lists(st.tuples(coord, coord, coord).filter(any),
+                             max_size=9, unique_by=normalize_proj))
+    assert fatpoints._collinear_sets(pts) == _collinear_oracle(pts)
+
+
+def test_peel_leaves_the_same_point_twice_to_the_rank():
+    system = FatPointSystem(3, ((0, 0, 1), (0, 0, 2)), (2, 2))
+    assert fatpoints._peel(system) is system
+    assert cohomology(system).h0 == 7
+
+
+def test_alpha_star_proves_by_peeling(monkeypatch):
+    # the five lines of the star are fixed in L(5; 2^10): (0; 0^10)
+    star = make_config("star", {"s": 5}, seed=3).points
+    residual = fatpoints._peel(FatPointSystem(5, star, (2,) * 10))
+    assert (residual.d, residual.mults) == (0, ())
+    lifts = []
+    real = _linalg.deficient_rank
+    monkeypatch.setattr(_linalg, "deficient_rank",
+                        lambda *args: lifts.append(args) or real(*args))
+    assert alpha(star, 2) == 5 and lifts == []
+
+
+def _line_points(draw, k):
+    vec = st.tuples(*(st.integers(-9, 9),) * 3)
+    a, b = draw(st.tuples(vec, vec).filter(lambda ab: any(cross(*ab))))
+    ts = draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k,
+                       unique=True))
+    return [tuple(x + t * y for x, y in zip(a, b)) for t in ts]
+
+
+def _conic_points(draw):
+    """Five points M (s^2, s, 1) on the image of a smooth conic under an
+    invertible integer M."""
+    vec = st.tuples(*(st.integers(-3, 3),) * 3)
+    rows = draw(st.tuples(vec, vec, vec).filter(
+        lambda m: dot(m[0], cross(m[1], m[2]))))
+    ss = draw(st.lists(st.integers(-4, 4), min_size=5, max_size=5,
+                       unique=True))
+    return [tuple(dot(row, (s * s, s, 1)) for row in rows) for s in ss]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_peel_keeps_h0_of_the_unpeeled_matrix(data):
+    draw = data.draw
+    mult = st.integers(1, 4)
+    planted, degrees = [], [st.integers(0, 7)]
+    if draw(st.booleans()):
+        # at d = 2 m two conic points carry d and the five carry more than
+        # 2d, so the conic comes off unless a line does first
+        m = draw(st.integers(1, 3))
+        planted += [(pt, m) for pt in _conic_points(draw)]
+        degrees.append(st.just(2 * m))
+        mult = st.integers(1, m)
+    if draw(st.booleans()):
+        planted += [(pt, draw(mult))
+                    for pt in _line_points(draw, draw(st.integers(2, 4)))]
+    coord = st.integers(-20, 20)
+    planted += [(draw(st.tuples(coord, coord, coord).filter(any)),
+                 draw(mult))
+                for _ in range(draw(st.integers(0 if planted else 1, 2)))]
+    distinct = {}
+    for pt, m in planted:
+        distinct.setdefault(normalize_proj(pt), (pt, m))
+    pts, mults = zip(*distinct.values())
+    # small degrees against multiplicities up to 4 drive some residual
+    # multiplicities to 0 and some residual degrees below 0
+    system = FatPointSystem(draw(st.one_of(degrees)), pts, mults)
+    assert cohomology(system).h0 == comb(system.d + 2, 2) - rank_exact(
+        conditions_matrix(system).tolist())
 
 
 def test_prime_field_builds_residues_only(monkeypatch):
@@ -460,39 +613,41 @@ def test_alpha_of_a_nonspecial_system_costs_one_modular_rank(monkeypatch):
 
 
 def test_alpha_survives_an_unlucky_probe(monkeypatch):
-    # The first probe (degree 2 of 9 general points, empty) reads one rank
-    # short, as if RANK_PRIME divided every maximal minor; the certificate
-    # at degree 2, lifted from that profile, then finds full rank and the
-    # search resumes.
-    pts = make_config("random", {"r": 9}, seed=4).points
+    # The first probe (degree 3 of 10 general points, empty) reads one rank
+    # short, as if RANK_PRIME divided every maximal minor.  No line or
+    # conic is fixed in L(3; 1^10), so the certificate at degree 3, lifted
+    # from that profile, then finds full rank and the search resumes.
+    pts = make_config("random", {"r": 10}, seed=4).points
     ranks = _spy(monkeypatch, _linalg, "rank_profile_mod_p",
                  lambda k, prof: (prof[0][:-1], prof[1][:-1]) if k == 0
                  else prof)
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
-    assert alpha(pts, 1) == 3
+    assert alpha(pts, 1) == 4
     assert len(ranks) == 3
-    assert [(args[1], rank) for args, rank in proofs] == [(6, 6)]
+    assert [(args[1], rank) for args, rank in proofs] == [(10, 10)]
+
+
+# (6; 4, 2^6) at seven general points is twice the cubic (3; 2, 1^6):
+# alpha is 6, below the chi bound 7, and no line or conic is fixed
+SEVEN = (4,) + (2,) * 6
 
 
 def test_alpha_proves_a_special_degree(monkeypatch):
-    # (4; 2^5) is the double conic: alpha(2) of five general points is 4,
-    # below the chi bound 5, so its nonemptiness needs the certificate.
-    pts = make_config("random", {"r": 5}, seed=6).points
+    pts = make_config("random", {"r": 7}, seed=6).points
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
-    assert alpha(pts, 2) == 4
-    assert [(args[1], rank) for args, rank in proofs] == [(15, 14)]
+    assert alpha(pts, SEVEN) == 6
+    assert [(args[1], rank) for args, rank in proofs] == [(28, 27)]
 
 
 def test_alpha_certificate_reuses_the_probe_profile(monkeypatch):
-    # The double conic again: the certificate at degree 4 inverts only the
-    # 14 x 14 pivot block of the probe at degree 4, and eliminates nothing
-    # but the probes' residues.
-    pts = make_config("random", {"r": 5}, seed=6).points
+    # the certificate at degree 6 inverts only the 27 x 27 pivot block of
+    # the probe at degree 6, and eliminates nothing but the probes' residues
+    pts = make_config("random", {"r": 7}, seed=6).points
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
-    assert alpha(pts, 2) == 4
+    assert alpha(pts, SEVEN) == 6
     assert builds == [RANK_PRIME] * len(primes) + [None]
     assert set(primes) == {RANK_PRIME}
-    assert inverses == [(RANK_PRIME, (14, 14))]
+    assert inverses == [(RANK_PRIME, (27, 27))]
 
 
 def test_pencil_speciality_is_stable():

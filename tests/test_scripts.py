@@ -51,3 +51,12 @@ def test_time_rank_prints_both_primes(tmp_path):
     assert [row["rank"] for row in kernel] == [14, 44, 90, 152]
     for row in kernel:
         assert 0 < row["best_s"] <= row["median_s"]
+    # the Bezout peel: two fixed lines, the double conics split to (0; -),
+    # and the cubic pencil, which no peel touches
+    peeled = doc["cohomology_rows"]
+    assert [(row["d"], row["residual"], row["h0"]) for row in peeled] == [
+        (13, [11, [6, 5, 1, 1, 1]], 39), (15, [12, [6, 6, 1, 1, 1, 1]], 45),
+        (4, [0, []], 1), (8, [0, []], 1), (12, [0, []], 1),
+        (6, [6, [2] * 9], 3)]
+    for row in peeled:
+        assert 0 < row["best_s"] <= row["median_s"]
