@@ -45,7 +45,7 @@ def main() -> int:
         doc = certificate_to_json(D, mults, result)
         t1 = time.monotonic()
         path = args.outdir / f"family_n{n}.json"
-        path.write_text(json.dumps(doc, indent=2))
+        path.write_text(json.dumps(doc, separators=(",", ":")))
         t2 = time.monotonic()
         ok, detail = verify_certificate_json(json.loads(path.read_text()))
         t3 = time.monotonic()

@@ -10,7 +10,9 @@ d = 39 is (39; 15, 12^9).
 For m in DET_MULTS, `det_exact` runs --repeat times on the square
 interpolation matrix of a fat point of multiplicity m at C(m + 1, 2)
 lattice points drawn from SEED in a box of side m + 4, as the benchmark's
-certify workload draws its pieces.
+certify workload draws its pieces.  Next to it, --repeat times, what such a
+piece costs a certificate: `_certify_piece`, then `verify_certificate` of
+the one-piece certificate.
 
 For n in CONIC_STEPS, `deficient_rank` runs --repeat times on the exact
 conditions matrix of the double conic (4n; (2n)^5) at five random rational
@@ -25,7 +27,9 @@ cubic pencil, which no peel touches and whose rank drops by two.
 
 Prints one JSON document: per degree and prime the matrix shape, the rank,
 and the best and median seconds ("rows"), per m the shape, the bit length
-of the determinant and the best and median seconds ("det_rows"), per
+of the determinant and the best and median seconds, and the evidence of
+the piece with the best and median seconds of proving plus verifying it
+("det_rows"), per
 double conic the shape, the rank and the best and median seconds
 ("kernel_rows"), and per peeled class the residual class that the peel
 reaches, h0, and the best and median seconds ("cohomology_rows").
@@ -39,7 +43,7 @@ import sys
 import time
 from math import comb
 
-from linserlab import _linalg, fatpoints
+from linserlab import _linalg, dumnicki, fatpoints
 from linserlab.dumnicki import InterpolationProblem, interp_matrix
 from linserlab.fatpoints import (FatPointSystem, conditions_matrix,
                                  make_config, random_rational_points)
@@ -77,15 +81,27 @@ def _det_rows(repeat):
         while len(pts) < comb(m + 1, 2):
             pts.add((rng.randrange(m + 4), rng.randrange(m + 4)))
         mat = interp_matrix(InterpolationProblem(pts, triangle_staircase(m)))
-        times = []
+        times, piece_times = [], []
         for _ in range(repeat):
             t0 = time.perf_counter()
             det = _linalg.det_exact(mat)
             times.append(time.perf_counter() - t0)
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            ev = dumnicki._certify_piece(pts, m)
+            cert = dumnicki.EmptinessCertificate(
+                (), (dumnicki.Piece(frozenset(pts), m, ev),))
+            ok, _ = dumnicki.verify_certificate(pts, (m,), cert)
+            piece_times.append(time.perf_counter() - t0)
+        assert ok == (det != 0)
         rows.append({"m": m, "shape": [len(mat), len(mat[0])],
                      "det_bits": abs(det.numerator).bit_length(),
                      "best_s": min(times),
-                     "median_s": statistics.median(times)})
+                     "median_s": statistics.median(times),
+                     "piece_evidence": ev if isinstance(ev, str)
+                     else type(ev).__name__,
+                     "piece_best_s": min(piece_times),
+                     "piece_median_s": statistics.median(piece_times)})
     return rows
 
 

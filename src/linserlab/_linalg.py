@@ -26,7 +26,8 @@ the rational pivots, the profile of the reduced echelon form;
 `independent_rows` takes a greedy row selection mod p whose size is
 min(shape) or the proved rank; `det_exact` takes the determinant from its
 residues mod enough primes of the stream from CERT_PRIMES[0] on to pass
-twice the Hadamard bound.
+twice the Hadamard bound.  No certificate uses `det_exact`: a square piece
+is proved by its rank, like any other.
 
 Rank-only residues are taken mod RANK_PRIME, the largest prime below
 2**26.  There one product of residues fills 52 bits, so the elimination
@@ -174,14 +175,13 @@ def _echelon_mod_p(a, primes):
 
     `a` (int64, shape (batch, rows, cols), entries in [0, p)) is consumed;
     all primes are eliminated in lockstep, which spreads numpy's per-call
-    cost over the batch (`rank_mod_p` keeps the cheaper single-matrix loop
-    for one prime), and pivot rows are scaled to 1.  At a column where
+    cost over the batch, and pivot rows are scaled to 1.  At a column where
     only some primes find a pivot, the others are dropped: a column
     independent of the earlier ones mod p is so over Q, so their rank
-    profile is not the rational one.  Returns the stack and primes kept,
-    the pivot columns, and per kept prime the product of its pivots, signed
-    by its row swaps: the determinant mod p of a square matrix whose rank
-    reaches its size.  Rows at or below the current pivot are zero left of
+    profile is not the rational one.  Returns the primes kept, the pivot
+    columns, and per kept prime the product of its pivots, signed by its
+    row swaps: the determinant mod p of a square matrix whose rank reaches
+    its size.  Rows at or below the current pivot are zero left of
     its column, so each step only touches the columns from the pivot on.
     """
     q = primes[:, None, None]
@@ -217,7 +217,7 @@ def _echelon_mod_p(a, primes):
             block %= q
             a[:, rows, c:] = block
         pivots.append(c)
-    return a, primes, pivots, dets
+    return primes, pivots, dets
 
 
 def rank_exact(rows):
@@ -607,7 +607,7 @@ def det_exact(rows):
     for k in range(0, len(primes), _DET_CHUNK):
         chunk = np.array(primes[k:k + _DET_CHUNK], dtype=np.int64)
         a = np.stack([(mat % p).astype(np.int64) for p in chunk.tolist()])
-        _, kept, pivots, dets = _echelon_mod_p(a, chunk)
+        kept, pivots, dets = _echelon_mod_p(a, chunk)
         full = dict(zip(kept.tolist(), dets)) if len(pivots) == n else {}
         residues += [full.get(p, 0) for p in chunk.tolist()]
     det = sum(r * (modulus // p) * pow(modulus // p, -1, p)
@@ -649,9 +649,8 @@ def independent_rows_mod_p(rows, p):
                          f"got {p}")
     if not rows or not rows[0]:
         return []
-    a = _residues(rows, p)
-    return _echelon_mod_p(np.ascontiguousarray(a.T)[None],
-                          np.array([p], dtype=np.int64))[2]
+    return rank_profile_mod_p(np.ascontiguousarray(_residues(rows, p).T),
+                              p)[0]
 
 
 def independent_rows(rows):

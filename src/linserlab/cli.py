@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -200,9 +201,8 @@ def run_empty(args) -> int:
         return EXIT_UNDECIDED
     doc = dumnicki.certificate_to_json(D, mults, result)
     out = args.certificate or default_out
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    with open(out, "w") as fh:  # json.dumps without indent: the C encoder
+        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
     _emit(_envelope(args, certified=True, pieces=len(result.pieces),
                     certificate=out, digest=doc["digest"]), args.output)
     return EXIT_OK
@@ -372,7 +372,10 @@ def run_ot(args) -> int:
 # parser wiring
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The parser, built once per process; `main` finds the handler of a
+    command by its name, so a patched `run_<command>` is the one called."""
     top = _Parser(prog="linserlab",
                   description="exact linear-series calculations "
                               "with machine-checkable certificates")
@@ -388,21 +391,18 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--system", help="system JSON with explicit points")
     common(p)
-    p.set_defaults(fn=run_cohomology)
 
     p = subs.add_parser("alpha", help="initial degree of a configuration")
     p.add_argument("--config", required=True)
     p.add_argument("--param", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     common(p)
-    p.set_defaults(fn=run_alpha)
 
     p = subs.add_parser("waldschmidt", help="sandwich bounds and Chudnovsky")
     p.add_argument("--config", required=True)
     p.add_argument("--param", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     common(p)
-    p.set_defaults(fn=run_waldschmidt)
 
     p = subs.add_parser("empty", help="prove a system empty by cutting")
     p.add_argument("--family")
@@ -411,19 +411,16 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=4000)
     p.add_argument("--certificate", help="certificate output path")
     common(p)
-    p.set_defaults(fn=run_empty)
 
     p = subs.add_parser("verify", help="re-check an emitted certificate")
     p.add_argument("certificate")
     common(p)
-    p.set_defaults(fn=run_verify)
 
     p = subs.add_parser("toric", help="normal fans and lower-hull "
                                       "subdivisions")
     p.add_argument("action", choices=("fan", "subdivide"))
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(fn=run_toric)
 
     p = subs.add_parser("surface", help="product-of-elliptic-curves numbers")
     p.add_argument("action",
@@ -437,7 +434,6 @@ def build_parser() -> _Parser:
     p.add_argument("--c2", type=int, default=3)
     p.add_argument("--genus", type=int, default=0)
     common(p)
-    p.set_defaults(fn=run_surface)
 
     p = subs.add_parser("negativity", help="incidence self-intersections")
     p.add_argument("--config", required=True)
@@ -445,7 +441,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int)
     p.add_argument("--n", type=int)
     common(p)
-    p.set_defaults(fn=run_negativity)
 
     p = subs.add_parser("symbolic", help="symbolic powers and containments")
     p.add_argument("action", choices=("suite", "multiplier", "power"))
@@ -455,7 +450,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--ordinary", action="store_true")
     common(p)
-    p.set_defaults(fn=run_symbolic)
 
     p = subs.add_parser("ot", help="arrangement circuits and graded counts")
     p.add_argument("action", choices=("counts", "divisor"))
@@ -464,7 +458,6 @@ def build_parser() -> _Parser:
     p.add_argument("--generic", type=int)
     p.add_argument("--maxdeg", type=int, default=3)
     common(p)
-    p.set_defaults(fn=run_ot)
 
     return top
 
@@ -481,7 +474,7 @@ def main(argv=None) -> int:
         command = prog.split()[1] if " " in prog else None
         return _error(argparse.Namespace(cmd=command), prog, message)
     try:
-        return args.fn(args)
+        return globals()[f"run_{args.cmd}"](args)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError,
             json.JSONDecodeError, RecursionError) as exc:
         return _error(args, parser.prog, str(exc))

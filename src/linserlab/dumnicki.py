@@ -198,17 +198,12 @@ def reduce_partition(D, cuts: Sequence[CutFunctional]):
 
 
 @dataclass(frozen=True)
-class NonzeroDeterminant:
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class FullRank:
     rank: int
     rows: Tuple[int, ...]  # indices into the sorted staircase
 
 
-PieceEvidence = Union[LineAssignment, NonzeroDeterminant, FullRank]
+PieceEvidence = Union[LineAssignment, FullRank]
 
 
 @dataclass(frozen=True)
@@ -234,6 +229,10 @@ class Failure:
 def _certify_piece(points, m: int) -> Union[PieceEvidence, str]:
     """Evidence that the piece is empty for a fat point of multiplicity m.
 
+    A Fact 3 line assignment if one exists, else the rows of the jet
+    matrix that `independent_rows` selects, which prove full column rank
+    when there is one per point.  A square piece needs no other evidence:
+    all its rows are selected exactly when its determinant is nonzero.
     Returns the reason as a string when there is none; the search calls
     this on every attempt, so the nonemptiness witness is left to the one
     failure `prove_empty` reports.
@@ -245,13 +244,8 @@ def _certify_piece(points, m: int) -> Union[PieceEvidence, str]:
     E = triangle_staircase(m)
     if len(points) > len(E):
         return "piece larger than the jet count"
-    mat = interp_matrix(InterpolationProblem(frozenset(points), E))
-    if len(points) == len(E):
-        det = _linalg.det_exact(mat)
-        if det != 0:
-            return NonzeroDeterminant(det)
-        return "singular interpolation matrix"
-    sel = _linalg.independent_rows(mat)
+    sel = _linalg.independent_rows(
+        interp_matrix(InterpolationProblem(frozenset(points), E)))
     if len(sel) == len(points):
         return FullRank(len(points), tuple(sel))
     return "rank below piece size"
@@ -263,9 +257,9 @@ def prove_empty(D, mults: Sequence[int],
     """Certify L(D; m_1..m_r) empty by cutting and one-point certificates.
 
     Pieces come from reduce_partition; piece i must be empty for the fat
-    point m_i (Fact 3 line assignment, then nonzero determinant, then a
-    full-rank row selection).  The first uncertifiable piece aborts with its
-    index and, when available, an explicit nonemptiness witness.
+    point m_i (Fact 3 line assignment, then a full-rank row selection).
+    The first uncertifiable piece aborts with its index and, when
+    available, an explicit nonemptiness witness.
     """
     pieces = reduce_partition(D, cuts)
     if len(pieces) != len(mults):
@@ -314,13 +308,6 @@ def verify_certificate(D, mults: Sequence[int],
         if isinstance(ev, LineAssignment):
             if not check_line_assignment(pts, m, ev):
                 return False, {"piece": idx, "reason": "line assignment invalid"}
-        elif isinstance(ev, NonzeroDeterminant):
-            if len(pts) != jets:
-                return False, {"piece": idx, "reason": "size/jet mismatch"}
-            det = _linalg.det_exact(interp_matrix(
-                InterpolationProblem(pts, triangle_staircase(m))))
-            if det == 0 or det != ev.value:
-                return False, {"piece": idx, "reason": "determinant mismatch"}
         elif isinstance(ev, FullRank):
             if ev.rank != len(pts) or len(ev.rows) != len(pts):
                 return False, {"piece": idx, "reason": "rank evidence malformed"}
@@ -347,6 +334,10 @@ def verify_certificate(D, mults: Sequence[int],
 # ---------------------------------------------------------------------------
 # JSON encoding with a content digest
 
+# The document version; there is no reader for any other.  The digest
+# covers the payload only: a changed format is rejected by itself.
+FORMAT = 2
+
 
 def _frac_pair(x) -> List[int]:
     f = Fraction(x)
@@ -357,8 +348,6 @@ def _evidence_to_json(ev: PieceEvidence) -> dict:
     if isinstance(ev, LineAssignment):
         return {"type": "line_assignment", "direction": ev.direction,
                 "assignment": [[c, k] for c, k in ev.assignment]}
-    if isinstance(ev, NonzeroDeterminant):
-        return {"type": "nonzero_determinant", "value": _frac_pair(ev.value)}
     if isinstance(ev, FullRank):
         return {"type": "full_rank", "rank": ev.rank,
                 "rows": list(ev.rows)}
@@ -379,9 +368,6 @@ def _evidence_from_json(doc: dict) -> PieceEvidence:
         return LineAssignment(doc["direction"],
                               tuple((_json_int(c), _json_int(k))
                                     for c, k in doc["assignment"]))
-    if t == "nonzero_determinant":
-        n, d = map(_json_int, doc["value"])
-        return NonzeroDeterminant(Fraction(n, d))
     if t == "full_rank":
         return FullRank(_json_int(doc["rank"]),
                         tuple(map(_json_int, doc["rows"])))
@@ -412,9 +398,8 @@ def _digest(payload: dict) -> str:
 
 
 def certificate_to_json(D, mults, cert: EmptinessCertificate) -> dict:
-    doc = _payload(D, mults, cert)
-    doc["digest"] = _digest({k: doc[k] for k in ("problem", "cuts", "pieces")})
-    return doc
+    payload = _payload(D, mults, cert)
+    return {"format": FORMAT, **payload, "digest": _digest(payload)}
 
 
 def _cut_coefficient(pair) -> Fraction:
@@ -469,19 +454,26 @@ def certificate_from_json(doc: dict):
 def verify_certificate_json(doc: dict):
     """Full verification of an emitted document.
 
-    Mathematics first, so a broken piece is reported by index; the content
+    A document whose `format` is missing or not FORMAT is unsupported.
+    Then mathematics, so a broken piece is reported by index; the content
     digest is reported last and rejects edits that happen to leave a still
     valid proof (e.g. relabelling a line assignment with slack).  It is
     computed first, before the decoded points exist alongside the
     document, which keeps the peak memory of a large certificate down.
     """
+    malformed = False, {"piece": None, "reason": "malformed document"}
+    if not isinstance(doc, dict):
+        return malformed
     try:
+        if "format" not in doc or _json_int(doc["format"]) != FORMAT:
+            return False, {"piece": None,
+                           "reason": "unsupported certificate format"}
         digest_ok = _digest({k: doc[k] for k in ("problem", "cuts",
                                                  "pieces")}) == doc["digest"]
         D, mults, cert = certificate_from_json(doc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,
             RecursionError):  # the digest's json.dumps of a deep document
-        return False, {"piece": None, "reason": "malformed document"}
+        return malformed
     ok, detail = verify_certificate(D, mults, cert)
     if not ok:
         return False, detail

@@ -87,10 +87,39 @@ def test_verify_missing_file(capsys):
 
 def test_verify_malformed_document(tmp_path, capsys):
     path = tmp_path / "junk.json"
-    path.write_text(json.dumps({"pieces": []}))
+    path.write_text(json.dumps({"format": 2, "pieces": []}))
     code, rep = run(capsys, "verify", str(path))
     assert code == 2
     assert rep["reason"] == "malformed document"
+
+
+@pytest.mark.parametrize("fmt", [None, 1, 3])
+def test_verify_names_an_unsupported_format(tmp_path, capsys, fmt):
+    """A valid certificate without its format field (None) or with another
+    version is refused by name: there is one codec and no legacy reader."""
+    cert = tmp_path / "cert.json"
+    code, _ = run(capsys, "empty", "--family", "paper", "--n", "1",
+                  "--certificate", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    assert doc["format"] == 2
+    if fmt is None:
+        del doc["format"]
+    else:
+        doc["format"] = fmt
+    cert.write_text(json.dumps(doc))
+    code, rep = run(capsys, "verify", str(cert))
+    assert code == 2
+    assert rep["verified"] is False and rep["piece"] is None
+    assert rep["reason"] == "unsupported certificate format"
+
+
+def test_certificate_file_is_compact(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(capsys, "empty", "--family", "paper", "--n", "1",
+        "--certificate", str(cert))
+    text = cert.read_text()
+    assert text.count("\n") == 1 and ", " not in text and '": ' not in text
 
 
 def test_verify_deeply_nested_file(tmp_path, capsys):
@@ -125,7 +154,7 @@ def test_verify_non_integer_multiplicity(tmp_path, capsys, value):
     ([[0], [1]], [[[1, 1], [0, 1], [-1, 2]]],
      {"type": "line_assignment", "direction": "vertical",
       "assignment": [[0, 1]]}),
-    ([[0, 0, 0]], [], {"type": "nonzero_determinant", "value": [1, 1]}),
+    ([[0, 0, 0]], [], {"type": "full_rank", "rank": 1, "rows": [0]}),
 ])
 def test_verify_rejects_points_that_are_not_pairs(tmp_path, capsys, points,
                                                   cuts, evidence):
@@ -138,6 +167,7 @@ def test_verify_rejects_points_that_are_not_pairs(tmp_path, capsys, points,
            "pieces": [{"points": [p], "mult": 1, "evidence": evidence}
                       for p in points]}
     doc["digest"] = _digest(doc)
+    doc["format"] = 2
     path = tmp_path / "not_pairs.json"
     path.write_text(json.dumps(doc))
     code, rep = run(capsys, "verify", str(path))
@@ -146,16 +176,15 @@ def test_verify_rejects_points_that_are_not_pairs(tmp_path, capsys, points,
 
 
 def test_verify_negative_multiplicity_is_a_counterexample(tmp_path, capsys):
-    """An empty piece with mult -1 and determinant evidence, re-digested:
-    the verifier answers instead of raising."""
-    from linserlab.dumnicki import (EmptinessCertificate, NonzeroDeterminant,
-                                    Piece, certificate_to_json,
-                                    fact3_certificate)
+    """An empty piece with mult -1 and rank evidence, re-digested: the
+    verifier answers instead of raising."""
+    from linserlab.dumnicki import (EmptinessCertificate, FullRank, Piece,
+                                    certificate_to_json, fact3_certificate)
     from linserlab.lattice import CutFunctional, triangle_set
 
     D = triangle_set(1)
     cert = EmptinessCertificate((CutFunctional(1, 0, Fraction(-5, 2)),), (
-        Piece(frozenset(), -1, NonzeroDeterminant(Fraction(1))),
+        Piece(frozenset(), -1, FullRank(0, ())),
         Piece(D, 2, fact3_certificate(D, 2, "horizontal"))))
     path = tmp_path / "negative.json"
     path.write_text(json.dumps(certificate_to_json(D, (-1, 2), cert)))
@@ -188,6 +217,21 @@ def test_empty_prints_witness_of_nonempty_piece(tmp_path, capsys):
         "kind": "section",
         "support": [[0, 1], [0, 2], [1, 0], [1, 1], [2, 0]],
         "coeffs": [1, -1, -1, 1, 0]}
+
+
+def test_empty_singular_square_piece_gives_a_dual_witness(tmp_path,
+                                                         capsys):
+    # three diagonal monomials: the jets (0, 1) and (1, 0) agree on them
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps({"points": [[0, 0], [1, 1], [2, 2]],
+                                "mults": [2], "cuts": []}))
+    code, rep = run(capsys, "empty", "--problem", str(prob))
+    assert code == 2
+    assert not rep["certified"] and rep["piece"] == 0
+    assert rep["reason"] == "rank below piece size"
+    assert rep["witness"] == {"kind": "dual",
+                              "support": [[0, 0], [0, 1], [1, 0]],
+                              "coeffs": [0, -1, 1]}
 
 
 def test_empty_undecided_on_zero_budget(tmp_path, capsys):

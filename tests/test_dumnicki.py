@@ -5,7 +5,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -19,7 +19,6 @@ from linserlab.dumnicki import (
     FullRank,
     InterpolationProblem,
     LineAssignment,
-    NonzeroDeterminant,
     Piece,
     certificate_from_json,
     certificate_to_json,
@@ -246,6 +245,24 @@ def test_verify_rejects_moved_point():
     assert detail["reason"] == "piece content mismatch"
 
 
+@pytest.mark.parametrize("path, value", [
+    (("problem", "points", 0), [99, 99]),
+    (("problem", "points", 7), [-1, 0]),
+    (("cuts", 0, 2), [11, 2]),
+    (("cuts", 8, 0), [2, 1]),
+])
+def test_verify_rejects_moved_cut_or_problem_point(path, value):
+    """The pieces are recomputed from the problem and the cuts, so moving
+    either is caught by the mathematics, also under a fresh digest."""
+    doc = paper_doc()
+    slot = doc
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = value
+    ok, detail = verify_certificate_json(_redigest(doc))
+    assert not ok and detail["reason"] != "digest mismatch"
+
+
 def test_verify_rejects_digest_edit():
     doc = paper_doc()
     doc["digest"] = ("0" if doc["digest"][0] != "0" else "1") + doc["digest"][1:]
@@ -273,7 +290,8 @@ def _redigest(doc):
 def test_verify_rejects_garbage():
     zero_denominator = paper_doc()
     zero_denominator["cuts"][0][2] = [1, 0]
-    for doc in ({"pieces": []}, _redigest(zero_denominator)):
+    for doc in ({"format": 2, "pieces": []}, [], "",
+                _redigest(zero_denominator)):
         ok, detail = verify_certificate_json(doc)
         assert not ok
         assert detail["reason"] == "malformed document"
@@ -285,13 +303,15 @@ JETS = comb(10**5 + 1, 2)
 def _huge_mult_doc(evidence, points=((0, 0), (0, 1), (0, 2)), m=10**5):
     pts = [list(p) for p in points]
     return _redigest({
+        "format": 2,
         "problem": {"points": pts, "mults": [m]},
         "cuts": [],
         "pieces": [{"points": pts, "mult": m, "evidence": evidence}]})
 
 
 @pytest.mark.parametrize("evidence, reason", [
-    ({"type": "nonzero_determinant", "value": [1, 1]}, "size/jet mismatch"),
+    ({"type": "full_rank", "rank": JETS, "rows": [0, 1, 2]},
+     "rank evidence malformed"),
     ({"type": "full_rank", "rank": 3, "rows": [0, 1, JETS]},
      "row index out of range"),
     ({"type": "full_rank", "rank": 3, "rows": [JETS - 3, JETS - 2, JETS - 1]},
@@ -329,8 +349,8 @@ def test_verify_pieces_with_hostile_coordinates(points):
     assert det != 0
     for m, evidence in ((3, {"type": "full_rank", "rank": 3,
                              "rows": [0, 1, 3]}),
-                        (2, {"type": "nonzero_determinant",
-                             "value": [int(det), 1]})):
+                        (2, {"type": "full_rank", "rank": 3,
+                             "rows": [0, 1, 2]})):
         start = time.perf_counter()
         ok, detail = verify_certificate_json(
             _huge_mult_doc(evidence, points, m))
@@ -395,6 +415,7 @@ def test_prover_selects_order_ideals():
 def _pair_doc(points, evidence, cuts=()):
     pts = [list(p) for p in points]
     return _redigest({
+        "format": 2,
         "problem": {"points": pts, "mults": [1] * (len(cuts) + 1)},
         "cuts": [list(c) for c in cuts],
         "pieces": [{"points": pts[:1], "mult": 1, "evidence": evidence}]
@@ -407,8 +428,8 @@ NOT_PAIRS = [
                                 "direction": "vertical",
                                 "assignment": [[0, 1]]},
               cuts=[[[1, 1], [0, 1], [-3, 2]]]),
-    # three coordinates: the determinant's jets read two
-    _pair_doc([[0, 0, 0]], {"type": "nonzero_determinant", "value": [1, 1]}),
+    # three coordinates: the jets read two
+    _pair_doc([[0, 0, 0]], {"type": "full_rank", "rank": 1, "rows": [0]}),
 ]
 
 
@@ -427,18 +448,20 @@ def test_points_from_json():
 
 
 # SHA-256 of the canonical JSON of certificate_to_json(paper_family(n)) for
-# n = 1..10, recorded while cuts still carried Fraction coefficients.
+# n = 1..10, re-recorded when the document gained "format": 2; the cuts,
+# pieces and evidence are those recorded while cuts still carried Fraction
+# coefficients.
 PAPER_SHA256 = {
-    1: "1e648b7c30e4e212ab7e9fbbcafb23f12f58446ce0405b570f2a6ff1203ed36d",
-    2: "0cd072f2e0ea633744d96748e21e3681a61ba31be5b704dddb81b0514103a794",
-    3: "924535763d2535cb5ca04018f22f3662d5abaa1f00899cae7220e25f288ae6b0",
-    4: "165b1fa323530948136ec31ad9b3955f07e66951d266418799784b2d8808e42a",
-    5: "80ec7144bb7eb4785db1a244ab169b5dd224a3f0649566b630682f354ddcd773",
-    6: "46c9062e1e38027b6e2278dbb35ecbe28d6705b646399ee3c84168428d1e8753",
-    7: "0f9cc059b32133a6ade912e3e0c46b1fbf8b556be7e327e994fd702049e69247",
-    8: "cde03705fea2786fd024e7a821cd5c935c0fd0b9d7fcdecd53dace4e24e6ee17",
-    9: "816fea42ecbf193d572ba2046a5d6381705d4e900b7cf0cdaf7d3ce4f7a10fdf",
-    10: "df239a646cf315a8cccc32130662f700447f725f7dc1cc789fa188dc1804738f",
+    1: "3c79b1234a8530ecf6696fc70f99ec98b3a1b2048b7e5bf9d0757dddc42e56f3",
+    2: "d52b81235ada2c785db71d3b577952bfae58bf7468bf54e42a99cb40ca0c8246",
+    3: "32a894329a885efc4de17e615367ee1943d9eba30aeb23863c87b9cce92ca56b",
+    4: "3ebb9eef7c45f4d89702f1e65412a0527c2353b3987f050adeee9f304e8bb62d",
+    5: "11f0d8c5738b0027e421eade14a6b159dfeaf92a03fc0fe02c53e39b1acedf44",
+    6: "0e389bc2370f94a0a1afa51d52d0e0c743c816de133e0668327512bef42329e9",
+    7: "5f0b462d591e2a7daf6700344a96b74b6fe74e7b653398be8c0245525c3632ce",
+    8: "8044e3853f9fa833fabecbcec55175d102bdeea3ad06c0e777c134bd1b369ab9",
+    9: "a062c3a87f8285b5b4d7e11e234cbc1634478e9cc3b8bf5e0bd75713f249146e",
+    10: "d79c79536c18c225dbe86a458c12953278f3eab85adaf0972fbec3504093b092",
 }
 
 
@@ -455,19 +478,16 @@ def _negative_mult_doc():
     cut = CutFunctional(1, 0, Fraction(-5, 2))  # x >= 3: nothing
     rest = fact3_certificate(D, 2, "horizontal")
     cert = EmptinessCertificate((cut,), (
-        Piece(frozenset(), -1, NonzeroDeterminant(Fraction(1))),
+        Piece(frozenset(), -1, FullRank(0, ())),
         Piece(D, 2, rest)))
     return certificate_to_json(D, (-1, 2), cert)
 
 
 def _one_point_doc(evidence):
-    return _redigest({"problem": {"points": [[0, 0]], "mults": [1]},
+    return _redigest({"format": 2,
+                      "problem": {"points": [[0, 0]], "mults": [1]},
                       "cuts": [], "pieces": [{"points": [[0, 0]], "mult": 1,
                                               "evidence": evidence}]})
-
-
-def determinant_doc():
-    return _one_point_doc({"type": "nonzero_determinant", "value": [1, 1]})
 
 
 def full_rank_doc():
@@ -482,7 +502,7 @@ INTEGER_SLOTS = [
     (paper_doc, ("cuts", 0, 2, 1)),
     (paper_doc, ("pieces", 0, "evidence", "assignment", 0, 0)),
     (paper_doc, ("pieces", 0, "evidence", "assignment", 0, 1)),
-    (determinant_doc, ("pieces", 0, "evidence", "value", 1)),
+    (full_rank_doc, ("format",)),
     (full_rank_doc, ("pieces", 0, "evidence", "rank")),
     (full_rank_doc, ("pieces", 0, "evidence", "rows", 0)),
 ]
@@ -522,50 +542,98 @@ def test_verify_rejects_negative_multiplicity():
 
 
 def test_determinant_and_full_rank_evidence():
-    # paper pieces are square, so either evidence kind certifies them
-    from linserlab._linalg import _prime_stream, det_exact, to_int_rows
-    from linserlab.dumnicki import FullRank, Piece
+    """Paper pieces are square: the determinant is nonzero exactly when
+    `independent_rows` selects every row, and that selection certifies
+    the piece."""
+    from linserlab._linalg import det_exact, independent_rows
 
     D, mults, cuts = paper_family(1)
     cert = prove_empty(D, mults, cuts)
     target = cert.pieces[0]
     E = triangle_staircase(target.mult)
     assert len(target.points) == len(E)
-    det = det_exact(interp_matrix(InterpolationProblem(target.points, E)))
-    assert det != 0
+    mat = interp_matrix(InterpolationProblem(target.points, E))
+    assert det_exact(mat) != 0
+    assert independent_rows(mat) == list(range(len(E)))
 
     def swap(ev):
         pieces = (Piece(target.points, target.mult, ev),) + cert.pieces[1:]
         return verify_certificate(D, mults,
                                   EmptinessCertificate(cert.cuts, pieces))
 
-    assert swap(NonzeroDeterminant(det)) == (True, None)
     assert swap(FullRank(len(E), tuple(range(len(E))))) == (True, None)
-
-    ok, detail = swap(NonzeroDeterminant(det + 1))
-    assert not ok and detail["piece"] == 0
-
-    # det + M has det's residue mod every prime det_exact used, M being
-    # their product: only the exact value rejects it
-    ints = to_int_rows(interp_matrix(InterpolationProblem(target.points, E)))
-    bound = 4 * prod(sum(e * e for e in row) for row in ints)
-    modulus, stream = 1, _prime_stream()
-    while modulus * modulus <= bound:
-        modulus *= next(stream)
-    ok, detail = swap(NonzeroDeterminant(det + modulus))
-    assert (ok, detail) == (False, {"piece": 0,
-                                    "reason": "determinant mismatch"})
-
-    # a value too long for json.loads on Python 3.11, given as an object
-    start = time.perf_counter()
-    ok, detail = swap(NonzeroDeterminant(Fraction(10**10000)))
-    assert time.perf_counter() - start < 1
-    assert (ok, detail) == (False, {"piece": 0,
-                                    "reason": "determinant mismatch"})
     ok, detail = swap(FullRank(len(E), (0,) * len(E)))
     assert not ok and detail["reason"] == "duplicate rows"
     ok, detail = swap(FullRank(len(E), tuple(range(1, len(E) + 1))))
     assert not ok and detail["reason"] == "row index out of range"
+    ok, detail = swap(FullRank(len(E) - 1, tuple(range(len(E) - 1))))
+    assert not ok and detail["reason"] == "rank evidence malformed"
+
+
+def test_square_pieces_are_proved_by_rank():
+    """Random square pieces that no line assignment certifies: a
+    nonsingular one gets every row 0..n-1 and verifies, a singular one
+    fails as a rank deficit; the determinant decides which."""
+    from linserlab._linalg import det_exact
+
+    rng = random.Random(3)
+    kinds = set()
+    for _ in range(40):
+        m = rng.randint(2, 5)
+        n = comb(m + 1, 2)
+        points = set()
+        while len(points) < n:
+            points.add((rng.randrange(m + 2), rng.randrange(m + 2)))
+        points = frozenset(points)
+        if any(fact3_certificate(points, m, d)
+               for d in ("horizontal", "vertical")):
+            continue
+        E = triangle_staircase(m)
+        nonsingular = det_exact(
+            interp_matrix(InterpolationProblem(points, E))) != 0
+        ev = dumnicki._certify_piece(points, m)
+        kinds.add(nonsingular)
+        if nonsingular:
+            assert ev == FullRank(n, tuple(range(n)))
+            cert = EmptinessCertificate((), (Piece(points, m, ev),))
+            assert verify_certificate(points, (m,), cert) == (True, None)
+        else:
+            assert ev == "rank below piece size"
+    assert kinds == {True, False}
+
+
+def test_singular_square_piece_carries_a_dual_witness():
+    # the jets (0, 1) and (1, 0) agree on the diagonal
+    points = frozenset({(0, 0), (1, 1), (2, 2)})
+    result = prove_empty(points, (2,), ())
+    assert isinstance(result, Failure)
+    assert (result.piece_index, result.reason) == (0, "rank below piece size")
+    w = result.witness
+    assert w.kind == "dual" and any(w.coeffs)
+    mat = interp_matrix(InterpolationProblem(points, triangle_staircase(2)))
+    assert w.support == tuple(sorted(triangle_staircase(2)))
+    assert all(sum(c * row[j] for c, row in zip(w.coeffs, mat)) == 0
+               for j in range(len(points)))
+
+
+@pytest.mark.parametrize("fmt, reason", [
+    (None, "unsupported certificate format"),
+    (1, "unsupported certificate format"),
+    (3, "unsupported certificate format"),
+    (2.0, "malformed document"),
+    (True, "malformed document"),
+    ("2", "malformed document"),
+])
+def test_verify_names_an_unsupported_format(fmt, reason):
+    """None stands for a document without the field; there is no reader
+    for any other version, and the version is a strict JSON int."""
+    doc = paper_doc()
+    if fmt is None:
+        del doc["format"]
+    else:
+        doc["format"] = fmt
+    assert verify_certificate_json(doc) == (
+        False, {"piece": None, "reason": reason})
 
 
 def _frozen_candidate_cuts(D, target):

@@ -42,6 +42,14 @@ def test_time_rank_prints_both_primes(tmp_path):
     for row in rows:
         assert row["shape"] == [145, 153] and row["rank"] == 145
         assert 0 < row["best_s"] <= row["median_s"]
+    # square pieces: the determinant, and the rank evidence that proves
+    # and verifies such a piece in a certificate
+    det = doc["det_rows"]
+    assert [row["shape"] for row in det] == [[45, 45], [78, 78], [120, 120]]
+    for row in det:
+        assert row["piece_evidence"] == "FullRank"
+        assert 0 < row["best_s"] <= row["median_s"]
+        assert 0 < row["piece_best_s"] <= row["piece_median_s"]
     # the kernel proof on the double-conic ladder, whose rank drops by one
     kernel = doc["kernel_rows"]
     assert [(row["d"], row["mults"]) for row in kernel] == [

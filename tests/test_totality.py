@@ -29,9 +29,9 @@ from linserlab.dumnicki import (_digest, certificate_to_json, prove_empty,
                                 verify_certificate_json)
 from linserlab.lattice import CutFunctional, triangle_set
 
-KEYS = ("problem", "points", "mults", "cuts", "pieces", "mult", "evidence",
-        "type", "direction", "assignment", "value", "rank", "rows", "digest",
-        "line_assignment", "nonzero_determinant", "full_rank")
+KEYS = ("format", "problem", "points", "mults", "cuts", "pieces", "mult",
+        "evidence", "type", "direction", "assignment", "rank", "rows",
+        "digest", "line_assignment", "full_rank")
 
 SCALARS = (st.none() | st.booleans() | st.integers(-2**80, 2**80)
            | st.floats(allow_nan=True, allow_infinity=True)
