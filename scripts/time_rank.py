@@ -4,8 +4,14 @@
 For each degree the conditions matrix of a fixed nonspecial class is built
 at random rational points drawn from SEED, once mod CERT_PRIMES[0] and
 once mod RANK_PRIME, and `rank_mod_p_array` eliminates a fresh copy of it
---repeat times.  The classes are those of the benchmark's generic workload, and
-d = 39 is (39; 15, 12^9).
+--repeat times.  Next to it the same is done for the matrix that the rank
+passes read, with three points moved to the coordinate vertices
+(`fatpoints._vertex_conditions`): its shape, the columns the vertices
+kill, its rank and its times.  The classes are those of the benchmark's
+generic workload, and d = 39 is (39; 15, 12^9), whose reduced elimination
+mod RANK_PRIME is the one that ROADMAP item 8 times.  Then
+`generic_cohomology` runs --repeat times on each class, as the benchmark's
+W1 does on d = 39.
 
 For m in DET_MULTS, `det_exact` runs --repeat times on the square
 interpolation matrix of a fat point of multiplicity m at C(m + 1, 2)
@@ -26,7 +32,9 @@ peel splits before any matrix, and (6; 2^9) at the nine base points of a
 cubic pencil, which no peel touches and whose rank drops by two.
 
 Prints one JSON document: per degree and prime the matrix shape, the rank,
-and the best and median seconds ("rows"), per m the shape, the bit length
+and the best and median seconds, and the same of the reduced matrix with
+the killed columns ("rows"), per degree h0 and the best and median seconds
+of `generic_cohomology` ("generic_rows"), per m the shape, the bit length
 of the determinant and the best and median seconds, and the evidence of
 the piece with the best and median seconds of proving plus verifying it
 ("det_rows"), per
@@ -71,6 +79,32 @@ PEELED_CLASSES = (  # (d, mults); None: the nine pencil points
     (12, (6,) * 5),
     (6, None),
 )
+
+
+def _eliminate(residues, p, repeat):
+    """The rank of the residues mod p, and the best and median seconds of
+    `rank_mod_p_array` on a fresh copy, over `repeat` runs."""
+    times = []
+    for _ in range(repeat):
+        a = residues.copy()
+        t0 = time.perf_counter()
+        rank = _linalg.rank_mod_p_array(a, p)
+        times.append(time.perf_counter() - t0)
+    return rank, min(times), statistics.median(times)
+
+
+def _generic_rows(degrees, repeat):
+    rows = []
+    for d in degrees:
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            rep = fatpoints.generic_cohomology(d, CLASSES[d])
+            times.append(time.perf_counter() - t0)
+        rows.append({"d": d, "mults": list(CLASSES[d]), "h0": rep.h0,
+                     "best_s": min(times),
+                     "median_s": statistics.median(times)})
+    return rows
 
 
 def _det_rows(repeat):
@@ -160,17 +194,19 @@ def main() -> int:
         system = FatPointSystem(d, pts, mults)
         for p in (_linalg.CERT_PRIMES[0], _linalg.RANK_PRIME):
             residues = conditions_matrix(system, p)
-            times = []
-            for _ in range(args.repeat):
-                a = residues.copy()
-                t0 = time.perf_counter()
-                rank = _linalg.rank_mod_p_array(a, p)
-                times.append(time.perf_counter() - t0)
+            reduced, killed = fatpoints._vertex_conditions(system, p)
+            rank, best, median = _eliminate(residues, p, args.repeat)
+            reduced_rank, reduced_best, reduced_median = _eliminate(
+                reduced, p, args.repeat)
             rows.append({"d": d, "mults": list(mults),
                          "shape": list(residues.shape), "prime": p,
-                         "rank": rank, "best_s": min(times),
-                         "median_s": statistics.median(times)})
+                         "rank": rank, "best_s": best, "median_s": median,
+                         "reduced_shape": list(reduced.shape),
+                         "killed": killed, "reduced_rank": reduced_rank,
+                         "reduced_best_s": reduced_best,
+                         "reduced_median_s": reduced_median})
     json.dump({"seed": SEED, "repeat": args.repeat, "rows": rows,
+               "generic_rows": _generic_rows(args.degrees, args.repeat),
                "det_rows": _det_rows(args.repeat),
                "kernel_rows": _kernel_rows(args.repeat),
                "cohomology_rows": _cohomology_rows(args.repeat)}, sys.stdout,

@@ -23,11 +23,12 @@ at the next prime below.
 `rank_exact` races the kernels of A and of A^T, stepping the one with
 less work done; `nullspace` lifts the kernel of A alone and also asks for
 the rational pivots, the profile of the reduced echelon form;
-`independent_rows` takes a greedy row selection mod p whose size is
-min(shape) or the proved rank; `det_exact` takes the determinant from its
-residues mod enough primes of the stream from CERT_PRIMES[0] on to pass
-twice the Hadamard bound.  No certificate uses `det_exact`: a square piece
-is proved by its rank, like any other.
+`independent_rows` takes the greedy row selection mod RANK_PRIME and, when
+it falls short, proves the rank from the profile of that elimination;
+`det_exact` takes the determinant from its residues mod enough primes of
+the stream from CERT_PRIMES[0] on to pass twice the Hadamard bound.  No
+certificate uses `det_exact`: a square piece is proved by its rank, like
+any other.
 
 Rank-only residues are taken mod RANK_PRIME, the largest prime below
 2**26.  There one product of residues fills 52 bits, so the elimination
@@ -240,12 +241,13 @@ def rank_exact(rows):
 def deficient_rank(mat, full, profile=None):
     """Exact rank of an integer matrix whose rank mod RANK_PRIME < full.
 
-    `mat` is a numpy object array of ints without zero rows, and `full` is
-    min(mat.shape).  `profile` is the (pivots, rows) that
-    `rank_profile_mod_p` found for mat mod RANK_PRIME; without it,
-    `_gauss_jordan` finds them.  The kernels of A and of A^T that the
-    profile predicts are lifted p-adically (`_Lift`), and the first to
-    verify exactly proves the rank.
+    `mat` is a numpy object array of ints, and `full` is min(mat.shape) or
+    a smaller upper bound on its rank.  Zero rows and columns are allowed:
+    they are never pivots, and each adds a unit vector to a kernel.
+    `profile` is the (pivots, rows) that `rank_profile_mod_p` found for
+    mat mod RANK_PRIME; without it, `_gauss_jordan` finds them.  The
+    kernels of A and of A^T that the profile predicts are lifted
+    p-adically (`_Lift`), and the first to verify exactly proves the rank.
     """
     return _lift_kernel(mat, full, profile, False)[0]
 
@@ -656,18 +658,26 @@ def independent_rows_mod_p(rows, p):
 def independent_rows(rows):
     """Indices of a maximal set of rows independent over Q.
 
-    The greedy selection mod a prime of the stream, from CERT_PRIMES[0]
-    on, accepted once its size is min(shape) or the rank that `rank_exact`
-    proves.  Used to pick a square nonsingular submatrix witness.
+    The greedy selection mod RANK_PRIME, the pivot columns of the
+    transpose, is accepted at min(nonzero rows, nonzero columns); a
+    shorter one hands its profile to `deficient_rank` on the exact
+    transpose and is accepted at the rank proved.  After an unlucky
+    RANK_PRIME the stream's primes, from CERT_PRIMES[0] on, are tried
+    until one reaches that rank.  Used to pick a square nonsingular
+    submatrix witness.
     """
     if not rows or not rows[0]:
         return []
     ints = to_int_rows(rows)
-    rank = min(len(ints), len(ints[0]))
+    rank = min(sum(map(any, ints)), sum(map(any, zip(*ints))))
+    profile = rank_profile_mod_p(
+        np.ascontiguousarray(_residues(ints, RANK_PRIME).T), RANK_PRIME)
+    if len(profile[0]) < rank:
+        rank = deficient_rank(np.array(ints, dtype=object).T, rank, profile)
+    if len(profile[0]) == rank:
+        return profile[0]
     for p in _prime_stream():
         picked = independent_rows_mod_p(ints, p)
-        if len(picked) < rank and p == CERT_PRIMES[0]:
-            rank = rank_exact(ints)
         if len(picked) == rank:
             return picked
     raise ArithmeticError("the prime stream ran out")

@@ -3,15 +3,18 @@
 The conditions matrix of L(d; m_1..m_r) holds the derivative conditions of
 each point in its affine chart, built by `lattice.jet_conditions` after the
 point is put in normal form (coprime integers over Q).  Cohomology numbers
-come from its rank: over GF(p) from the matrix of residues mod p.  Over Q
-the fixed lines and conics are split off first by Bezout (a curve that
-meets the base points more often than its degree allows is a component of
-every member), and the rank of the residual system is read from the
-residues mod a prime below 2**26, where full rank is the proof, and only
-when that rank drops from the exact integer matrix and its kernel
-certificate.  On top of that sit initial-degree searches (alpha),
-Waldschmidt sandwiches, Chudnovsky equality probes, Cremona reduction, the
-Pell family of square-zero classes, and semi-effectivity classification.
+come from its rank, read after three points that span the plane are moved
+to the coordinate vertices (`_vertex_conditions`): there a multiplicity
+only kills fixed monomials, whose columns are deleted and counted.  Over
+GF(p) the rank is that of the residues mod p.  Over Q the fixed lines and
+conics are split off first by Bezout (a curve that meets the base points
+more often than its degree allows is a component of every member), and
+the rank of the residual system is read from the residues mod a prime
+below 2**26, where full rank is the proof, and only when that rank drops
+from the exact integer matrix and its kernel certificate.  On top of that
+sit initial-degree searches (alpha), Waldschmidt sandwiches,
+Chudnovsky equality probes, Cremona reduction, the Pell family of
+square-zero classes, and semi-effectivity classification.
 """
 
 from __future__ import annotations
@@ -130,6 +133,33 @@ def monomial_exponents(d: int):
     return [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
+def _modulus(system: FatPointSystem, p: Optional[int]):
+    """The modulus that the conditions of `system` are read at: q over
+    GF(q), where p must be q or None, else p (None: exact integers)."""
+    if system.d < 0:
+        raise ValueError("degree must be nonnegative")
+    fs = system.fieldspec
+    if fs.kind == "prime":
+        if p not in (None, fs.p):
+            raise ValueError(f"a system over GF({fs.p}) has no matrix"
+                             f" mod {p}")
+        for m in system.mults:
+            if m - 1 >= fs.p:
+                raise ValueError(
+                    f"multiplicity {m} needs derivatives of order >= {fs.p}"
+                    f" which vanish identically over GF({fs.p})"
+                )
+        return fs.p
+    if p is not None and not 2 <= p < _linalg.P_LIMIT:
+        raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
+    return p
+
+
+def _jets(m: int, d: int):
+    """The jets (a, b) of multiplicity m that are rows in degree d."""
+    return [(a, b) for a in range(m) for b in range(m - a) if a + b <= d]
+
+
 def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
     """Rows impose vanishing of all partials of order < m_i at p_i.
 
@@ -142,38 +172,65 @@ def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
 
     With p the result is the int64 matrix of residues mod p, else the exact
     integer matrix (an object array).  A system over GF(q) only has its
-    matrix mod q, so p is q or omitted.
+    matrix mod q, so p is q or omitted.  The rank passes read the smaller
+    matrix of `_vertex_conditions`; this one is their oracle.
     """
-    d = system.d
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    fs = system.fieldspec
-    if fs.kind == "prime":
-        if p not in (None, fs.p):
-            raise ValueError(f"a system over GF({fs.p}) has no matrix"
-                             f" mod {p}")
-        p = fs.p
-        for m in system.mults:
-            if m - 1 >= p:
-                raise ValueError(
-                    f"multiplicity {m} needs derivatives of order >= {p}"
-                    f" which vanish identically over GF({p})"
-                )
-    elif p is not None and not 2 <= p < _linalg.P_LIMIT:
-        raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
-
-    blocks = [(normalize_proj(pt, fs),
-               [(a, b) for a in range(m) for b in range(m - a) if a + b <= d])
+    p = _modulus(system, p)
+    blocks = [(normalize_proj(pt, system.fieldspec), _jets(m, system.d))
               for pt, m in zip(system.points, system.mults)]
-    return jet_conditions(monomial_exponents(d), blocks, p)
+    return jet_conditions(monomial_exponents(system.d), blocks, p)
+
+
+def _independent(vecs, q: Optional[int]) -> bool:
+    """Whether 1-3 vectors of Z^3 are independent over Q, or GF(q)."""
+    wedge = cross(*vecs[:2]) if len(vecs) > 1 else vecs[0]
+    if len(vecs) == 3:
+        wedge = (dot(wedge, vecs[2]),)
+    return any(x % q if q else x for x in wedge)
+
+
+def _vertex_conditions(system: FatPointSystem, p: Optional[int] = None):
+    """(matrix, killed) with rank(conditions_matrix) = killed + rank(matrix).
+
+    Up to three points, largest multiplicity first and independent over
+    the field (mod q over GF(q)), are completed by unit vectors to a basis
+    c_0, c_1, c_2; the integer adjugate T of [c_0 c_1 c_2] sends c_i to
+    det e_i and, being invertible, keeps the rank.  At e_i, multiplicity m
+    only says that the monomials with exponent e_i > d - m vanish: unit
+    rows, which cover `killed` columns.  The matrix holds the other
+    points' jets at T q in normal form on the other columns.  Its rows are
+    the same over Q and mod p, zero rows included (a point on a line
+    through two vertices, or given twice), so a rank profile mod p names
+    rows of the exact matrix.
+    """
+    p = _modulus(system, p)
+    fs, d, mults = system.fieldspec, system.d, system.mults
+    pts = [normalize_proj(pt, fs) for pt in system.points]
+    picked = []
+    for k in sorted(range(len(pts)), key=lambda k: -mults[k]):
+        if len(picked) < 3 and _independent(
+                [pts[j] for j in picked] + [pts[k]], fs.p):
+            picked.append(k)
+    basis = [pts[k] for k in picked]
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        if len(basis) < 3 and _independent(basis + [e], fs.p):
+            basis.append(e)
+    c0, c1, c2 = basis
+    adj = (cross(c1, c2), cross(c2, c0), cross(c0, c1))
+    kept = [e for e in monomial_exponents(d)
+            if all(e[i] <= d - mults[k] for i, k in enumerate(picked))]
+    blocks = [(normalize_proj(tuple(dot(row, pt) for row in adj), fs),
+               _jets(m, d))
+              for k, (pt, m) in enumerate(zip(pts, mults)) if k not in picked]
+    return jet_conditions(kept, blocks, p), comb(d + 2, 2) - len(kept)
 
 
 def _residues(system: FatPointSystem):
-    """The conditions matrix mod the prime its rank is read at, and that
-    prime: q over GF(q), RANK_PRIME over Q."""
+    """(matrix, killed, p): `_vertex_conditions` mod the prime p that its
+    rank is read at, q over GF(q) and RANK_PRIME over Q."""
     fs = system.fieldspec
     p = fs.p if fs.kind == "prime" else _linalg.RANK_PRIME
-    return conditions_matrix(system, p), p
+    return (*_vertex_conditions(system, p), p)
 
 
 def _collinear_sets(pts):
@@ -281,12 +338,15 @@ def cohomology(system: FatPointSystem) -> SystemReport:
 
     Over Q the fixed lines and conics are split off first (`_peel`), which
     leaves h0 unchanged: a residual of negative degree has h0 = 0, one
-    without points h0 = C(d + 2, 2).  Otherwise h0 is read from the rank
-    of the residual's conditions: mod RANK_PRIME first, where full rank is
-    already the proof, and only a deficient rank builds the exact matrix,
-    whose kernel certificate is lifted from the rank profile of that one
-    elimination.  A system over GF(q) is not peeled; its rank is read mod
-    q.  chi and speciality are those of the given system.
+    without points h0 = C(d + 2, 2).  Otherwise h0 is C(d + 2, 2) less the
+    killed columns and the rank of the residual's `_vertex_conditions`:
+    mod RANK_PRIME first, where full rank is already the proof, and only a
+    deficient rank builds the exact reduced matrix, whose kernel
+    certificate is lifted from the rank profile of that one elimination.
+    The move to the vertices is invertible over Q, so a prime that divides
+    its determinant is only unlucky.  A system over GF(q) is not peeled;
+    its rank is read mod q.  chi and speciality are those of the given
+    system.
     """
     if system.d < 0:
         raise ValueError("degree must be nonnegative")
@@ -297,15 +357,14 @@ def cohomology(system: FatPointSystem) -> SystemReport:
     elif not residual.mults:
         h0 = comb(residual.d + 2, 2)
     else:
-        residues, p = _residues(residual)
-        nrows, ncols = residues.shape
-        full = min(nrows, ncols)
+        residues, killed, p = _residues(residual)
+        full = min(residues.shape)
         profile = _linalg.rank_profile_mod_p(residues, p)
         rank = len(profile[0])
         if rank < full and rational:
-            rank = _linalg.deficient_rank(conditions_matrix(residual), full,
-                                          profile)
-        h0 = ncols - rank
+            rank = _linalg.deficient_rank(_vertex_conditions(residual)[0],
+                                          full, profile)
+        h0 = comb(residual.d + 2, 2) - killed - rank
     chi = _chi(system.d, system.mults)
     h1 = h0 - chi
     return SystemReport(
@@ -459,21 +518,22 @@ def alpha(points: Sequence[Tuple], m) -> int:
     alpha is found by bisection between a degree proved empty (lo = -1 at
     first) and the chi bound, the least t with C(t+2, 2) > sum C(m_i+1, 2),
     where chi > 0 proves L(t) nonempty.  A probe at t reads the rank of
-    the conditions mod RANK_PRIME: full column rank proves L(t) empty, so
-    lo = t; a deficient rank only suggests L(t) nonempty, so hi = t
-    tentatively.  The first probe is at hi - 1, which settles a nonspecial
-    system with one modular rank.  When hi = lo + 1 below the chi bound,
-    the fixed lines and conics of L(hi) are split off first (`_peel`): a
-    residual of negative degree proves L(hi) empty, and one with chi > 0
-    (one without points, say) proves it nonempty.  Otherwise the kernel
-    certificate of `_linalg.deficient_rank`, lifted from the (pivots,
-    rows) of the probe that set hi, proves L(hi) nonempty; if it finds
-    full rank instead (RANK_PRIME divided a minor), L(hi) is empty.  An
-    empty L(hi) sets lo = hi and the search resumes below the chi bound.
-    So emptiness is proved only by a full modular rank or by Bezout, and
-    nonemptiness only by chi or by the certificate.  Below the chi bound
-    no row is missing from the column count: a point with m_i > t alone
-    gives C(t+2, 2) rows, and otherwise every condition is a row.
+    its `_vertex_conditions` mod RANK_PRIME: full column rank proves L(t)
+    empty, so lo = t; a deficient rank only suggests L(t) nonempty, so
+    hi = t tentatively.  The first probe is at hi - 1, which settles a
+    nonspecial system with one modular rank.  When hi = lo + 1 below the
+    chi bound, the fixed lines and conics of L(hi) are split off first
+    (`_peel`): a residual of negative degree proves L(hi) empty, and one
+    with chi > 0 (one without points, say) proves it nonempty.  Otherwise
+    the kernel certificate of `_linalg.deficient_rank` on the exact
+    reduced matrix, lifted from the (pivots, rows) of the probe that set
+    hi, proves L(hi) nonempty; if it finds full column rank instead
+    (RANK_PRIME divided a minor), L(hi) is empty.  An empty L(hi) sets
+    lo = hi and the search resumes below the chi bound.  So emptiness is
+    proved only by a full modular rank or by Bezout, and nonemptiness only
+    by chi or by the certificate.  Vertices with m_i + m_j > t share
+    killed columns, so the reduced matrix may have fewer rows than
+    columns; the certificate's bound is min(shape).
     """
     if isinstance(m, int):
         if m < 1:
@@ -488,7 +548,7 @@ def alpha(points: Sequence[Tuple], m) -> int:
     lo, hi, t = -1, bound, bound - 1
     while True:
         while hi - lo > 1:
-            residues, p = _residues(FatPointSystem(t, points, mults))
+            residues, _, p = _residues(FatPointSystem(t, points, mults))
             profile = _linalg.rank_profile_mod_p(residues, p)
             if len(profile[0]) == residues.shape[1]:
                 lo = t
@@ -502,10 +562,9 @@ def alpha(points: Sequence[Tuple], m) -> int:
         if residual.d >= 0:
             if _chi(residual.d, residual.mults) > 0:  # as with no points
                 return hi
-            full = comb(hi + 2, 2)
-            if _linalg.deficient_rank(
-                    conditions_matrix(system), full,
-                    hi_profile if p == _linalg.RANK_PRIME else None) < full:
+            mat = _vertex_conditions(system)[0]
+            if _linalg.deficient_rank(mat, min(mat.shape),
+                                      hi_profile) < mat.shape[1]:
                 return hi
         lo, hi = hi, bound
         t = (lo + hi) // 2

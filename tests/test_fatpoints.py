@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -187,16 +187,23 @@ def test_builder_refuses_other_moduli():
 
 
 def _spy_builds_and_primes(monkeypatch):
-    """Moduli of every build, primes of every rank pass and stacked
-    elimination, and (prime, shape) of every Gauss-Jordan elimination."""
+    """Moduli of every build of the vertex-reduced matrix (an unreduced
+    `conditions_matrix` build is recorded as ("unreduced", p)), primes of
+    every rank pass and stacked elimination, and (prime, shape) of every
+    Gauss-Jordan elimination."""
     builds, primes, inverses = [], [], []
-    build, profile, echelon, inverse = (
-        fatpoints.conditions_matrix, _linalg.rank_profile_mod_p,
-        _linalg._echelon_mod_p, _linalg._gauss_jordan)
+    build, unreduced, profile, echelon, inverse = (
+        fatpoints._vertex_conditions, fatpoints.conditions_matrix,
+        _linalg.rank_profile_mod_p, _linalg._echelon_mod_p,
+        _linalg._gauss_jordan)
 
     def spy_build(system, p=None):
         builds.append(p)
         return build(system, p)
+
+    def spy_unreduced(system, p=None):
+        builds.append(("unreduced", p))
+        return unreduced(system, p)
 
     def spy_profile(a, p):
         primes.append(p)
@@ -210,7 +217,8 @@ def _spy_builds_and_primes(monkeypatch):
         inverses.append((p, a.shape))
         return inverse(a, p)
 
-    monkeypatch.setattr(fatpoints, "conditions_matrix", spy_build)
+    monkeypatch.setattr(fatpoints, "_vertex_conditions", spy_build)
+    monkeypatch.setattr(fatpoints, "conditions_matrix", spy_unreduced)
     monkeypatch.setattr(_linalg, "rank_profile_mod_p", spy_profile)
     monkeypatch.setattr(_linalg, "_echelon_mod_p", spy_echelon)
     monkeypatch.setattr(_linalg, "_gauss_jordan", spy_inverse)
@@ -229,11 +237,13 @@ def test_nonspecial_system_never_builds_the_exact_matrix(monkeypatch):
 def _eliminated_once(monkeypatch, pts, d, mults):
     """The (h0, h1) of the system, checking that the kernel proof reuses
     the rank profile of the one elimination mod RANK_PRIME: the exact
-    matrix is built once, only the square pivot block is inverted, once,
-    and no other prime (no CERT_PRIMES) is eliminated."""
+    vertex-reduced matrix is built once, only its square pivot block is
+    inverted, once, and no other prime (no CERT_PRIMES) is eliminated."""
+    system = FatPointSystem(d, pts, mults)
+    killed = fatpoints._vertex_conditions(system)[1]
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
-    rep = cohomology(FatPointSystem(d, pts, mults))
-    rank = (d + 1) * (d + 2) // 2 - rep.h0
+    rep = cohomology(system)
+    rank = (d + 1) * (d + 2) // 2 - rep.h0 - killed
     assert builds == [RANK_PRIME, None]
     assert primes == [RANK_PRIME]
     assert inverses == [(RANK_PRIME, (rank, rank))]
@@ -624,7 +634,8 @@ def test_alpha_survives_an_unlucky_probe(monkeypatch):
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     assert alpha(pts, 1) == 4
     assert len(ranks) == 3
-    assert [(args[1], rank) for args, rank in proofs] == [(10, 10)]
+    # three of the points sit at the vertices, which kill x^3, y^3, z^3
+    assert [(args[1], rank) for args, rank in proofs] == [(7, 7)]
 
 
 # (6; 4, 2^6) at seven general points is twice the cubic (3; 2, 1^6):
@@ -636,18 +647,122 @@ def test_alpha_proves_a_special_degree(monkeypatch):
     pts = make_config("random", {"r": 7}, seed=6).points
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     assert alpha(pts, SEVEN) == 6
-    assert [(args[1], rank) for args, rank in proofs] == [(28, 27)]
+    # the vertices of multiplicities 4, 2, 2 kill 10 + 3 + 3 of the 28
+    # columns and 16 of the rank 27
+    assert [(args[1], rank) for args, rank in proofs] == [(12, 11)]
 
 
 def test_alpha_certificate_reuses_the_probe_profile(monkeypatch):
-    # the certificate at degree 6 inverts only the 27 x 27 pivot block of
+    # the certificate at degree 6 inverts only the 11 x 11 pivot block of
     # the probe at degree 6, and eliminates nothing but the probes' residues
     pts = make_config("random", {"r": 7}, seed=6).points
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
     assert alpha(pts, SEVEN) == 6
     assert builds == [RANK_PRIME] * len(primes) + [None]
     assert set(primes) == {RANK_PRIME}
-    assert inverses == [(RANK_PRIME, (27, 27))]
+    assert inverses == [(RANK_PRIME, (11, 11))]
+
+
+def _oracle_h0(system):
+    """h0 from the rank of the unreduced conditions: exact over Q, mod q
+    over GF(q)."""
+    fs = system.fieldspec
+    rows = conditions_matrix(system).tolist()
+    rank = rank_mod_p(rows, fs.p) if fs.kind == "prime" else rank_exact(rows)
+    return comb(system.d + 2, 2) - rank
+
+
+@st.composite
+def _vertex_points(draw, r, q=None):
+    """r points of Z^3 in a box of side 2..50, listed with the points that
+    should be picked first.  The layouts stress the pick: the first three
+    collinear, all collinear, the fourth on the line through the first two
+    (which T sends onto a coordinate line), or, with q, the first three
+    collinear mod q only."""
+    half = draw(st.integers(1, 25))
+    coord = st.integers(-half, half)
+    vec = st.tuples(coord, coord, coord).filter(any)
+    layout = draw(st.sampled_from(
+        ["random", "top_three", "all", "vertex_line"]
+        + (["mod_q"] if q else [])))
+    a, b = draw(st.tuples(vec, vec).filter(lambda ab: any(cross(*ab))))
+    ts = draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r,
+                       unique=True))
+    on_line = [tuple(x + t * y for x, y in zip(a, b)) for t in ts]
+    pts = [draw(vec) for _ in range(r)]
+    if layout == "all":
+        pts = on_line
+    elif layout == "top_three":
+        pts[:3] = on_line[:3]
+    elif layout == "vertex_line":
+        pts[:2] = [a, b][:r]
+        if r > 3:
+            pts[3] = on_line[0]
+    elif layout == "mod_q" and r > 2:
+        e = draw(vec)
+        pts[:3] = [a, b, tuple(x + y + q * z for x, y, z in zip(a, b, e))]
+    return pts
+
+
+def _distinct(pts, fs=fatpoints.QQ):
+    """Whether the points are nonzero in the field and pairwise distinct
+    there as projective points."""
+    if not all(any(x % fs.p if fs.p else x for x in pt) for pt in pts):
+        return False
+    return len({normalize_proj(pt, fs) for pt in pts}) == len(pts)
+
+
+@st.composite
+def _vertex_systems(draw):
+    """A system over Q or GF(7), GF(11), with its largest multiplicities
+    on the first points of `_vertex_points`, in a drawn order."""
+    q = draw(st.sampled_from([None, None, 7, 11]))
+    fs = GF(q) if q else fatpoints.QQ
+    r = draw(st.integers(1, 7))
+    pts = draw(_vertex_points(r, q))
+    assume(_distinct(pts, fs))
+    mults = sorted(draw(st.lists(st.integers(1, 6), min_size=r,
+                                 max_size=r)), reverse=True)
+    order = draw(st.permutations(range(r)))
+    return FatPointSystem(draw(st.integers(0, 10)),
+                          tuple(normalize_proj(pts[k], fs) for k in order),
+                          tuple(mults[k] for k in order), fieldspec=fs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vertex_systems())
+def test_vertex_reduction_matches_the_unreduced_rank(system):
+    """The reduced matrix has the rank of the unreduced one less the
+    killed columns, its residues are the exact matrix mod p row by row,
+    and cohomology agrees with the unreduced oracle."""
+    h0 = _oracle_h0(system)
+    rep = cohomology(system)
+    assert (rep.h0, rep.h1) == (h0, h0 - rep.chi)
+    if system.fieldspec.kind == "prime":
+        mat, killed = fatpoints._vertex_conditions(system)
+        assert comb(system.d + 2, 2) - killed - rank_mod_p(
+            mat.tolist(), system.fieldspec.p) == h0
+        return
+    mat, killed = fatpoints._vertex_conditions(system)
+    residues, same = fatpoints._vertex_conditions(system, RANK_PRIME)
+    assert same == killed and residues.shape == mat.shape
+    assert residues.tolist() == (mat % RANK_PRIME).tolist()
+    assert comb(system.d + 2, 2) - killed - rank_exact(mat.tolist()) == h0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(_vertex_points),
+       st.data())
+def test_alpha_matches_the_unreduced_oracle(pts, data):
+    # multiplicities up to 4 against small probe degrees give probes with
+    # m_i + m_j > t, where the vertex regions overlap
+    assume(_distinct(pts))
+    mults = tuple(data.draw(st.lists(st.integers(1, 4), min_size=len(pts),
+                                     max_size=len(pts))))
+    t = 0
+    while _oracle_h0(FatPointSystem(t, tuple(pts), mults)) == 0:
+        t += 1
+    assert alpha(pts, mults) == t
 
 
 def test_pencil_speciality_is_stable():

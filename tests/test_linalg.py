@@ -437,20 +437,44 @@ def test_unlucky_rank_prime_goes_on_to_the_kernel_lift(monkeypatch):
     mat = [[1, 1], [1, 1 + RANK_PRIME]]
     assert rank_mod_p(mat, RANK_PRIME) == 1
     assert rank_exact(mat) == 2
-    # unlucky for CERT_PRIMES[0] too: the greedy pick falls short, so
-    # independent_rows asks rank_exact, whose RANK_PRIME is unlucky
+    # unlucky for CERT_PRIMES[0] too: the greedy pick mod RANK_PRIME falls
+    # short, so independent_rows proves the rank from that profile once,
+    # and the stream's first prime is unlucky as well
     mat = [[1, 1], [1, 1 + CERT_PRIMES[0] * RANK_PRIME]]
     assert independent_rows_mod_p(mat, CERT_PRIMES[0]) == [0]
     assert rank_mod_p(mat, RANK_PRIME) == 1
     ranks = []
+    real = _linalg.deficient_rank
 
-    def spy(rows):
-        ranks.append(rank_exact(rows))
+    def spy(mat, full, profile=None):
+        assert profile is not None
+        ranks.append(real(mat, full, profile))
         return ranks[-1]
 
-    monkeypatch.setattr(_linalg, "rank_exact", spy)
+    monkeypatch.setattr(_linalg, "deficient_rank", spy)
     assert independent_rows(mat) == [0, 1]
     assert ranks == [2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(low_rank_rows(small_entries), low_rank_rows(det_entries)),
+       st.data())
+def test_deficient_rank_tolerates_zero_rows_and_columns(rows, data):
+    # zero rows and columns at drawn places, as the vertex-reduced
+    # conditions of a repeated point or a point on a coordinate line have;
+    # the bound `full` is min(shape), which they keep the rank from reaching
+    ints = to_int_rows(rows)
+    for _ in range(data.draw(st.integers(1, 3))):
+        ints.insert(data.draw(st.integers(0, len(ints))), [0] * len(ints[0]))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(ints[0])))
+        ints = [row[:at] + [0] + row[at:] for row in ints]
+    mat = np.array(ints, dtype=object)
+    full = min(mat.shape)
+    for profile in ((_linalg.rank_profile_mod_p(
+            (mat % RANK_PRIME).astype(np.int64), RANK_PRIME)), None):
+        assert _linalg.deficient_rank(mat, full, profile) == _sympy_rank(
+            ints)
 
 
 def _walk(count):

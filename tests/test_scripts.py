@@ -42,6 +42,14 @@ def test_time_rank_prints_both_primes(tmp_path):
     for row in rows:
         assert row["shape"] == [145, 153] and row["rank"] == 145
         assert 0 < row["best_s"] <= row["median_s"]
+        # three points of multiplicity 5 at the vertices kill 3 * 15
+        # columns, and with them 45 rows and 45 of the rank
+        assert row["reduced_shape"] == [100, 108] and row["killed"] == 45
+        assert row["killed"] + row["reduced_rank"] == row["rank"]
+        assert 0 < row["reduced_best_s"] <= row["reduced_median_s"]
+    generic = doc["generic_rows"]
+    assert [(row["d"], row["h0"]) for row in generic] == [(16, 8)]
+    assert 0 < generic[0]["best_s"] <= generic[0]["median_s"]
     # square pieces: the determinant, and the rank evidence that proves
     # and verifies such a piece in a certificate
     det = doc["det_rows"]

@@ -20,8 +20,11 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
+from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from linserlab.cli import main
@@ -113,6 +116,43 @@ def test_verify_command_keeps_the_exit_code_contract(doc):
     assert code in (0, 1, 2, 3)
     rep = json.loads(out.getvalue())
     assert rep["command"] == "verify"
+
+
+N = 10**12
+
+
+@pytest.mark.parametrize("points, m", [
+    (((-1, 0), (-1, 1), (0, 0)), 10**6),
+    (((N, N), (N, N + 1), (N + 1, N)), N),
+])
+def test_verifier_answers_huge_jet_orders_in_bounded_time(points, m):
+    """A full_rank piece that selects the last three jets of a staircase
+    of multiplicity 10^6 or 10^12, whose falling factorials once ran to
+    order m: the library and `linserlab verify` on the file each answer
+    well inside a generous wall-clock bound."""
+    jets = comb(m + 1, 2)
+    pts = [list(p) for p in points]
+    doc = {"format": 2, "problem": {"points": pts, "mults": [m]},
+           "cuts": [], "pieces": [{"points": pts, "mult": m, "evidence": {
+               "type": "full_rank", "rank": 3,
+               "rows": [jets - 3, jets - 2, jets - 1]}}]}
+    doc["digest"] = _digest({k: doc[k] for k in ("problem", "cuts",
+                                                 "pieces")})
+    start = time.perf_counter()
+    ok, detail = verify_certificate_json(copy.deepcopy(doc))
+    assert time.perf_counter() - start < 5
+    assert not ok and isinstance(detail["reason"], str)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", path])
+        assert time.perf_counter() - start < 5
+    rep = json.loads(out.getvalue())
+    assert (code, rep["verified"]) == (2, False)
 
 
 SMALL = (st.none() | st.booleans() | st.integers(-3, 9)
