@@ -225,14 +225,6 @@ def _vertex_conditions(system: FatPointSystem, p: Optional[int] = None):
     return jet_conditions(kept, blocks, p), comb(d + 2, 2) - len(kept)
 
 
-def _residues(system: FatPointSystem):
-    """(matrix, killed, p): `_vertex_conditions` mod the prime p that its
-    rank is read at, q over GF(q) and RANK_PRIME over Q."""
-    fs = system.fieldspec
-    p = fs.p if fs.kind == "prime" else _linalg.RANK_PRIME
-    return (*_vertex_conditions(system, p), p)
-
-
 def _collinear_sets(pts):
     """The lines through three or more of the integer points `pts`, each
     as the sorted tuple of the indices of all the points on it.
@@ -357,7 +349,8 @@ def cohomology(system: FatPointSystem) -> SystemReport:
     elif not residual.mults:
         h0 = comb(residual.d + 2, 2)
     else:
-        residues, killed, p = _residues(residual)
+        p = residual.fieldspec.p or _linalg.RANK_PRIME
+        residues, killed = _vertex_conditions(residual, p)
         full = min(residues.shape)
         profile = _linalg.rank_profile_mod_p(residues, p)
         rank = len(profile[0])
@@ -548,8 +541,9 @@ def alpha(points: Sequence[Tuple], m) -> int:
     lo, hi, t = -1, bound, bound - 1
     while True:
         while hi - lo > 1:
-            residues, _, p = _residues(FatPointSystem(t, points, mults))
-            profile = _linalg.rank_profile_mod_p(residues, p)
+            residues = _vertex_conditions(FatPointSystem(t, points, mults),
+                                          _linalg.RANK_PRIME)[0]
+            profile = _linalg.rank_profile_mod_p(residues, _linalg.RANK_PRIME)
             if len(profile[0]) == residues.shape[1]:
                 lo = t
             else:
