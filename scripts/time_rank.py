@@ -31,6 +31,14 @@ classes and the double conics (4n; (2n)^5), n = 1..3, which the Bezout
 peel splits before any matrix, and (6; 2^9) at the nine base points of a
 cubic pencil, which no peel touches and whose rank drops by two.
 
+For the arrangements of ARRANGEMENTS, `arrangements.circuits`,
+`graded_counts(..., 3)` on those circuits and `singular_points` run
+--repeat times each.  One more `graded_counts` call, untimed, records every
+exact rank it asks for: the degree pieces ("piece") and the linear
+syzygies of the quadrics ("syzygy"), each with its shape, its rank, whether
+that rank was deficient mod RANK_PRIME and so paid the kernel lift of
+`deficient_rank`, and the seconds of that lift.
+
 Prints one JSON document: per degree and prime the matrix shape, the rank,
 and the best and median seconds, and the same of the reduced matrix with
 the killed columns ("rows"), per degree h0 and the best and median seconds
@@ -40,7 +48,9 @@ the piece with the best and median seconds of proving plus verifying it
 ("det_rows"), per
 double conic the shape, the rank and the best and median seconds
 ("kernel_rows"), and per peeled class the residual class that the peel
-reaches, h0, and the best and median seconds ("cohomology_rows").
+reaches, h0, and the best and median seconds ("cohomology_rows"), and per
+arrangement its circuit count, the best and median seconds of the three
+calls and its ranks ("arrangement_rows").
 """
 
 import argparse
@@ -51,7 +61,7 @@ import sys
 import time
 from math import comb
 
-from linserlab import _linalg, dumnicki, fatpoints
+from linserlab import _linalg, arrangements, dumnicki, fatpoints
 from linserlab.dumnicki import InterpolationProblem, interp_matrix
 from linserlab.fatpoints import (FatPointSystem, conditions_matrix,
                                  make_config, random_rational_points)
@@ -79,6 +89,9 @@ PEELED_CLASSES = (  # (d, mults); None: the nine pencil points
     (12, (6,) * 5),
     (6, None),
 )
+
+ARRANGEMENTS = tuple((s, seed) for s in (5, 6, 7, 8) for seed in (0, 1, 2)) + (
+    ("m8", None),)
 
 
 def _eliminate(residues, p, repeat):
@@ -178,6 +191,77 @@ def _cohomology_rows(repeat):
     return rows
 
 
+def _best_median(fn, repeat):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times), statistics.median(times)
+
+
+def _graded_ranks(arr, circs):
+    """The exact ranks of one `graded_counts(arr, 3, circs)` call, read by
+    wrapping the functions that `arrangements` calls: the ranks after the
+    quadric basis is chosen by `independent_rows` are the syzygy ranks."""
+    ranks, lifts, kind = [], [], "piece"
+    rank_exact, independent_rows = (arrangements.rank_exact,
+                                    arrangements.independent_rows)
+    deficient_rank = _linalg.deficient_rank
+
+    def spy_rank(rows):
+        lifts.clear()
+        rank = rank_exact(rows)
+        ranks.append({"kind": kind, "shape": [len(rows), len(rows[0])],
+                      "rank": rank, "deficient": bool(lifts),
+                      "lift_s": sum(lifts)})
+        return rank
+
+    def spy_rows(rows):
+        nonlocal kind
+        kind = "syzygy"
+        return independent_rows(rows)
+
+    def spy_lift(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return deficient_rank(*args, **kwargs)
+        finally:
+            lifts.append(time.perf_counter() - t0)
+
+    arrangements.rank_exact, arrangements.independent_rows = (spy_rank,
+                                                              spy_rows)
+    _linalg.deficient_rank = spy_lift
+    try:
+        arrangements.graded_counts(arr, 3, circs)
+    finally:
+        arrangements.rank_exact, arrangements.independent_rows = (
+            rank_exact, independent_rows)
+        _linalg.deficient_rank = deficient_rank
+    return ranks
+
+
+def _arrangement_rows(repeat):
+    rows = []
+    for s, seed in ARRANGEMENTS:
+        arr = (arrangements.m8_minus() if s == "m8"
+               else arrangements.generic_arrangement(s, seed))
+        circs = arrangements.circuits(arr, 4)
+        row = {"arrangement": s, "seed": seed, "lines": len(arr),
+               "circuits": len(circs)}
+        for name, fn in (
+                ("circuits", lambda: arrangements.circuits(arr, 4)),
+                ("graded_counts",
+                 lambda: arrangements.graded_counts(arr, 3, circs)),
+                ("singular_points",
+                 lambda: arrangements.singular_points(arr))):
+            row[f"{name}_best_s"], row[f"{name}_median_s"] = _best_median(
+                fn, repeat)
+        row["ranks"] = _graded_ranks(arr, circs)
+        rows.append(row)
+    return rows
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--degrees", type=int, nargs="+", default=sorted(CLASSES),
@@ -209,8 +293,9 @@ def main() -> int:
                "generic_rows": _generic_rows(args.degrees, args.repeat),
                "det_rows": _det_rows(args.repeat),
                "kernel_rows": _kernel_rows(args.repeat),
-               "cohomology_rows": _cohomology_rows(args.repeat)}, sys.stdout,
-              indent=2)
+               "cohomology_rows": _cohomology_rows(args.repeat),
+               "arrangement_rows": _arrangement_rows(args.repeat)},
+              sys.stdout, indent=2)
     print()
     return 0
 

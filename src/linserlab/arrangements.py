@@ -1,11 +1,9 @@
 """Line arrangements in the projective plane: singular points, matroid
-circuits with exact dependency coefficients, and the low-degree graded
-structure of the ideal of reciprocal-coordinate relations.
-
-Each linear dependency sum c_j alpha_{i_j} = 0 among k forms yields the
-degree-(k-1) relation f = sum_j c_j prod_{l != j} y_{i_l}; the ideal these
-generate is studied through exact linear algebra on coefficient matrices,
-with no Groebner machinery.
+circuits with exact dependencies from integer determinants, and the
+low-degree graded structure of the ideal of reciprocal-coordinate
+relations.  A dependency sum c_j alpha_{i_j} = 0 among k forms gives the
+degree-(k-1) relation f = sum_j c_j prod_{l != j} y_{i_l}; the ideal they
+generate is read from exact ranks of coefficient matrices, not Groebner bases.
 """
 
 from __future__ import annotations
@@ -16,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._linalg import independent_rows, nullspace, rank_exact
+from ._linalg import independent_rows, rank_exact
 from .fatpoints import (DEFAULT_SEED, PlaneDivisorClass,
                         general_position_lines, normalize_proj)
-from .lattice import canonical, cross
+from .lattice import canonical, cross, dependent_triples, dot
 
 
 @dataclass(frozen=True)
@@ -87,31 +85,34 @@ class Circuit:
 
 
 def circuits(a: LineArrangement, max_size: int) -> List[Circuit]:
-    """Minimal dependent subsets of size <= max_size.  Size-3 circuits are
-    concurrent triples; in a plane arrangement no circuit exceeds size 4."""
+    """Minimal dependent subsets of size <= max_size in `combinations`
+    order, size 3 first: the triples inside the concurrent sets of
+    `lattice.dependent_triples`, then the 4-sets holding none (any four
+    forms are dependent; no two are proportional).  A dependency is
+    sum_l (-1)^l det(the other three) f_l = 0 (Cramer), a triple taking the
+    normal of its plane as fourth form: no prime enters the result."""
     if max_size > len(a):
         raise ValueError("max_size exceeds the number of lines")
-    cols = {i: a.forms[i] for i in range(len(a))}
-
-    def rank_of(sub) -> int:
-        return rank_exact([cols[i] for i in sub])
-
+    f = a.forms
+    triples = {t for on in dependent_triples(f)
+               for t in itertools.combinations(on, 3)}
+    subs = sorted(triples) if max_size >= 3 else []
+    if max_size >= 4:
+        subs += [q for q in itertools.combinations(range(len(f)), 4)
+                 if triples.isdisjoint(itertools.combinations(q, 3))]
     out: List[Circuit] = []
-    for size in range(3, min(max_size, 4) + 1):
-        for sub in itertools.combinations(range(len(a)), size):
-            if rank_of(sub) != size - 1:
-                continue
-            if any(rank_of(prop) < size - 1
-                   for prop in itertools.combinations(sub, size - 1)):
-                continue
-            ker = nullspace([[Fraction(cols[i][k]) for i in sub]
-                             for k in range(3)])
-            assert len(ker) == 1
-            coeffs = canonical(ker[0])
-            for k in range(3):
-                assert sum(c * cols[i][k]
-                           for c, i in zip(coeffs, sub)) == 0
-            out.append(Circuit(sub, coeffs))
+    for sub in subs:
+        v = [f[i] for i in sub]
+        if len(v) == 3:
+            v.append(cross(v[0], v[1]))
+        dep = []
+        for l in range(len(sub)):
+            u, w, x = v[:l] + v[l + 1:]
+            dep.append((-1) ** l * dot(u, cross(w, x)))
+        coeffs = canonical(dep)
+        for k in range(3):
+            assert sum(c * u[k] for c, u in zip(coeffs, v)) == 0
+        out.append(Circuit(sub, coeffs))
     return out
 
 
@@ -265,12 +266,9 @@ def da_divisor(a: LineArrangement,
         divisor = PlaneDivisorClass(len(a) - 1, (1,) * len(sing))
     if len(divisor.mults) != len(sing):
         raise ValueError("multiplicity list does not match singular points")
-    line_pairings = []
-    for i in range(len(a)):
-        on_line = [k for k, (p, _) in enumerate(sing)
-                   if sum(c * f for c, f in zip(p, a.forms[i])) == 0]
-        line_pairings.append(divisor.d - sum(divisor.mults[k]
-                                                  for k in on_line))
+    line_pairings = tuple(
+        divisor.d - sum(m for (p, _), m in zip(sing, divisor.mults)
+                        if dot(p, f) == 0) for f in a.forms)
     exc = tuple(divisor.mults)
     nef = all(v >= 0 for v in line_pairings) and all(m >= 0 for m in exc)
-    return DaDivisorReport(divisor, tuple(line_pairings), exc, nef)
+    return DaDivisorReport(divisor, line_pairings, exc, nef)

@@ -28,7 +28,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg
-from .lattice import canonical, cross, dot, jet_conditions
+from .lattice import (canonical, cross, dependent_triples, dot,
+                      jet_conditions)
 
 DEFAULT_SEED = 987654321
 
@@ -225,32 +226,6 @@ def _vertex_conditions(system: FatPointSystem, p: Optional[int] = None):
     return jet_conditions(kept, blocks, p), comb(d + 2, 2) - len(kept)
 
 
-def _collinear_sets(pts):
-    """The lines through three or more of the integer points `pts`, each
-    as the sorted tuple of the indices of all the points on it.
-
-    One numpy pass reads every det(p_i, p_j, p_k) mod RANK_PRIME.  An
-    exact zero is a zero mod p too, so no collinear triple is missed, and
-    each modular zero is confirmed in integers.
-    """
-    if len(pts) < 3:
-        return []
-    p = _linalg.RANK_PRIME
-    a = np.array([[c % p for c in pt] for pt in pts], dtype=np.int64)
-    b, c = a[:, [1, 2, 0]], a[:, [2, 0, 1]]
-    lines = (b[:, None] * c[None] - c[:, None] * b[None]) % p  # p_i x p_j
-    zero = (lines @ a.T) % p == 0
-    hits = np.triu(np.count_nonzero(zero, axis=2) > 2, 1)
-    out = set()
-    for i, j in zip(*np.nonzero(hits)):
-        line = cross(pts[i], pts[j])
-        on = tuple(k for k in np.flatnonzero(zero[i, j]).tolist()
-                   if dot(line, pts[k]) == 0)
-        if len(on) > 2:
-            out.add(on)
-    return sorted(out)
-
-
 def _conic_through(pts, five):
     """The indices of the points on the conic through the five points
     indexed by `five`, or None if three of those five are collinear.
@@ -283,16 +258,17 @@ def _peel(system: FatPointSystem) -> FatPointSystem:
     conic, the one through the five points of largest multiplicity with no
     three of them collinear, is split off the same way when the
     multiplicities on it sum to more than 2d.  The collinear sets depend
-    only on the points and are found once; the loop then runs on (d, m)
-    until neither curve is fixed or d < 0.  The residual keeps the points
-    with a positive multiplicity; its degree may be negative (L(d) = 0).
-    A curve that is not found only leaves the work to the rank.
+    only on the points and are found once (`lattice.dependent_triples`);
+    the loop then runs on (d, m) until neither curve is fixed or d < 0.
+    The residual keeps the points with a positive multiplicity; its degree
+    may be negative (L(d) = 0).  A curve that is not found only leaves the
+    work to the rank.
     """
     pts = [normalize_proj(pt) for pt in system.points]
     if len(set(pts)) < len(pts):  # the same point twice is no line
         return system
     d, m = system.d, list(system.mults)
-    multi = _collinear_sets(pts)
+    multi = dependent_triples(pts)
     conics = {}
     while d >= 0:
         top = sorted(range(len(m)), key=m.__getitem__, reverse=True)

@@ -17,6 +17,8 @@ from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
 
+from ._linalg import RANK_PRIME
+
 LatticePoint = Tuple[int, int]
 MonomialSet = FrozenSet[LatticePoint]
 
@@ -156,6 +158,30 @@ def dot(u, v) -> int:
     """Pairing of a point and a line of the plane: zero when the point
     lies on the line."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def dependent_triples(vs):
+    """The planes through the origin that hold three or more of the pairwise
+    non-proportional integer 3-vectors `vs` (lines through points, or points
+    on lines), each as the sorted tuple of its vectors' indices.  One numpy
+    pass reads every det(v_i, v_j, v_k) mod RANK_PRIME; an exact zero is a
+    zero mod p too, and each modular zero is confirmed in integers."""
+    if len(vs) < 3:
+        return []
+    p = RANK_PRIME
+    a = np.array([[c % p for c in v] for v in vs], dtype=np.int64)
+    b, c = a[:, [1, 2, 0]], a[:, [2, 0, 1]]
+    planes = (b[:, None] * c[None] - c[:, None] * b[None]) % p  # v_i x v_j
+    zero = (planes @ a.T) % p == 0
+    hits = np.triu(np.count_nonzero(zero, axis=2) > 2, 1)
+    out = set()
+    for i, j in zip(*np.nonzero(hits)):
+        normal = cross(vs[i], vs[j])
+        on = tuple(k for k in np.flatnonzero(zero[i, j]).tolist()
+                   if dot(normal, vs[k]) == 0)
+        if len(on) > 2:
+            out.add(on)
+    return sorted(out)
 
 
 def primitive(v) -> Tuple[int, ...]:

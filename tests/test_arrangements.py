@@ -1,5 +1,6 @@
 """Line arrangements, circuits, reciprocal-coordinate ideals."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linserlab import _linalg, arrangements
+from linserlab._linalg import nullspace, rank_exact
 from linserlab.arrangements import (
+    Circuit,
     LineArrangement,
     circuits,
     da_divisor,
@@ -18,7 +22,8 @@ from linserlab.arrangements import (
     ot_generators,
     singular_points,
 )
-from linserlab.fatpoints import PlaneDivisorClass
+from linserlab.fatpoints import PlaneDivisorClass, normalize_proj
+from linserlab.lattice import canonical, cross
 
 SEEDS = (11, 23, 77)
 
@@ -132,3 +137,94 @@ def test_circuit_size_bounds():
         graded_counts(CONCURRENT, 0)
     with pytest.raises(ValueError):
         graded_counts(CONCURRENT, 5)
+
+
+def _rank_circuits(a, max_size):
+    """`circuits` by exact ranks and kernels, frozen from before it read
+    the integer minors: the oracle for the determinant rule."""
+    if max_size > len(a):
+        raise ValueError("max_size exceeds the number of lines")
+    cols = {i: a.forms[i] for i in range(len(a))}
+
+    def rank_of(sub):
+        return rank_exact([cols[i] for i in sub])
+
+    out = []
+    for size in range(3, min(max_size, 4) + 1):
+        for sub in itertools.combinations(range(len(a)), size):
+            if rank_of(sub) != size - 1:
+                continue
+            if any(rank_of(prop) < size - 1
+                   for prop in itertools.combinations(sub, size - 1)):
+                continue
+            ker = nullspace([[Fraction(cols[i][k]) for i in sub]
+                             for k in range(3)])
+            assert len(ker) == 1
+            coeffs = canonical(ker[0])
+            for k in range(3):
+                assert sum(c * cols[i][k]
+                           for c, i in zip(coeffs, sub)) == 0
+            out.append(Circuit(sub, coeffs))
+    return out
+
+
+def _planted(draw):
+    """Up to nine forms: lines through one or two planted points (so
+    concurrent triples and quadruples are common) and small random ones."""
+    small = st.integers(-2, 2)
+    vec = st.tuples(small, small, small).filter(any)
+    forms = []
+    for _ in range(draw(st.integers(0, 2))):
+        point = draw(vec)
+        for q in draw(st.lists(vec, max_size=4)):
+            if any(cross(point, q)):
+                forms.append(cross(point, q))
+    forms += draw(st.lists(vec, max_size=6))
+    unique = {}
+    for f in draw(st.permutations(forms)):
+        unique.setdefault(normalize_proj(f), f)
+    return list(unique.values())[:9]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_circuits_match_the_rank_oracle(data):
+    kind = data.draw(st.sampled_from(["planted", "generic", "m8"]))
+    if kind == "planted":
+        forms = _planted(data.draw)
+        if len(forms) < 2:
+            return
+        a = LineArrangement(tuple(forms))
+    elif kind == "generic":
+        a = generic_arrangement(data.draw(st.integers(3, 8)),
+                                seed=data.draw(st.integers(0, 10**6)))
+    else:
+        a = m8_minus()
+    for max_size in (2, 3, 4):
+        if max_size > len(a):
+            with pytest.raises(ValueError):
+                circuits(a, max_size)
+            continue
+        assert circuits(a, max_size) == _rank_circuits(a, max_size)
+
+
+def test_circuits_match_the_rank_oracle_on_fixtures():
+    quad = LineArrangement(((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0),
+                            (0, 0, 1)))
+    for a in (CONCURRENT, quad, m8_minus(), *(generic_arrangement(s, seed)
+                                             for s in range(3, 9)
+                                             for seed in range(3))):
+        for max_size in range(2, min(len(a), 4) + 1):
+            assert circuits(a, max_size) == _rank_circuits(a, max_size)
+
+
+def test_circuits_make_no_rank_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("circuits called a rank or a kernel")
+
+    for name in ("rank_exact", "nullspace", "rank_profile_mod_p"):
+        monkeypatch.setattr(_linalg, name, refuse)
+    for name in ("rank_exact", "independent_rows"):
+        monkeypatch.setattr(arrangements, name, refuse)
+    cs = circuits(m8_minus(), 4)
+    assert Counter(len(c.indices) for c in cs) == {3: 7, 4: 35}

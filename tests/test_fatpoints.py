@@ -311,40 +311,6 @@ def test_conic_refuses_three_collinear_points():
         conditions_matrix(system).tolist())
 
 
-def test_collinear_sets_are_confirmed_exactly():
-    # four points on x = y, three on x + y = 2z, two on neither;
-    # (1:1:1) lies on both lines
-    pts = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (5, 5, 3), (2, 0, 1),
-           (0, 2, 1), (7, -3, 1), (4, -9, 1)]
-    assert fatpoints._collinear_sets(pts) == [(0, 1, 2, 3), (1, 4, 5)]
-    # (0:p:1) is (0:0:1) mod p = RANK_PRIME, but not over Q
-    assert fatpoints._collinear_sets([(0, 0, 1), (1, 0, 1),
-                                      (0, RANK_PRIME, 1)]) == []
-
-
-def _collinear_oracle(pts):
-    lines = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            line = cross(pts[i], pts[j])
-            on = tuple(k for k, pt in enumerate(pts) if dot(line, pt) == 0)
-            if len(on) > 2:
-                lines.add(on)
-    return sorted(lines)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_collinear_sets_match_the_triple_loop(data):
-    # a small grid makes collinear triples common; adding multiples of
-    # RANK_PRIME makes triples that are collinear mod p only
-    coord = st.integers(-3, 3).flatmap(
-        lambda x: st.sampled_from([x, x + RANK_PRIME, x - 2 * RANK_PRIME]))
-    pts = data.draw(st.lists(st.tuples(coord, coord, coord).filter(any),
-                             max_size=9, unique_by=normalize_proj))
-    assert fatpoints._collinear_sets(pts) == _collinear_oracle(pts)
-
-
 def test_peel_leaves_the_same_point_twice_to_the_rank():
     system = FatPointSystem(3, ((0, 0, 1), (0, 0, 2)), (2, 2))
     assert fatpoints._peel(system) is system

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linserlab._linalg import CERT_PRIMES
+from linserlab._linalg import CERT_PRIMES, RANK_PRIME
+from linserlab.fatpoints import normalize_proj
 from linserlab.lattice import (CutFunctional, canonical,
-                               collision_staircase, halfplane_partition,
+                               collision_staircase, cross,
+                               dependent_triples, dot, halfplane_partition,
                                integer_threshold, is_staircase,
                                jet_conditions, primitive, triangle_set,
                                triangle_staircase)
@@ -210,3 +212,37 @@ def test_canonical_matches_frozen_dependency_normalization(vec):
     # every nonzero rational multiple
     assert primitive(vec) in (v, tuple(-x for x in v))
     assert canonical([Fraction(-7, 3) * x for x in vec]) == v
+
+
+def test_dependent_triples_are_confirmed_exactly():
+    # four points on x = y, three on x + y = 2z, two on neither;
+    # (1:1:1) lies on both lines
+    pts = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (5, 5, 3), (2, 0, 1),
+           (0, 2, 1), (7, -3, 1), (4, -9, 1)]
+    assert dependent_triples(pts) == [(0, 1, 2, 3), (1, 4, 5)]
+    # (0:p:1) is (0:0:1) mod p = RANK_PRIME, but not over Q
+    assert dependent_triples([(0, 0, 1), (1, 0, 1),
+                              (0, RANK_PRIME, 1)]) == []
+
+
+def _collinear_oracle(pts):
+    lines = set()
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            line = cross(pts[i], pts[j])
+            on = tuple(k for k, pt in enumerate(pts) if dot(line, pt) == 0)
+            if len(on) > 2:
+                lines.add(on)
+    return sorted(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dependent_triples_match_the_triple_loop(data):
+    # a small grid makes collinear triples common; adding multiples of
+    # RANK_PRIME makes triples that are collinear mod p only
+    coord = st.integers(-3, 3).flatmap(
+        lambda x: st.sampled_from([x, x + RANK_PRIME, x - 2 * RANK_PRIME]))
+    pts = data.draw(st.lists(st.tuples(coord, coord, coord).filter(any),
+                             max_size=9, unique_by=normalize_proj))
+    assert dependent_triples(pts) == _collinear_oracle(pts)

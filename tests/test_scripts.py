@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -76,3 +77,26 @@ def test_time_rank_prints_both_primes(tmp_path):
         (6, [6, [2] * 9], 3)]
     for row in peeled:
         assert 0 < row["best_s"] <= row["median_s"]
+    # arrangements: the circuits, the graded pieces and their exact ranks
+    arr = doc["arrangement_rows"]
+    assert [(row["arrangement"], row["seed"]) for row in arr] == [
+        (s, seed) for s in (5, 6, 7, 8) for seed in (0, 1, 2)] + [("m8", None)]
+    for row in arr:
+        for name in ("circuits", "graded_counts", "singular_points"):
+            assert 0 < row[f"{name}_best_s"] <= row[f"{name}_median_s"]
+        for rank in row["ranks"]:
+            # a rank below full is deficient mod every prime, and no full
+            # rank here is unlucky mod RANK_PRIME
+            assert rank["deficient"] == (rank["rank"] < min(rank["shape"]))
+            assert (rank["lift_s"] > 0) == rank["deficient"]
+    # generic: all C(s, 4) 4-sets are circuits, one cubic piece of rank
+    # C(s - 1, 3); M8: seven triples and 35 4-sets, one linear syzygy
+    for row in arr[:-1]:
+        s = row["lines"]
+        assert row["circuits"] == comb(s, 4)
+        assert [(r["kind"], r["shape"], r["rank"]) for r in row["ranks"]] == [
+            ("piece", [comb(s, 4), comb(s + 2, 3)], comb(s - 1, 3))]
+    assert arr[-1]["circuits"] == 42
+    assert [(r["kind"], r["shape"], r["rank"]) for r in arr[-1]["ranks"]] == [
+        ("piece", [7, 36], 7), ("piece", [91, 120], 56),
+        ("piece", [56, 120], 55), ("syzygy", [56, 120], 55)]
