@@ -28,8 +28,12 @@ RANK_PRIME, then the p-adic kernel lift.
 `fatpoints.cohomology` runs --repeat times on each class of
 PEELED_CLASSES at random rational points drawn from SEED: two fixed-line
 classes and the double conics (4n; (2n)^5), n = 1..3, which the Bezout
-peel splits before any matrix, and (6; 2^9) at the nine base points of a
-cubic pencil, which no peel touches and whose rank drops by two.
+peel splits before any matrix, and the pencil ladder (3n; n^9), n = 2..5,
+at the nine base points of a cubic pencil, which no peel touches and
+whose rank drops by n.  One more call, untimed, records the path
+that proved h0: "peel" (no matrix), "rank" (full rank mod RANK_PRIME),
+"products" (the products of the sections of L/g) or "lift" (the kernel
+lift of the exact reduced matrix).
 
 For the arrangements of ARRANGEMENTS, `arrangements.circuits`,
 `graded_counts(..., 3)` on those circuits and `singular_points` run
@@ -48,7 +52,8 @@ the piece with the best and median seconds of proving plus verifying it
 ("det_rows"), per
 double conic the shape, the rank and the best and median seconds
 ("kernel_rows"), and per peeled class the residual class that the peel
-reaches, h0, and the best and median seconds ("cohomology_rows"), and per
+reaches, h0, the proof path, and the best and median seconds
+("cohomology_rows"), and per
 arrangement its circuit count, the best and median seconds of the three
 calls and its ranks ("arrangement_rows").
 """
@@ -81,14 +86,13 @@ DET_MULTS = (9, 12, 15)
 
 CONIC_STEPS = (1, 2, 3, 4)
 
-PEELED_CLASSES = (  # (d, mults); None: the nine pencil points
+PEELED_CLASSES = (  # (d, mults); None: n^9 at the nine pencil points
     (13, (8, 7, 1, 1, 1)),
     (15, (9, 9, 1, 1, 1, 1)),
     (4, (2,) * 5),
     (8, (4,) * 5),
     (12, (6,) * 5),
-    (6, None),
-)
+) + tuple((3 * n, None) for n in (2, 3, 4, 5))
 
 ARRANGEMENTS = tuple((s, seed) for s in (5, 6, 7, 8) for seed in (0, 1, 2)) + (
     ("m8", None),)
@@ -169,12 +173,40 @@ def _kernel_rows(repeat):
     return rows
 
 
+def _proof_path(system):
+    """The path that proves h0 of the system in `fatpoints.cohomology`,
+    read by wrapping the functions it calls: the last of "rank" (the
+    reduced matrix is built), "products" (the bound of the products of
+    sections is tried and suffices) and "lift" reached, else "peel"."""
+    wrapped = ((fatpoints, "_vertex_conditions", "rank"),
+               (fatpoints, "_products_bound", "products"),
+               (_linalg, "deficient_rank", "lift"))
+    saved = [getattr(module, name) for module, name, _ in wrapped]
+    seen = set()
+
+    def spy(fn, path):
+        def call(*args):
+            seen.add(path)
+            return fn(*args)
+        return call
+
+    for (module, name, path), fn in zip(wrapped, saved):
+        setattr(module, name, spy(fn, path))
+    try:
+        fatpoints.cohomology(system)
+    finally:
+        for (module, name, _), fn in zip(wrapped, saved):
+            setattr(module, name, fn)
+    return next((path for path in ("lift", "products", "rank")
+                 if path in seen), "peel")
+
+
 def _cohomology_rows(repeat):
     rows = []
     for d, mults in PEELED_CLASSES:
         if mults is None:
             pts = make_config("pencil_products", {"k": 3}, seed=SEED).points
-            mults = (2,) * 9
+            mults = (d // 3,) * 9
         else:
             pts = random_rational_points(len(mults), random.Random(SEED))
         system = FatPointSystem(d, pts, mults)
@@ -186,7 +218,8 @@ def _cohomology_rows(repeat):
             times.append(time.perf_counter() - t0)
         rows.append({"d": d, "mults": list(mults),
                      "residual": [residual.d, list(residual.mults)],
-                     "h0": rep.h0, "best_s": min(times),
+                     "h0": rep.h0, "path": _proof_path(system),
+                     "best_s": min(times),
                      "median_s": statistics.median(times)})
     return rows
 

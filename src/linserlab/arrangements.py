@@ -27,8 +27,7 @@ class LineArrangement:
     forms: Tuple[Tuple[int, int, int], ...]
 
     def __post_init__(self):
-        norm = tuple(normalize_proj(tuple(Fraction(c) for c in f))
-                     for f in self.forms)
+        norm = tuple(normalize_proj(tuple(f)) for f in self.forms)
         if len(set(norm)) != len(norm):
             raise ValueError("forms must be pairwise non-proportional")
         object.__setattr__(self, "forms", norm)

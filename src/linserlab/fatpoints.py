@@ -10,8 +10,11 @@ GF(p) the rank is that of the residues mod p.  Over Q the fixed lines and
 conics are split off first by Bezout (a curve that meets the base points
 more often than its degree allows is a component of every member), and
 the rank of the residual system is read from the residues mod a prime
-below 2**26, where full rank is the proof, and only when that rank drops
-from the exact integer matrix and its kernel certificate.  On top of that
+below 2**26, where full rank is the proof.  When that rank drops and the
+class is a multiple L = g (L/g), the degree-g products of the sections of
+L/g are members of L whose rank mod the prime bounds h0 from below; where
+the two bounds meet, h0 is proved.  Otherwise it comes from the exact
+integer matrix and its kernel certificate.  On top of that
 sit initial-degree searches (alpha), Waldschmidt sandwiches,
 Chudnovsky equality probes, Cremona reduction, the Pell family of
 square-zero classes, and semi-effectivity classification.
@@ -190,22 +193,19 @@ def _independent(vecs, q: Optional[int]) -> bool:
     return any(x % q if q else x for x in wedge)
 
 
-def _vertex_conditions(system: FatPointSystem, p: Optional[int] = None):
-    """(matrix, killed) with rank(conditions_matrix) = killed + rank(matrix).
+def _vertex_frame(system: FatPointSystem):
+    """(picked, moved): the indices of the points sent to the vertices
+    e_0, e_1, e_2, in that order, and (k, T q_k) in normal form for every
+    other point q_k.
 
     Up to three points, largest multiplicity first and independent over
     the field (mod q over GF(q)), are completed by unit vectors to a basis
     c_0, c_1, c_2; the integer adjugate T of [c_0 c_1 c_2] sends c_i to
-    det e_i and, being invertible, keeps the rank.  At e_i, multiplicity m
-    only says that the monomials with exponent e_i > d - m vanish: unit
-    rows, which cover `killed` columns.  The matrix holds the other
-    points' jets at T q in normal form on the other columns.  Its rows are
-    the same over Q and mod p, zero rows included (a point on a line
-    through two vertices, or given twice), so a rank profile mod p names
-    rows of the exact matrix.
+    det e_i and, being invertible, keeps ranks and kernel dimensions.  The
+    frame depends on the points and on the order of the multiplicities
+    only, so it serves every multiple of the system as well.
     """
-    p = _modulus(system, p)
-    fs, d, mults = system.fieldspec, system.d, system.mults
+    fs, mults = system.fieldspec, system.mults
     pts = [normalize_proj(pt, fs) for pt in system.points]
     picked = []
     for k in sorted(range(len(pts)), key=lambda k: -mults[k]):
@@ -218,12 +218,41 @@ def _vertex_conditions(system: FatPointSystem, p: Optional[int] = None):
             basis.append(e)
     c0, c1, c2 = basis
     adj = (cross(c1, c2), cross(c2, c0), cross(c0, c1))
-    kept = [e for e in monomial_exponents(d)
+    return picked, [(k, normalize_proj(tuple(dot(row, pt) for row in adj), fs))
+                    for k, pt in enumerate(pts) if k not in picked]
+
+
+def _kept(picked, d: int, mults):
+    """The degree-d exponents that multiplicity mults[k] at the vertex
+    e_i, for the i-th picked k, leaves free: e_i <= d - mults[k]."""
+    return [e for e in monomial_exponents(d)
             if all(e[i] <= d - mults[k] for i, k in enumerate(picked))]
-    blocks = [(normalize_proj(tuple(dot(row, pt) for row in adj), fs),
-               _jets(m, d))
-              for k, (pt, m) in enumerate(zip(pts, mults)) if k not in picked]
-    return jet_conditions(kept, blocks, p), comb(d + 2, 2) - len(kept)
+
+
+def _frame_conditions(frame, d: int, mults, p: Optional[int]):
+    """(matrix, kept): the jets of the moved points of `frame` in degree d
+    with multiplicities `mults`, on the columns `_kept` leaves."""
+    picked, moved = frame
+    kept = _kept(picked, d, mults)
+    blocks = [(pt, _jets(mults[k], d)) for k, pt in moved]
+    return jet_conditions(kept, blocks, p), kept
+
+
+def _vertex_conditions(system: FatPointSystem, p: Optional[int] = None):
+    """(matrix, killed) with rank(conditions_matrix) = killed + rank(matrix).
+
+    The points of `_vertex_frame` move to the vertices.  At e_i,
+    multiplicity m only says that the monomials with exponent e_i > d - m
+    vanish: unit rows, which cover `killed` columns.  The matrix holds the
+    other points' jets at T q in normal form on the other columns.  Its
+    rows are the same over Q and mod p, zero rows included (a point on a
+    line through two vertices, or given twice), so a rank profile mod p
+    names rows of the exact matrix.
+    """
+    p = _modulus(system, p)
+    matrix, kept = _frame_conditions(_vertex_frame(system), system.d,
+                                     system.mults, p)
+    return matrix, comb(system.d + 2, 2) - len(kept)
 
 
 def _conic_through(pts, five):
@@ -301,6 +330,64 @@ def _chi(d: int, mults) -> int:
     return comb(d + 2, 2) - sum(m * (m + 1) // 2 for m in mults)
 
 
+def _section_products(sections, small_kept, kept, d: int, g: int, p: int):
+    """The degree-g products of the sections mod p, one row per product
+    (C(k + g - 1, g) of them for k sections) on the exponents `kept`.
+
+    A section is an integer vector on the degree-d/g exponents
+    `small_kept`.  The coefficient of x^i y^j z^(e - i - j) in degree e
+    <= d sits at i (d + 1) + j of a flat array, so a product of forms is
+    the convolution of their arrays: j + j' <= d never carries into i.
+    Each entry of a convolution with a section sums at most
+    len(small_kept) products of two residues, which the caller keeps
+    inside int64.
+    """
+    width, deg = d + 1, d // g
+    flats = np.zeros((len(sections), deg * width + deg + 1), dtype=np.int64)
+    flats[:, [i * width + j for i, j, _ in small_kept]] = [
+        [x % p for x in v] for v in sections]
+    level = [(0, np.ones(1, dtype=np.int64))]  # (first factor, product)
+    for _ in range(g):
+        level = [(i, np.convolve(f, flats[i]) % p)
+                 for first, f in level for i in range(first, len(flats))]
+    return np.stack([f for _, f in level])[
+        :, [i * width + j for i, j, _ in kept]]
+
+
+def _products_bound(system: FatPointSystem, upper: int) -> int:
+    """A proved lower bound on the kernel dimension of the reduced matrix
+    of a system L over Q, from the products of the sections of L/g,
+    g = gcd(d, m_1, ..., m_r).
+
+    The integer kernel of the reduced matrix of L/g = (d/g; m/g), built on
+    the frame of L, is lifted exactly (`_linalg.nullspace`).  Its k
+    sections are members of L/g, and multiplicities add under products,
+    so their degree-g products are members of L; a product of kept
+    exponents of L/g (e_i <= (d - m)/g) is a kept exponent of L.  The
+    rank of the products mod RANK_PRIME is at most their rank over Q,
+    hence at most the kernel dimension.  They are formed only when
+    upper <= C(k + g - 1, g) <= the kept columns of L and their
+    convolutions stay inside int64; otherwise, and when g = 1, the bound
+    is 0.
+    """
+    g = gcd(system.d, *system.mults)
+    if g == 1:
+        return 0
+    p = _linalg.RANK_PRIME
+    frame = _vertex_frame(system)
+    small, small_kept = _frame_conditions(
+        frame, system.d // g, [m // g for m in system.mults], None)
+    if len(small_kept) * (p - 1)**2 >= 2**63:
+        return 0
+    sections = _linalg.to_int_rows(
+        _linalg.nullspace(small.tolist(), small.shape[1]))
+    kept = _kept(frame[0], system.d, system.mults)
+    if not upper <= comb(len(sections) + g - 1, g) <= len(kept):
+        return 0
+    products = _section_products(sections, small_kept, kept, system.d, g, p)
+    return len(_linalg.rank_profile_mod_p(products, p)[0])
+
+
 def cohomology(system: FatPointSystem) -> SystemReport:
     """Exact h0/h1 of the system (h2 = 0 since d >= 0).
 
@@ -308,13 +395,17 @@ def cohomology(system: FatPointSystem) -> SystemReport:
     leaves h0 unchanged: a residual of negative degree has h0 = 0, one
     without points h0 = C(d + 2, 2).  Otherwise h0 is C(d + 2, 2) less the
     killed columns and the rank of the residual's `_vertex_conditions`:
-    mod RANK_PRIME first, where full rank is already the proof, and only a
-    deficient rank builds the exact reduced matrix, whose kernel
-    certificate is lifted from the rank profile of that one elimination.
-    The move to the vertices is invertible over Q, so a prime that divides
-    its determinant is only unlucky.  A system over GF(q) is not peeled;
-    its rank is read mod q.  chi and speciality are those of the given
-    system.
+    mod RANK_PRIME first, where full rank is already the proof.  A
+    deficient rank r leaves the kernel dimension at most cols - r.  When
+    g = gcd(d, m_1, ..., m_r) > 1, `_products_bound` forms the degree-g
+    products of the proved sections of L/g, whose rank mod RANK_PRIME is
+    a lower bound; if it reaches cols - r, h0 is proved without the exact
+    matrix of L.  Otherwise the exact reduced matrix is built, and its
+    kernel certificate is lifted from the rank profile of that one
+    elimination.  The move to the vertices is invertible over Q, so a
+    prime that divides its determinant is only unlucky.  A system over
+    GF(q) is not peeled; its rank is read mod q.  chi and speciality are
+    those of the given system.
     """
     if system.d < 0:
         raise ValueError("degree must be nonnegative")
@@ -330,7 +421,9 @@ def cohomology(system: FatPointSystem) -> SystemReport:
         full = min(residues.shape)
         profile = _linalg.rank_profile_mod_p(residues, p)
         rank = len(profile[0])
-        if rank < full and rational:
+        upper = residues.shape[1] - rank  # the kernel dimension at most
+        if (rank < full and rational
+                and _products_bound(residual, upper) < upper):
             rank = _linalg.deficient_rank(_vertex_conditions(residual)[0],
                                           full, profile)
         h0 = comb(residual.d + 2, 2) - killed - rank

@@ -39,6 +39,24 @@ def test_rejects_proportional_forms():
         singular_points(LineArrangement(((1, 0, 0),)))
 
 
+def _through_fractions(form):
+    """The normal form as the constructor once computed it."""
+    return normalize_proj(tuple(Fraction(c) for c in form))
+
+
+coefficient = st.one_of(st.integers(-30, 30), st.booleans(),
+                        st.fractions(-30, 30, max_denominator=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(coefficient, coefficient, coefficient).filter(any),
+                min_size=1, max_size=5, unique_by=_through_fractions))
+def test_forms_normalize_as_through_fractions(forms):
+    arr = LineArrangement(tuple(forms))
+    assert arr.forms == tuple(map(_through_fractions, forms))
+    assert all(type(c) is int for f in arr.forms for c in f)
+
+
 def test_concurrent_triple():
     assert singular_points(CONCURRENT) == [((0, 0, 1), 3)]
     cs = circuits(CONCURRENT, 3)

@@ -1,5 +1,6 @@
 """Fat-point systems: cohomology tables, initial degrees, Cremona, Pell."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -252,10 +253,87 @@ def _eliminated_once(monkeypatch, pts, d, mults):
 
 def test_cubic_pencil_builds_exact_matrix_once(monkeypatch):
     # the nine base points of the pencil spanned by two triples of lines:
-    # each line carries 2 + 2 + 2 = d and a conic through five of them
-    # carries at most 6 * 2 = 2d, so nothing is peeled and the rank drops
+    # each line carries 1 + 1 + 1 = d and a conic through five of them
+    # carries at most 6 = 2d, so nothing is peeled and the rank of the
+    # 6 x 7 reduced matrix drops to 5; g = 1, so it is lifted
     pts = make_config("pencil_products", {"k": 3}, seed=11).points
-    assert _eliminated_once(monkeypatch, pts, 6, (2,) * 9) == (3, 2)
+    assert _eliminated_once(monkeypatch, pts, 3, (1,) * 9) == (2, 1)
+
+
+def test_multiple_pencil_is_proved_by_products(monkeypatch):
+    # (6; 2^9) = 2 (3; 1^9) at the same points: the products F^2, FG, G^2
+    # of the pencil's cubics prove h0 = 3, so the exact 18 x 19 reduced
+    # matrix is neither built nor lifted; only the 6 x 7 one of (3; 1^9)
+    pts = make_config("pencil_products", {"k": 3}, seed=11).points
+    system = FatPointSystem(6, pts, (2,) * 9)
+    assert fatpoints._vertex_conditions(system, RANK_PRIME)[0].shape == (
+        18, 19)
+    builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
+    lifted, lift = [], _linalg.deficient_rank
+    monkeypatch.setattr(_linalg, "deficient_rank", lambda mat, *args: (
+        lifted.append(mat.shape) or lift(mat, *args)))
+    rep = cohomology(system)
+    assert (rep.h0, rep.h1) == (3, 2)
+    assert lifted == [] and builds == [RANK_PRIME]
+    # the rank passes of the 18 x 19 residues and of the three products
+    assert primes == [RANK_PRIME, RANK_PRIME]
+    assert inverses == [(RANK_PRIME, (6, 7))]
+
+
+@st.composite
+def _pencil_points(draw):
+    """The nine points where a triple of lines meets another, no three
+    of the six lines concurrent: the base points of a cubic pencil."""
+    line = st.tuples(*[st.integers(-9, 9)] * 3).filter(any)
+    lines = draw(st.lists(line, min_size=6, max_size=6,
+                          unique_by=normalize_proj))
+    assume(all(dot(cross(a, b), c)
+               for a, b, c in itertools.combinations(lines, 3)))
+    return tuple(normalize_proj(cross(a, b))
+                 for a in lines[:3] for b in lines[3:])
+
+
+@settings(max_examples=20, deadline=None)
+@given(_pencil_points(), st.integers(2, 5))
+def test_pencil_products_prove_h0(pts, n):
+    system = FatPointSystem(3 * n, pts, (n,) * 9)
+    mat, killed = fatpoints._vertex_conditions(system)
+    upper = mat.shape[1] - len(_linalg.rank_profile_mod_p(
+        fatpoints._vertex_conditions(system, RANK_PRIME)[0], RANK_PRIME)[0])
+    # the products path, and the lift of the exact matrix as the oracle
+    assert fatpoints._products_bound(system, upper) == upper == n + 1
+    assert cohomology(system).h0 == n + 1
+    assert mat.shape[1] - _linalg.deficient_rank(mat, min(mat.shape)) == (
+        n + 1)
+    # the products F^a G^(n - a), exact on the shared frame, lie on the
+    # kept columns, are annihilated by the exact matrix, and are what
+    # the products path reads mod RANK_PRIME
+    frame = fatpoints._vertex_frame(system)
+    small, small_kept = fatpoints._frame_conditions(frame, 3, (1,) * 9, None)
+    sections = _linalg.to_int_rows(_linalg.nullspace(small.tolist()))
+    kept = fatpoints._kept(frame[0], 3 * n, (n,) * 9)
+    xyz = sympy.symbols("x y z")
+    forms = [sympy.Poly(dict(zip(small_kept, v)), *xyz) for v in sections]
+    exact = []
+    for combo in itertools.combinations_with_replacement(forms, n):
+        terms = sympy.prod(combo).as_dict()
+        assert set(terms) <= set(kept)
+        exact.append([int(terms.get(e, 0)) for e in kept])
+    assert not (mat @ np.array(exact, dtype=object).T).any()
+    assert fatpoints._section_products(
+        sections, small_kept, kept, 3 * n, n, RANK_PRIME).tolist() == [
+            [c % RANK_PRIME for c in row] for row in exact]
+    # one product short, the rank of the products misses the bound and
+    # the exact matrix is lifted
+    products, lift, lifted = (fatpoints._section_products,
+                              _linalg.deficient_rank, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fatpoints, "_section_products",
+                   lambda *args: products(*args)[1:])
+        mp.setattr(_linalg, "deficient_rank", lambda m, *args: (
+            lifted.append(m.shape) or lift(m, *args)))
+        assert cohomology(system).h0 == n + 1
+    assert lifted == [mat.shape]
 
 
 def _peeled(monkeypatch, d, mults):

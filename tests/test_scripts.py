@@ -69,12 +69,16 @@ def test_time_rank_prints_both_primes(tmp_path):
     for row in kernel:
         assert 0 < row["best_s"] <= row["median_s"]
     # the Bezout peel: two fixed lines, the double conics split to (0; -),
-    # and the cubic pencil, which no peel touches
+    # and the pencil ladder (3n; n^9), which no peel touches and whose h0
+    # the products of the pencil's cubics prove
     peeled = doc["cohomology_rows"]
     assert [(row["d"], row["residual"], row["h0"]) for row in peeled] == [
         (13, [11, [6, 5, 1, 1, 1]], 39), (15, [12, [6, 6, 1, 1, 1, 1]], 45),
         (4, [0, []], 1), (8, [0, []], 1), (12, [0, []], 1),
-        (6, [6, [2] * 9], 3)]
+        (6, [6, [2] * 9], 3)] + [
+            (3 * n, [3 * n, [n] * 9], n + 1) for n in (3, 4, 5)]
+    assert [row["path"] for row in peeled] == (
+        ["rank"] * 2 + ["peel"] * 3 + ["products"] * 4)
     for row in peeled:
         assert 0 < row["best_s"] <= row["median_s"]
     # arrangements: the circuits, the graded pieces and their exact ranks
