@@ -3,8 +3,8 @@
 
 For each degree the conditions matrix of a fixed nonspecial class is built
 at random rational points drawn from SEED, once mod CERT_PRIMES[0] and
-once mod RANK_PRIME, and `rank_mod_p_array` eliminates a fresh copy of it
---repeat times.  Next to it the same is done for the matrix that the rank
+once mod RANK_PRIME, and `rank_profile_mod_p` eliminates a fresh copy of
+it --repeat times.  Next to it the same is done for the matrix that the rank
 passes read, with three points moved to the coordinate vertices
 (`fatpoints._vertex_conditions`): its shape, the columns the vertices
 kill, its rank and its times.  The classes are those of the benchmark's
@@ -35,6 +35,11 @@ that proved h0: "peel" (no matrix), "rank" (full rank mod RANK_PRIME),
 "products" (the products of the sections of L/g) or "lift" (the kernel
 lift of the exact reduced matrix).
 
+For each rung (3n; n^9) of that pencil ladder, `_linalg.nullspace` runs
+--repeat times on the reduced matrix of L/g = (3; 1^9), g = n, on the
+frame of L: the kernel that `fatpoints._products_bound` lifts before it
+forms the products of its sections.
+
 For the arrangements of ARRANGEMENTS, `arrangements.circuits`,
 `graded_counts(..., 3)` on those circuits and `singular_points` run
 --repeat times each.  One more `graded_counts` call, untimed, records every
@@ -53,7 +58,9 @@ the piece with the best and median seconds of proving plus verifying it
 double conic the shape, the rank and the best and median seconds
 ("kernel_rows"), and per peeled class the residual class that the peel
 reaches, h0, the proof path, and the best and median seconds
-("cohomology_rows"), and per
+("cohomology_rows"), per pencil rung the class L/g, the shape of its
+reduced matrix, the number of sections and the best and median seconds
+of `nullspace` ("section_rows"), and per
 arrangement its circuit count, the best and median seconds of the three
 calls and its ranks ("arrangement_rows").
 """
@@ -100,12 +107,12 @@ ARRANGEMENTS = tuple((s, seed) for s in (5, 6, 7, 8) for seed in (0, 1, 2)) + (
 
 def _eliminate(residues, p, repeat):
     """The rank of the residues mod p, and the best and median seconds of
-    `rank_mod_p_array` on a fresh copy, over `repeat` runs."""
+    `rank_profile_mod_p` on a fresh copy, over `repeat` runs."""
     times = []
     for _ in range(repeat):
         a = residues.copy()
         t0 = time.perf_counter()
-        rank = _linalg.rank_mod_p_array(a, p)
+        rank = len(_linalg.rank_profile_mod_p(a, p)[0])
         times.append(time.perf_counter() - t0)
     return rank, min(times), statistics.median(times)
 
@@ -224,6 +231,24 @@ def _cohomology_rows(repeat):
     return rows
 
 
+def _section_rows(repeat):
+    pts = make_config("pencil_products", {"k": 3}, seed=SEED).points
+    rows = []
+    for d, mults in PEELED_CLASSES:
+        if mults is not None:
+            continue
+        n = d // 3
+        frame = fatpoints._vertex_frame(FatPointSystem(d, pts, (n,) * 9))
+        small = fatpoints._frame_conditions(frame, 3, (1,) * 9, None)[0]
+        args = small.tolist(), small.shape[1]
+        best, median = _best_median(lambda: _linalg.nullspace(*args), repeat)
+        rows.append({"d": d, "mults": [n] * 9, "small": [3, [1] * 9],
+                     "shape": list(small.shape),
+                     "sections": len(_linalg.nullspace(*args)),
+                     "best_s": best, "median_s": median})
+    return rows
+
+
 def _best_median(fn, repeat):
     times = []
     for _ in range(repeat):
@@ -327,6 +352,7 @@ def main() -> int:
                "det_rows": _det_rows(args.repeat),
                "kernel_rows": _kernel_rows(args.repeat),
                "cohomology_rows": _cohomology_rows(args.repeat),
+               "section_rows": _section_rows(args.repeat),
                "arrangement_rows": _arrangement_rows(args.repeat)},
               sys.stdout, indent=2)
     print()

@@ -4,16 +4,16 @@ Matrices are plain lists of rows; entries are ints or Fractions, and a
 float is refused with TypeError rather than truncated.  Rank, kernel and
 determinant computations never touch floating point.
 
-One engine gives exact ranks, kernels and row selections.  A modular
-elimination (numpy, int64) bounds the rank from below: rank over GF(p)
-never exceeds rank over Q, so a full rank mod p settles the exact rank at
-once.  A deficient rank r mod p also names the pivot columns P and the
-rows R that carry them (`rank_profile_mod_p`), and B = A[R, P] is then
+One engine gives exact ranks, kernels and row selections: one modular
+elimination loop (`rank_profile_mod_p`, numpy, int64) gives every rank,
+rank profile and inverse mod p.  It bounds the rank from below: rank
+over GF(p) never exceeds rank over Q, so a full rank mod p settles the
+exact rank at once.  A deficient rank r mod p also names the pivot
+columns P and the rows R that carry them, and B = A[R, P] is then
 invertible mod p.  The kernel that this profile predicts, the solution X
-of B X = -A[R, F] over the free columns F, is lifted from that one
-elimination p-adically (`_Lift`, after Dixon): B is inverted mod p once
-(`_gauss_jordan`, which finds the profile too where no rank pass came
-first), each step adds one p-adic digit, and rational reconstruction
+of B X = -A[R, F] over the free columns F, is lifted p-adically (`_Lift`,
+after Dixon): B is inverted mod p once (`_inverse`, the same loop on
+[B | I]), each step adds one p-adic digit, and rational reconstruction
 turns the digits into a basis.  A basis that keeps the identity on F and that A
 annihilates exactly over Z proves rank <= r.  An unlucky prime can only
 delay that proof, never fake it: past the Hadamard bound of the minors a
@@ -26,7 +26,8 @@ the rational pivots, the profile of the reduced echelon form;
 `independent_rows` takes the greedy row selection mod RANK_PRIME and, when
 it falls short, proves the rank from the profile of that elimination;
 `det_exact` takes the determinant from its residues mod enough primes of
-the stream from CERT_PRIMES[0] on to pass twice the Hadamard bound.  No
+the stream from CERT_PRIMES[0] on to pass twice the Hadamard bound,
+eliminated in stacks of primes by `_echelon_mod_p`, its own loop.  No
 certificate uses `det_exact`: a square piece is proved by its rank, like
 any other.
 
@@ -109,18 +110,12 @@ def rank_mod_p(rows, p):
         raise ValueError(f"rank_mod_p needs 2 <= p < 2**31, got {p}")
     if not rows or not rows[0]:
         return 0
-    return rank_mod_p_array(_residues(rows, p), p)
+    return len(rank_profile_mod_p(_residues(rows, p), p)[0])
 
 
 def _residues(rows, p):
     """The int64 array of the integer rows mod p."""
     return np.array([[e % p for e in row] for row in rows], dtype=np.int64)
-
-
-def rank_mod_p_array(a, p):
-    """Rank over GF(p) of an int64 array with entries in [0, p); `a` is
-    consumed (see `rank_profile_mod_p`)."""
-    return len(rank_profile_mod_p(a, p)[0])
 
 
 def rank_profile_mod_p(a, p):
@@ -245,7 +240,7 @@ def deficient_rank(mat, full, profile=None):
     a smaller upper bound on its rank.  Zero rows and columns are allowed:
     they are never pivots, and each adds a unit vector to a kernel.
     `profile` is the (pivots, rows) that `rank_profile_mod_p` found for
-    mat mod RANK_PRIME; without it, `_gauss_jordan` finds them.  The
+    mat mod RANK_PRIME; without it, a rank pass here finds them.  The
     kernels of A and of A^T that the profile predicts are lifted
     p-adically (`_Lift`), and the first to verify exactly proves the rank.
     """
@@ -257,19 +252,20 @@ def _lift_kernel(mat, full, profile, rref):
     `mat`, proved; the basis is None when the rank mod p reaches `full`.
 
     `_dixon` lifts the kernel of mat (and, unless `rref`, of mat^T) that
-    the profile mod p predicts.  With `rref` the basis must also be that
-    of the reduced echelon form (`_reduced`).  When p was unlucky or its
-    pivots are not the rational ones, the next prime below starts again:
-    such a prime costs time only.
+    the profile mod p predicts; a missing profile is found by
+    `rank_profile_mod_p`.  With `rref` the basis must also be that of the
+    reduced echelon form (`_reduced`).  When p was unlucky or its pivots
+    are not the rational ones, the next prime below starts again: such a
+    prime costs time only.
     """
-    p, inverse = RANK_PRIME, None
+    p = RANK_PRIME
     while True:
         if profile is None:
-            *profile, inverse = _gauss_jordan((mat % p).astype(np.int64), p)
+            profile = rank_profile_mod_p((mat % p).astype(np.int64), p)
         pivots, rows = profile
         if len(pivots) == full:
             return full, None, None
-        found = _dixon(mat, pivots, rows, inverse, p, not rref)
+        found = _dixon(mat, pivots, rows, p, not rref)
         if found and (not rref or _reduced(*found, pivots)):
             return (len(pivots),) + found
         p, profile = _prime_below(p), None
@@ -381,49 +377,20 @@ def _dot(a, b):
                for k in range(0, n, _INNER))
 
 
-def _gauss_jordan(a, p):
-    """Pivot columns, pivot rows and C = B^-1 mod p, B = a[rows][:, pivots],
-    for an int64 array `a` with entries in [0, p < P_LIMIT): the profile
-    of `rank_profile_mod_p` and the inverse from one elimination.
+def _inverse(b, p):
+    """C = B^-1 mod p for an int64 array `b` that is invertible mod p, with
+    entries in [0, p < P_LIMIT).
 
-    Gauss-Jordan on [a | I], with the row swaps and the lazy reduction of
-    `rank_profile_mod_p`.  Each pivot row ends as a combination of pivot
-    rows that is the identity on the pivots, so its right block, read at
-    the pivot rows, is a row of C.  On a pivot block B itself the pivots
-    lie on the diagonal, and C is B^-1.
+    `rank_profile_mod_p` on [B | I] leaves [U | E], U unit upper
+    triangular and E B = U; back substitution clears U above its diagonal,
+    which turns E into U^-1 E = B^-1.
     """
-    m, n = a.shape
-    g = np.zeros((m, n + m), dtype=np.int64)
-    g[:, :n] = a
-    g.reshape(-1)[n::n + m + 1] = 1  # the identity block: g[i, n + i]
-    lazy = (2**63 - p) // (p - 1)**2 - 1
-    pending = 0
-    order = list(range(m))
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        col = g[:, c] % p
-        stuck = col[r:].nonzero()[0]
-        if stuck.size == 0:
-            continue
-        i = r + int(stuck[0])
-        if i != r:
-            g[[r, i]] = g[[i, r]]
-            col[[r, i]] = col[[i, r]]
-            order[r], order[i] = order[i], order[r]
-        row = g[r, c:] % p if pending else g[r, c:]
-        row = row * pow(int(col[r]), -1, p) % p
-        g[:, c:] -= col[:, None] * row
-        g[r, c:] = row
-        pending += 1
-        if pending == lazy:
-            g %= p
-            pending = 0
-        pivots.append(c)
-    rows = order[:len(pivots)]
-    return pivots, rows, g[:len(rows), [n + i for i in rows]] % p
+    n = len(b)
+    g = np.concatenate([b, np.eye(n, dtype=np.int64)], axis=1)
+    rank_profile_mod_p(g, p)
+    for c in range(n - 1, 0, -1):
+        g[:c, n:] = (g[:c, n:] - g[:c, c, None] * g[c, n:]) % p
+    return g[:, n:]
 
 
 class _Lift:
@@ -515,23 +482,19 @@ class _Lift:
         return vecs
 
 
-def _dixon(mat, pivots, rows, inverse, p, both):
+def _dixon(mat, pivots, rows, p, both):
     """The proved kernel basis of mat and its free columns, or None when p
     was unlucky (rank over Q > len(pivots)).
 
-    B = mat[rows, pivots] is split into limbs, and C = B^-1 mod p is the
-    given `inverse` or made here.  With `both` the kernel of mat^T, lifted
-    from B^T and C^T, races that of mat: the side with fewer digits times
-    columns after its next step (on a tie, mat) takes it, and the first
-    to verify wins.  Neither fewer columns nor smaller entries reliably
-    tells which side needs fewer digits.
+    B = mat[rows, pivots] is split into limbs and inverted mod p once
+    (`_inverse`).  With `both` the kernel of mat^T, lifted from B^T and
+    C^T, races that of mat: the side with fewer digits times columns
+    after its next step (on a tie, mat) takes it, and the first to verify
+    wins.  Neither fewer columns nor smaller entries reliably tells which
+    side needs fewer digits.
     """
-    limbs = _limbs(mat[rows][:, pivots])
-    if inverse is None:
-        residues = limbs[-1] % p
-        for limb in limbs[-2::-1]:
-            residues = (residues * pow(2, _LIMB, p) + limb) % p
-        inverse = _gauss_jordan(residues, p)[2]
+    b = mat[rows][:, pivots]
+    limbs, inverse = _limbs(b), _inverse((b % p).astype(np.int64), p)
     powers = np.array([1 << (_LIMB * j) for j in range(len(limbs))],
                       dtype=object)[:, None, None]
     lifts = [_Lift(mat, pivots, rows, limbs, powers, inverse, p)]

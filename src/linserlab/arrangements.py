@@ -138,6 +138,7 @@ class OTForm:
 
 
 def _circuit_form(c: Circuit, nvars: int) -> OTForm:
+    """The generator of a circuit: f = sum_j c_j prod_{l != j} y_{i_l}."""
     terms: Dict[Tuple[int, ...], int] = {}
     for j in range(len(c.indices)):
         exp = [0] * nvars
@@ -149,11 +150,6 @@ def _circuit_form(c: Circuit, nvars: int) -> OTForm:
     items = tuple(sorted((e, v) for e, v in terms.items() if v))
     assert items
     return OTForm(nvars, items)
-
-
-def ot_generators(a: LineArrangement, max_size: int) -> List[OTForm]:
-    """One generator per circuit: f = sum_j c_j prod_{l != j} y_{i_l}."""
-    return [_circuit_form(c, len(a)) for c in circuits(a, max_size)]
 
 
 @dataclass(frozen=True)

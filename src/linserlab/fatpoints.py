@@ -584,18 +584,8 @@ def alpha(points: Sequence[Tuple], m) -> int:
     empty, so lo = t; a deficient rank only suggests L(t) nonempty, so
     hi = t tentatively.  The first probe is at hi - 1, which settles a
     nonspecial system with one modular rank.  When hi = lo + 1 below the
-    chi bound, the fixed lines and conics of L(hi) are split off first
-    (`_peel`): a residual of negative degree proves L(hi) empty, and one
-    with chi > 0 (one without points, say) proves it nonempty.  Otherwise
-    the kernel certificate of `_linalg.deficient_rank` on the exact
-    reduced matrix, lifted from the (pivots, rows) of the probe that set
-    hi, proves L(hi) nonempty; if it finds full column rank instead
-    (RANK_PRIME divided a minor), L(hi) is empty.  An empty L(hi) sets
-    lo = hi and the search resumes below the chi bound.  So emptiness is
-    proved only by a full modular rank or by Bezout, and nonemptiness only
-    by chi or by the certificate.  Vertices with m_i + m_j > t share
-    killed columns, so the reduced matrix may have fewer rows than
-    columns; the certificate's bound is min(shape).
+    chi bound, `cohomology` proves h0 of L(hi); if it is 0, lo = hi and
+    the search resumes below the chi bound.
     """
     if isinstance(m, int):
         if m < 1:
@@ -616,19 +606,10 @@ def alpha(points: Sequence[Tuple], m) -> int:
             if len(profile[0]) == residues.shape[1]:
                 lo = t
             else:
-                hi, hi_profile = t, profile
+                hi = t
             t = (lo + hi) // 2
-        if hi == bound:
+        if hi == bound or cohomology(FatPointSystem(hi, points, mults)).h0:
             return hi
-        system = FatPointSystem(hi, points, mults)
-        residual = _peel(system)
-        if residual.d >= 0:
-            if _chi(residual.d, residual.mults) > 0:  # as with no points
-                return hi
-            mat = _vertex_conditions(system)[0]
-            if _linalg.deficient_rank(mat, min(mat.shape),
-                                      hi_profile) < mat.shape[1]:
-                return hi
         lo, hi = hi, bound
         t = (lo + hi) // 2
 

@@ -19,7 +19,6 @@ from linserlab.arrangements import (
     generic_arrangement,
     graded_counts,
     m8_minus,
-    ot_generators,
     singular_points,
 )
 from linserlab.fatpoints import PlaneDivisorClass, normalize_proj
@@ -63,7 +62,7 @@ def test_concurrent_triple():
     assert len(cs) == 1
     assert cs[0].indices == (0, 1, 2)
     assert cs[0].coeffs == (1, 1, -1)
-    (form,) = ot_generators(CONCURRENT, 3)
+    (form,) = [arrangements._circuit_form(c, 3) for c in cs]
     assert form.terms == (((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), -1))
     gc = graded_counts(CONCURRENT, 3)
     assert gc.min_gens_by_degree == ((1, 0), (2, 1), (3, 0))
@@ -110,8 +109,8 @@ def test_generators_vanish_on_reciprocals(s, seed, px, py):
         if v == 0:
             return  # the point landed on a line; reciprocals undefined
         values.append(1 / v)
-    for form in ot_generators(a, min(s, 4)):
-        assert form.evaluate(values) == 0
+    for c in circuits(a, min(s, 4)):
+        assert arrangements._circuit_form(c, s).evaluate(values) == 0
 
 
 def test_eight_line_fixture():

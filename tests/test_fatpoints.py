@@ -191,12 +191,13 @@ def _spy_builds_and_primes(monkeypatch):
     """Moduli of every build of the vertex-reduced matrix (an unreduced
     `conditions_matrix` build is recorded as ("unreduced", p)), primes of
     every rank pass and stacked elimination, and (prime, shape) of every
-    Gauss-Jordan elimination."""
-    builds, primes, inverses = [], [], []
+    inversion mod p; the rank pass on [B | I] inside an inversion is not
+    listed apart."""
+    builds, primes, inverses, inside = [], [], [], []
     build, unreduced, profile, echelon, inverse = (
         fatpoints._vertex_conditions, fatpoints.conditions_matrix,
         _linalg.rank_profile_mod_p, _linalg._echelon_mod_p,
-        _linalg._gauss_jordan)
+        _linalg._inverse)
 
     def spy_build(system, p=None):
         builds.append(p)
@@ -207,22 +208,27 @@ def _spy_builds_and_primes(monkeypatch):
         return unreduced(system, p)
 
     def spy_profile(a, p):
-        primes.append(p)
+        if not inside:
+            primes.append(p)
         return profile(a, p)
 
     def spy_echelon(a, batch):
         primes.extend(batch.tolist())
         return echelon(a, batch)
 
-    def spy_inverse(a, p):
-        inverses.append((p, a.shape))
-        return inverse(a, p)
+    def spy_inverse(b, p):
+        inverses.append((p, b.shape))
+        inside.append(b)
+        try:
+            return inverse(b, p)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(fatpoints, "_vertex_conditions", spy_build)
     monkeypatch.setattr(fatpoints, "conditions_matrix", spy_unreduced)
     monkeypatch.setattr(_linalg, "rank_profile_mod_p", spy_profile)
     monkeypatch.setattr(_linalg, "_echelon_mod_p", spy_echelon)
-    monkeypatch.setattr(_linalg, "_gauss_jordan", spy_inverse)
+    monkeypatch.setattr(_linalg, "_inverse", spy_inverse)
     return builds, primes, inverses
 
 
@@ -275,9 +281,11 @@ def test_multiple_pencil_is_proved_by_products(monkeypatch):
     rep = cohomology(system)
     assert (rep.h0, rep.h1) == (3, 2)
     assert lifted == [] and builds == [RANK_PRIME]
-    # the rank passes of the 18 x 19 residues and of the three products
-    assert primes == [RANK_PRIME, RANK_PRIME]
-    assert inverses == [(RANK_PRIME, (6, 7))]
+    # the rank passes of the 18 x 19 residues, of the 6 x 7 matrix whose
+    # kernel the pencil's two cubics span, and of the three products; its
+    # 5 x 5 pivot block is the only one inverted
+    assert primes == [RANK_PRIME] * 3
+    assert inverses == [(RANK_PRIME, (5, 5))]
 
 
 @st.composite
@@ -667,17 +675,20 @@ def test_alpha_of_a_nonspecial_system_costs_one_modular_rank(monkeypatch):
 
 
 def test_alpha_survives_an_unlucky_probe(monkeypatch):
-    # The first probe (degree 3 of 10 general points, empty) reads one rank
-    # short, as if RANK_PRIME divided every maximal minor.  No line or
-    # conic is fixed in L(3; 1^10), so the certificate at degree 3, lifted
-    # from that profile, then finds full rank and the search resumes.
+    # The first probe (degree 3 of 10 general points, empty) and the rank
+    # pass of `cohomology` at degree 3 read one rank short, as if
+    # RANK_PRIME divided every maximal minor.  No line or conic is fixed
+    # in L(3; 1^10), so the kernel lift at degree 3 then finds full rank
+    # and the search resumes.
     pts = make_config("random", {"r": 10}, seed=4).points
     ranks = _spy(monkeypatch, _linalg, "rank_profile_mod_p",
-                 lambda k, prof: (prof[0][:-1], prof[1][:-1]) if k == 0
+                 lambda k, prof: (prof[0][:-1], prof[1][:-1]) if k in (0, 3)
                  else prof)
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     assert alpha(pts, 1) == 4
-    assert len(ranks) == 3
+    # the probes at 3, 1 and 2, the pass of `cohomology`, the inversion of
+    # the short pivot block and the pass mod the prime below RANK_PRIME
+    assert len(ranks) == 6
     # three of the points sit at the vertices, which kill x^3, y^3, z^3
     assert [(args[1], rank) for args, rank in proofs] == [(7, 7)]
 
@@ -688,23 +699,29 @@ SEVEN = (4,) + (2,) * 6
 
 
 def test_alpha_proves_a_special_degree(monkeypatch):
+    # `cohomology` proves h0 of L(6) = 1 by the square of the nodal cubic,
+    # the one section of L/2 = (3; 2, 1^6), which meets the one dimension
+    # of kernel that the rank mod RANK_PRIME leaves: no lift is needed
     pts = make_config("random", {"r": 7}, seed=6).points
+    scans = _spy(monkeypatch, fatpoints, "cohomology")
+    bounds = _spy(monkeypatch, fatpoints, "_products_bound")
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     assert alpha(pts, SEVEN) == 6
-    # the vertices of multiplicities 4, 2, 2 kill 10 + 3 + 3 of the 28
-    # columns and 16 of the rank 27
-    assert [(args[1], rank) for args, rank in proofs] == [(12, 11)]
+    assert [(args[0].d, rep.h0) for args, rep in scans] == [(6, 1)]
+    assert [(args[1], bound) for args, bound in bounds] == [(1, 1)]
+    assert proofs == []
 
 
-def test_alpha_certificate_reuses_the_probe_profile(monkeypatch):
-    # the certificate at degree 6 inverts only the 11 x 11 pivot block of
-    # the probe at degree 6, and eliminates nothing but the probes' residues
+def test_alpha_special_degree_builds_no_exact_matrix(monkeypatch):
+    # the exact matrix of L(6) is never built, no prime but RANK_PRIME is
+    # eliminated, and the only block inverted is that of the section's
+    # kernel, on the reduced 4 x 5 matrix of (3; 2, 1^6)
     pts = make_config("random", {"r": 7}, seed=6).points
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
     assert alpha(pts, SEVEN) == 6
-    assert builds == [RANK_PRIME] * len(primes) + [None]
+    assert builds == [RANK_PRIME] * len(builds)
     assert set(primes) == {RANK_PRIME}
-    assert inverses == [(RANK_PRIME, (11, 11))]
+    assert inverses == [(RANK_PRIME, (4, 4))]
 
 
 def _oracle_h0(system):

@@ -9,13 +9,13 @@ from math import lcm, prod
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linserlab import _linalg
 from linserlab._linalg import (CERT_PRIMES, RANK_PRIME, det_exact,
                                independent_rows, independent_rows_mod_p,
                                is_prime, nullspace, rank_exact, rank_mod_p,
-                               rank_mod_p_array, to_int_rows)
+                               rank_profile_mod_p, to_int_rows)
 
 
 def _sympy_rank(rows):
@@ -391,30 +391,31 @@ def residue_matrices(draw):
 def test_lazy_rank_mod_p_is_the_eager_loop(case):
     a, p = case
     lazy, eager = a.copy(), a.copy()
-    assert rank_mod_p_array(lazy, p) == _eager_rank_mod_p(eager, p)
+    assert len(rank_profile_mod_p(lazy, p)[0]) == _eager_rank_mod_p(eager, p)
     if _reduction_interval(p) == 1:
         # the block is reduced after every update: the same final array
         assert np.array_equal(lazy, eager)
 
 
+def _is_inverse(c, b, p):
+    """Whether C B = I mod p, C reduced, by Python integer products."""
+    n = len(b)
+    return all(0 <= int(e) < p for e in c.flat) and [
+        [sum(int(c[i, k]) * int(b[k][j]) for k in range(n)) % p
+         for j in range(n)] for i in range(n)] == np.eye(n, dtype=int).tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(residue_matrices())
-def test_gauss_jordan_inverts_the_pivot_block(case):
-    """Both eliminations find the greedy independent columns and the same
-    pivot rows, and Gauss-Jordan inverts the block they pick."""
+def test_inverse_of_the_picked_block(case):
+    """The rank pass finds the greedy independent columns and distinct
+    pivot rows, and the block they pick is inverted."""
     a, p = case
     pivots, rows = _linalg.rank_profile_mod_p(a.copy(), p)
     assert pivots == independent_rows_mod_p(a.T.tolist(), p)
     assert len(set(rows)) == len(rows) == len(pivots)
-    assert _linalg._gauss_jordan(a.copy(), p)[:2] == (pivots, rows)
     block = a[rows][:, pivots]
-    for got in (_linalg._gauss_jordan(a.copy(), p),
-                _linalg._gauss_jordan(block.copy(), p)):
-        inv = got[2]
-        assert inv.shape == block.shape
-        assert [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
-                 for col in inv.T] for row in block] == [
-            [int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    assert _is_inverse(_linalg._inverse(block.copy(), p), block, p)
 
 
 @pytest.mark.parametrize("p, n", [(CERT_PRIMES[0], 40), (P30, 40), (7, 40),
@@ -430,7 +431,7 @@ def test_lazy_rank_mod_p_at_its_largest_updates(p, n, deficient):
     a[:n - 1, n - 1] = p - 1
     a[n - 1, :n - 1] = p - 1
     a[n - 1, n - 1] = (n - 1 if deficient else n) % p
-    assert rank_mod_p_array(a, p) == n - deficient
+    assert len(rank_profile_mod_p(a, p)[0]) == n - deficient
 
 
 def test_unlucky_rank_prime_goes_on_to_the_kernel_lift(monkeypatch):
@@ -549,13 +550,26 @@ def test_dixon_lift_matches_sympy(mat):
 
 
 def _spy_eliminations(monkeypatch):
-    """(name, prime) of every rank pass and Gauss-Jordan elimination."""
-    calls = []
-    for name in ("rank_profile_mod_p", "_gauss_jordan"):
-        def spy(a, p, real=getattr(_linalg, name), name=name):
-            calls.append((name, p))
-            return real(a, p)
-        monkeypatch.setattr(_linalg, name, spy)
+    """(name, prime, shape) of every rank pass and inversion; the rank
+    pass on [B | I] inside an inversion is not listed apart."""
+    calls, inside = [], []
+    rank, inverse = _linalg.rank_profile_mod_p, _linalg._inverse
+
+    def spy_rank(a, p):
+        if not inside:
+            calls.append(("rank", p, a.shape))
+        return rank(a, p)
+
+    def spy_inverse(b, p):
+        calls.append(("inverse", p, b.shape))
+        inside.append(b)
+        try:
+            return inverse(b, p)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_linalg, "rank_profile_mod_p", spy_rank)
+    monkeypatch.setattr(_linalg, "_inverse", spy_inverse)
     return calls
 
 
@@ -566,8 +580,8 @@ def test_unlucky_rank_prime_restarts_the_lift(monkeypatch):
     calls = _spy_eliminations(monkeypatch)
     assert rank_exact([[1, 0], [0, RANK_PRIME]]) == 2
     q = _linalg._prime_below(RANK_PRIME)
-    assert calls == [("rank_profile_mod_p", RANK_PRIME),
-                     ("_gauss_jordan", RANK_PRIME), ("_gauss_jordan", q)]
+    assert calls == [("rank", RANK_PRIME, (2, 2)),
+                     ("inverse", RANK_PRIME, (1, 1)), ("rank", q, (2, 2))]
 
 
 def test_wrong_rank_profile_moves_to_the_next_prime(monkeypatch):
@@ -576,7 +590,9 @@ def test_wrong_rank_profile_moves_to_the_next_prime(monkeypatch):
     calls = _spy_eliminations(monkeypatch)
     assert nullspace([[RANK_PRIME, 1]]) == [[Fraction(-1, RANK_PRIME), 1]]
     q = _linalg._prime_below(RANK_PRIME)
-    assert calls == [("_gauss_jordan", RANK_PRIME), ("_gauss_jordan", q)]
+    assert calls == [("rank", RANK_PRIME, (1, 2)),
+                     ("inverse", RANK_PRIME, (1, 1)),
+                     ("rank", q, (1, 2)), ("inverse", q, (1, 1))]
 
 
 def _unimodular(n, seed):
@@ -638,21 +654,17 @@ def test_dot_is_exact_past_one_int64_chunk():
     assert [int(x) for x in _linalg._dot(a, b).flat] == [want, -want]
 
 
-@pytest.mark.parametrize("p", [RANK_PRIME, P30, CERT_PRIMES[0], 7])
-def test_gauss_jordan_of_a_pivot_block(p):
-    # a unit lower times a unit upper triangular matrix: every leading
-    # principal minor is 1, as on a pivot block of the rank pass, and the
-    # lazy reduction runs many steps (every 7 mod P30)
-    n = 24
-    rng = np.random.default_rng(p)
-    one = np.eye(n, dtype=np.int64)
-    lower = np.tril(rng.integers(0, p, (n, n)), -1) + one
-    upper = np.triu(rng.integers(0, p, (n, n)), 1) + one
-    b = [[sum(int(lower[i, k]) * int(upper[k, j]) for k in range(n)) % p
-          for j in range(n)] for i in range(n)]
-    pivots, rows, inv = _linalg._gauss_jordan(np.array(b, dtype=np.int64), p)
-    assert pivots == rows == list(range(n))
-    assert all(0 <= int(e) < p for e in inv.flat)
-    assert [[sum(b[i][k] * int(inv[k, j]) for k in range(n)) % p
-             for j in range(n)] for i in range(n)] == [
-        [int(i == j) for j in range(n)] for i in range(n)]
+@pytest.mark.parametrize("p", [7, P30, RANK_PRIME, CERT_PRIMES[0]])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.integers(0, 2**32 - 1), st.permutations(range(n)))))
+# row 5 of that matrix starts 0, 0: two columns need a swap
+@example(case=(14, (5, 0, 1, 2, 3, 4, 6, 7)))
+def test_inverse_of_a_pivot_block(p, case):
+    # the rows of a unimodular matrix, permuted: a leading entry that is 0
+    # mod p takes a swap, and the lazy reduction runs many steps (every
+    # 7 mod P30, every step mod CERT_PRIMES[0])
+    seed, perm = case
+    b = (np.array(_unimodular(len(perm), seed), dtype=object)[list(perm)]
+         % p).astype(np.int64)
+    assert _is_inverse(_linalg._inverse(b.copy(), p), b.tolist(), p)

@@ -81,6 +81,14 @@ def test_time_rank_prints_both_primes(tmp_path):
         ["rank"] * 2 + ["peel"] * 3 + ["products"] * 4)
     for row in peeled:
         assert 0 < row["best_s"] <= row["median_s"]
+    # the kernel that the products path lifts on every pencil rung: the
+    # two cubics of the pencil, L/g = (3; 1^9) on the 6 x 7 reduced matrix
+    sections = doc["section_rows"]
+    assert [(row["d"], row["mults"], row["small"]) for row in sections] == [
+        (3 * n, [n] * 9, [3, [1] * 9]) for n in (2, 3, 4, 5)]
+    for row in sections:
+        assert row["shape"] == [6, 7] and row["sections"] == 2
+        assert 0 < row["best_s"] <= row["median_s"]
     # arrangements: the circuits, the graded pieces and their exact ranks
     arr = doc["arrangement_rows"]
     assert [(row["arrangement"], row["seed"]) for row in arr] == [
