@@ -18,18 +18,19 @@ turns the digits into a basis.  A basis that keeps the identity on F and that A
 annihilates exactly over Z proves rank <= r.  An unlucky prime can only
 delay that proof, never fake it: past the Hadamard bound of the minors a
 failing basis proves the rank larger than r, and the lift starts again
-at the next prime below.
+at the next prime below (`_prime_below`).  Every exact proof walks that
+one sequence, RANK_PRIME and the primes below it, and `_lift_kernel`
+hands back the profile of the prime whose rank it proved.
 
 `rank_exact` races the kernels of A and of A^T, stepping the one with
 less work done; `nullspace` lifts the kernel of A alone and also asks for
 the rational pivots, the profile of the reduced echelon form;
-`independent_rows` takes the greedy row selection mod RANK_PRIME and, when
-it falls short, proves the rank from the profile of that elimination;
-`det_exact` takes the determinant from its residues mod enough primes of
-the stream from CERT_PRIMES[0] on to pass twice the Hadamard bound,
-eliminated in stacks of primes by `_echelon_mod_p`, its own loop.  No
-certificate uses `det_exact`: a square piece is proved by its rank, like
-any other.
+`independent_rows` returns the pivots of A^T in the proved profile: rows
+independent mod p, as many as the rank over Q.  `det_exact` takes the
+determinant from its residues mod enough primes, from CERT_PRIMES[0]
+down by `_prime_below`, to pass twice the Hadamard bound, eliminated in
+stacks of primes by `_echelon_mod_p`, its own loop.  No certificate uses
+`det_exact`: a square piece is proved by its rank, like any other.
 
 Rank-only residues are taken mod RANK_PRIME, the largest prime below
 2**26.  There one product of residues fills 52 bits, so the elimination
@@ -48,7 +49,6 @@ directly and calls both.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -58,7 +58,7 @@ import numpy as np
 # reducing, so every prime it takes is below P_LIMIT: p**2 < 2**62.
 P_LIMIT = 2**31
 
-# Fixed prime list keeps results deterministic.
+# The largest primes below P_LIMIT; `det_exact` walks down from the first.
 CERT_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
 
 # Primes per stack when determinant residues are eliminated: a fixed stack
@@ -248,8 +248,9 @@ def deficient_rank(mat, full, profile=None):
 
 
 def _lift_kernel(mat, full, profile, rref):
-    """(rank, integer kernel basis, free columns) of the integer matrix
-    `mat`, proved; the basis is None when the rank mod p reaches `full`.
+    """(rank, integer kernel basis, free columns, profile) of the integer
+    matrix `mat`, proved; the profile is that of the prime whose rank was
+    proved, and the basis is None when that rank reaches `full`.
 
     `_dixon` lifts the kernel of mat (and, unless `rref`, of mat^T) that
     the profile mod p predicts; a missing profile is found by
@@ -264,10 +265,10 @@ def _lift_kernel(mat, full, profile, rref):
             profile = rank_profile_mod_p((mat % p).astype(np.int64), p)
         pivots, rows = profile
         if len(pivots) == full:
-            return full, None, None
+            return full, None, None, profile
         found = _dixon(mat, pivots, rows, p, not rref)
         if found and (not rref or _reduced(*found, pivots)):
-            return (len(pivots),) + found
+            return len(pivots), *found, profile
         p, profile = _prime_below(p), None
 
 
@@ -324,33 +325,6 @@ def is_prime(n):
         else:
             return False
     return True
-
-
-# The prime stream found so far, extended on demand by `_prime_stream`
-# under the lock, so that two threads never append the same prime.
-_STREAM = list(CERT_PRIMES)
-_STREAM_LOCK = threading.Lock()
-
-
-def _prime_stream():
-    """CERT_PRIMES, then every prime below them in descending order.
-
-    Each prime is found by `is_prime` once per process and kept in
-    `_STREAM`, which later streams read back.
-    """
-    i = 0
-    while True:
-        if i == len(_STREAM):
-            with _STREAM_LOCK:
-                q = _STREAM[-1] - 2
-                while i == len(_STREAM) and q > 2:
-                    if is_prime(q):
-                        _STREAM.append(q)
-                    q -= 2
-            if i == len(_STREAM):
-                return
-        yield _STREAM[i]
-        i += 1
 
 
 def _limbs(b):
@@ -547,13 +521,14 @@ def det_exact(rows):
     """Exact determinant of a square matrix with int/Fraction entries.
 
     Each row is scaled to integers, and det**2 <= h2, the product of the
-    squared row norms (Hadamard).  Primes are taken from the stream until
-    their product M has M**2 > 4 h2; then det is the residue of least
-    absolute value mod M (Abbott, Bronstein and Mulders, ISSAC 1999).  The
-    residues are eliminated in stacks of _DET_CHUNK primes.  A prime whose
-    rank falls below n divides det, so its residue is 0, and a prime of
-    full rank gives det mod p as its signed pivot product: no prime needs
-    to be lucky, and no singularity test is separate.
+    squared row norms (Hadamard).  Primes are taken from CERT_PRIMES[0]
+    down, by `_prime_below`, until their product M has M**2 > 4 h2; then
+    det is the residue of least absolute value mod M (Abbott, Bronstein
+    and Mulders, ISSAC 1999).  The residues are eliminated in stacks of
+    _DET_CHUNK primes.  A prime whose rank falls below n divides det, so
+    its residue is 0, and a prime of full rank gives det mod p as its
+    signed pivot product: no prime needs to be lucky, and no singularity
+    test is separate.
     """
     n = len(rows)
     if n == 0:
@@ -563,9 +538,8 @@ def det_exact(rows):
     ints, scale = _scaled_rows(rows)
     bound = 4 * prod(sum(e * e for e in row) for row in ints)
     primes, modulus = [], 1
-    stream = _prime_stream()
     while modulus * modulus <= bound:
-        primes.append(next(stream))
+        primes.append(_prime_below(primes[-1]) if primes else CERT_PRIMES[0])
         modulus *= primes[-1]
     mat = np.array(ints, dtype=object)
     residues = []
@@ -595,7 +569,7 @@ def nullspace(rows, ncols=None):
         return [[Fraction(int(i == j)) for j in range(ncols or 0)]
                 for i in range(ncols or 0)]
     mat = np.array(to_int_rows(rows), dtype=object)
-    _, vecs, free = _lift_kernel(mat, mat.shape[1], None, True)
+    _, vecs, free, _ = _lift_kernel(mat, mat.shape[1], None, True)
     if vecs is None:
         return []
     den = vecs[0][free[0]]
@@ -622,25 +596,20 @@ def independent_rows(rows):
     """Indices of a maximal set of rows independent over Q.
 
     The greedy selection mod RANK_PRIME, the pivot columns of the
-    transpose, is accepted at min(nonzero rows, nonzero columns); a
-    shorter one hands its profile to `deficient_rank` on the exact
-    transpose and is accepted at the rank proved.  After an unlucky
-    RANK_PRIME the stream's primes, from CERT_PRIMES[0] on, are tried
-    until one reaches that rank.  Used to pick a square nonsingular
+    transpose, is accepted at min(nonzero rows, nonzero columns).  A
+    shorter one hands its profile to `_lift_kernel` on the exact
+    transpose, and the pivots of the profile it proved are returned:
+    columns of A^T independent mod a prime, so rows of A independent over
+    Q, and as many as the rank.  Used to pick a square nonsingular
     submatrix witness.
     """
     if not rows or not rows[0]:
         return []
     ints = to_int_rows(rows)
-    rank = min(sum(map(any, ints)), sum(map(any, zip(*ints))))
+    full = min(sum(map(any, ints)), sum(map(any, zip(*ints))))
     profile = rank_profile_mod_p(
         np.ascontiguousarray(_residues(ints, RANK_PRIME).T), RANK_PRIME)
-    if len(profile[0]) < rank:
-        rank = deficient_rank(np.array(ints, dtype=object).T, rank, profile)
-    if len(profile[0]) == rank:
-        return profile[0]
-    for p in _prime_stream():
-        picked = independent_rows_mod_p(ints, p)
-        if len(picked) == rank:
-            return picked
-    raise ArithmeticError("the prime stream ran out")
+    if len(profile[0]) < full:
+        profile = _lift_kernel(np.array(ints, dtype=object).T, full, profile,
+                               False)[3]
+    return profile[0]

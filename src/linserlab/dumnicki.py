@@ -552,7 +552,10 @@ def search_cuts(D, mults: Sequence[int], budget: int
     None when every candidate failed within the budget, and raises
     BudgetSpent when the whole budget went without an answer.  Neither
     proves the system nonempty: the candidates are only small-slope cuts.
+    Empty `mults` raise ValueError: every cut list leaves a piece.
     """
+    if not mults:
+        raise ValueError("need exactly one multiplicity per piece")
     D = frozenset(D)
     attempts = [max(0, budget)]
     seen = set()

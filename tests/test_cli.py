@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from linserlab import cli
+from linserlab import cli, surfaces
 from linserlab.cli import main
 
 
@@ -256,6 +256,20 @@ def test_empty_names_an_exhausted_search(tmp_path, capsys):
     assert rep["reason"] == "no cut list found within budget"
 
 
+@pytest.mark.parametrize("doc", [
+    {"points": [], "mults": []}, {"degree": 2, "mults": []}])
+def test_empty_without_multiplicities_is_a_usage_error(tmp_path, capsys,
+                                                      doc):
+    # every cut list leaves at least one piece, so no list of zero
+    # multiplicities can match it, whether D is empty or not
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc))
+    code, rep = run(capsys, "empty", "--problem", str(prob))
+    assert code == 1
+    assert rep["command"] == "empty"
+    assert rep["error"] == "need exactly one multiplicity per piece"
+
+
 FLOAT_INPUTS = [
     (["cohomology", "--system"],
      {"degree": 1, "mults": [1, 1],
@@ -418,8 +432,29 @@ def test_negativity_configs(capsys):
     code, rep = run(capsys, "negativity", "--config", "collinear", "--n", "4")
     assert code == 0 and rep["ratio"] == [-3, 4]
 
-    code, _ = run(capsys, "negativity", "--config", "donut")
-    assert code == 1
+    for config in ("donut", "pg", "pgx", "projective_plane", "general_lines",
+                   "collinear", "exceptional_only"):
+        code, rep = run(capsys, "negativity", "--config", config)
+        assert code == 1 and rep["command"] == "negativity"
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["--config", "pg2"], {"q": 2}),
+    (["--config", "pg", "--q", "5"], {"q": 5}),
+    (["--config", "projective_plane", "--q", "3"], {"q": 3}),
+    (["--config", "general_lines", "--s", "6", "--seed", "4"],
+     {"s": 6, "seed": 4}),
+    (["--config", "collinear", "--n", "5"], {"n": 5}),
+    (["--config", "exceptional_only", "--n", "3"], {"n": 3})])
+def test_negativity_matches_the_pairwise_expansion(capsys, argv, params):
+    # the CLI reports the closed form only; the pairwise sum is the oracle
+    code, rep = run(capsys, "negativity", *argv)
+    assert code == 0
+    kind = "projective_plane" if "q" in params else argv[1]
+    cfg = surfaces.build_incidence(kind, params)
+    assert rep["config"] == kind
+    assert (rep["points"], rep["lines"]) == (len(cfg.points), len(cfg.lines))
+    assert rep["c_squared"] == surfaces.c_squared_bruteforce(cfg)
 
 
 def test_symbolic_commands(tmp_path, capsys):

@@ -1,9 +1,6 @@
 """Exact linear algebra against an independent oracle (sympy)."""
 
-import sys
-import threading
 from fractions import Fraction
-from itertools import islice
 from math import lcm, prod
 
 import numpy as np
@@ -139,8 +136,9 @@ def test_det_edge_cases():
     CERT_PRIMES[0] - 1, -(CERT_PRIMES[0] - 1),
     CERT_PRIMES[0] * CERT_PRIMES[1] - 1, Fraction(CERT_PRIMES[0] - 2, 3)])
 def test_det_just_below_the_prime_products(value):
-    """|det| = sqrt(h2), just below a product M of stream primes: a modulus
-    that only passed the Hadamard bound, not twice it, would read det - M."""
+    """|det| = sqrt(h2), just below a product M of det_exact's primes: a
+    modulus that only passed the Hadamard bound, not twice it, would read
+    det - M."""
     assert det_exact([[value]]) == value
     assert det_exact([[value, 0], [0, 1]]) == value
 
@@ -438,23 +436,33 @@ def test_unlucky_rank_prime_goes_on_to_the_kernel_lift(monkeypatch):
     mat = [[1, 1], [1, 1 + RANK_PRIME]]
     assert rank_mod_p(mat, RANK_PRIME) == 1
     assert rank_exact(mat) == 2
-    # unlucky for CERT_PRIMES[0] too: the greedy pick mod RANK_PRIME falls
-    # short, so independent_rows proves the rank from that profile once,
-    # and the stream's first prime is unlucky as well
-    mat = [[1, 1], [1, 1 + CERT_PRIMES[0] * RANK_PRIME]]
-    assert independent_rows_mod_p(mat, CERT_PRIMES[0]) == [0]
-    assert rank_mod_p(mat, RANK_PRIME) == 1
-    ranks = []
-    real = _linalg.deficient_rank
+    # the greedy pick mod RANK_PRIME falls short, so independent_rows
+    # lifts once from the profile of the transpose there; the lift walks
+    # on past every unlucky prime, and its proved profile names the rows
+    lifts, primes = [], []
+    real_lift, real_dixon = _linalg._lift_kernel, _linalg._dixon
 
-    def spy(mat, full, profile=None):
-        assert profile is not None
-        ranks.append(real(mat, full, profile))
-        return ranks[-1]
+    def spy_lift(mat, full, profile, rref):
+        lifts.append((mat.tolist(), full, profile, rref))
+        return real_lift(mat, full, profile, rref)
 
-    monkeypatch.setattr(_linalg, "deficient_rank", spy)
-    assert independent_rows(mat) == [0, 1]
-    assert ranks == [2]
+    def spy_dixon(mat, pivots, rows, p, both):
+        primes.append(p)
+        return real_dixon(mat, pivots, rows, p, both)
+
+    monkeypatch.setattr(_linalg, "_lift_kernel", spy_lift)
+    monkeypatch.setattr(_linalg, "_dixon", spy_dixon)
+    q = _linalg._prime_below(RANK_PRIME)
+    for unlucky in ([RANK_PRIME], [RANK_PRIME, q]):
+        mat = [[1, 1], [1, 1 + prod(unlucky)]]
+        assert all(independent_rows_mod_p(mat, p) == [0] for p in unlucky)
+        lifts.clear()
+        primes.clear()
+        assert independent_rows(mat) == [0, 1]
+        profile = rank_profile_mod_p(
+            np.array(mat, dtype=np.int64).T % RANK_PRIME, RANK_PRIME)
+        assert lifts == [(np.array(mat).T.tolist(), 2, profile, False)]
+        assert primes == unlucky
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,49 +484,6 @@ def test_deficient_rank_tolerates_zero_rows_and_columns(rows, data):
             (mat % RANK_PRIME).astype(np.int64), RANK_PRIME)), None):
         assert _linalg.deficient_rank(mat, full, profile) == _sympy_rank(
             ints)
-
-
-def _walk(count):
-    walk, q = list(CERT_PRIMES), CERT_PRIMES[-1] - 2
-    while len(walk) < count:
-        if is_prime(q):
-            walk.append(q)
-        q -= 2
-    return walk
-
-
-def test_prime_stream_is_cached_in_order(monkeypatch):
-    walk = _walk(400)
-    # a fresh cache is extended on demand, then read back by later streams
-    monkeypatch.setattr(_linalg, "_STREAM", list(CERT_PRIMES))
-    assert list(islice(_linalg._prime_stream(), 150)) == walk[:150]
-    assert len(_linalg._STREAM) == 150
-    assert list(islice(_linalg._prime_stream(), 400)) == walk
-    assert list(islice(_linalg._prime_stream(), 5)) == walk[:5]
-    assert _linalg._STREAM == walk
-
-
-def test_prime_stream_cache_takes_concurrent_readers(monkeypatch):
-    walk = _walk(300)
-    monkeypatch.setattr(_linalg, "_STREAM", list(CERT_PRIMES))
-    got = []
-
-    def take():
-        got.append(list(islice(_linalg._prime_stream(), 300)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=take) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got == [walk] * 8
-    assert _linalg._STREAM == walk
 
 
 # The p-adic kernel lift: exact answers on large entries, restarts past an

@@ -2,12 +2,13 @@
 
 A deficient rank mod p is proved by lifting the predicted kernel to Q and
 checking it exactly; these tests feed it random low-rank products and
-matrices built so that the first primes of the stream lie about the rank.
-The same matrices check that `det_exact` counts such primes as residue 0.
+matrices built so that the first primes of the lift's walk, RANK_PRIME and
+the primes below it, lie about the rank.  Matrices of the same build,
+unlucky for the first primes of the determinant's walk from CERT_PRIMES[0]
+down, check that `det_exact` counts such primes as residue 0.
 """
 
 from fractions import Fraction
-from itertools import islice
 from math import prod
 
 import numpy as np
@@ -16,8 +17,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from linserlab import _linalg
-from linserlab._linalg import (CERT_PRIMES, _annihilated, _prime_stream,
-                               _rational, det_exact, independent_rows,
+from linserlab._linalg import (CERT_PRIMES, RANK_PRIME, _annihilated,
+                               _prime_below, _rational, det_exact,
+                               independent_rows, independent_rows_mod_p,
                                nullspace, rank_exact, to_int_rows)
 from test_linalg import _bareiss_det, _bareiss_echelon
 
@@ -30,6 +32,28 @@ def _bareiss_rank(rows):
 def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
+
+
+def _walk(start, count):
+    """`count` primes from `start` down, each the largest below the last:
+    from RANK_PRIME, the primes the kernel lift restarts at, and from
+    CERT_PRIMES[0], those `det_exact` takes."""
+    primes = [start]
+    while len(primes) < count:
+        primes.append(_prime_below(primes[-1]))
+    return primes
+
+
+def _spy_lifts(monkeypatch):
+    """The prime of every kernel lift (`_dixon`) made from now on."""
+    primes, dixon = [], _linalg._dixon
+
+    def spy(mat, pivots, rows, p, both):
+        primes.append(p)
+        return dixon(mat, pivots, rows, p, both)
+
+    monkeypatch.setattr(_linalg, "_dixon", spy)
+    return primes
 
 
 @st.composite
@@ -92,81 +116,89 @@ def _with_invariants(n, m, diagonal, seed):
 
 @pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (8, 5)])
-def test_minor_divisible_by_first_primes(unlucky, shape):
-    """The first `unlucky` stream primes see rank 3 instead of 4.
+def test_minor_divisible_by_first_primes(unlucky, shape, monkeypatch):
+    """The first `unlucky` primes of the lift's walk see rank 3, not 4.
 
-    Their kernels are too big and cannot verify; a later prime has the
-    better profile, restarts the lift and proves rank 4 without Bareiss.
+    Their kernels are too big and cannot verify; the lift restarts at each
+    prime below, and the first prime past them proves rank 4 without
+    Bareiss.
     """
-    big = 1
-    for p in islice(_prime_stream(), unlucky):
-        big *= p
-    mat = _with_invariants(*shape, [1, 2, 3, big], seed=unlucky)
+    walk = _walk(RANK_PRIME, unlucky + 1)
+    mat = _with_invariants(*shape, [1, 2, 3, prod(walk[:-1])], seed=unlucky)
     ints = to_int_rows(mat)
-    assert _linalg.rank_mod_p(ints, CERT_PRIMES[0]) == 3
+    assert [_linalg.rank_mod_p(ints, p) for p in walk] == [3] * unlucky + [4]
+    lifts = _spy_lifts(monkeypatch)
     assert rank_exact(mat) == 4
+    assert lifts == walk
     assert _bareiss_rank(mat) == 4
 
 
-def test_unlucky_past_hadamard_bound_needs_no_bareiss():
-    """Every entry is divisible by the first two primes: both see rank 0.
+def test_unlucky_past_hadamard_bound_needs_no_bareiss(monkeypatch):
+    """Every entry is divisible by the first two primes of the lift's walk:
+    both see rank 0.
 
     The zero kernel mod p cannot verify, although the Hadamard bound for
     rank 0 is already passed; the next prime sees rank 3, restarts the
     lift and proves the rank without Bareiss.
     """
-    p0, p1 = CERT_PRIMES[:2]
-    mat = [[p0 * p1 * e for e in row]
+    walk = _walk(RANK_PRIME, 3)
+    mat = [[walk[0] * walk[1] * e for e in row]
            for row in _with_invariants(4, 5, [1, 1, 5], seed=9)]
+    lifts = _spy_lifts(monkeypatch)
     assert rank_exact(mat) == 3
+    assert lifts == walk
 
 
-@pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
+@pytest.mark.parametrize("unlucky", [1, 2, 3, 4, 7])
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (8, 5)])
 def test_kernel_and_rows_past_unlucky_primes(unlucky, shape):
-    """The first `unlucky` primes of the stream, from CERT_PRIMES[0] on,
-    see rank 3 instead of 4; nullspace still returns the verified kernel
-    of the reduced echelon form, and independent_rows four rows, without
-    Bareiss."""
-    big = 1
-    for p in islice(_prime_stream(), unlucky):
-        big *= p
-    mat = _with_invariants(*shape, [1, 2, 3, big], seed=unlucky)
-    assert _linalg.rank_mod_p(mat, CERT_PRIMES[0]) == 3
+    """The first `unlucky` primes of the lift's walk see rank 3 instead of
+    4; nullspace still returns the verified kernel of the reduced echelon
+    form, and independent_rows four rows independent over Q, the pivots
+    of the first prime that sees rank 4, without Bareiss."""
+    walk = _walk(RANK_PRIME, unlucky + 1)
+    mat = _with_invariants(*shape, [1, 2, 3, prod(walk[:-1])], seed=unlucky)
+    assert _linalg.rank_mod_p(mat, walk[-2]) == 3
     basis = nullspace(mat)
     picked = independent_rows(mat)
     assert len(basis) == shape[1] - 4
     assert basis == [[Fraction(int(e.p), int(e.q)) for e in v]
                      for v in sympy.Matrix(mat).nullspace()]
     assert len(picked) == 4 and _bareiss_rank([mat[i] for i in picked]) == 4
+    assert picked == independent_rows_mod_p(mat, walk[-1])
 
 
 @pytest.mark.parametrize("unlucky", [1, 2, 4])
 @pytest.mark.parametrize("n", [1, 4, 6])
-def test_determinant_divisible_by_first_primes(unlucky, n):
-    """The first `unlucky` stream primes divide det: they see rank below n
-    and count with residue 0, and the later primes fix the value."""
-    big = 1
-    for p in islice(_prime_stream(), unlucky):
-        big *= p
-    diagonal = ([1] * n + [2, 3, big])[-n:]
+def test_determinant_divisible_by_first_primes(unlucky, n, monkeypatch):
+    """The first `unlucky` primes of the determinant's walk divide det:
+    they see rank below n and count with residue 0, and the later primes
+    fix the value."""
+    walk = _walk(CERT_PRIMES[0], unlucky)
+    diagonal = ([1] * n + [2, 3, prod(walk)])[-n:]
     mat = _with_invariants(n, n, diagonal, seed=unlucky)
     assert _linalg.rank_mod_p(mat, CERT_PRIMES[0]) == n - 1
+    taken, echelon = [], _linalg._echelon_mod_p
+    monkeypatch.setattr(_linalg, "_echelon_mod_p", lambda a, primes: (
+        taken.extend(primes.tolist()), echelon(a, primes))[1])
     det = det_exact(mat)
     assert det == prod(diagonal)
     assert det == _bareiss_det(mat) == sympy.Matrix(mat).det()
+    assert taken == _walk(CERT_PRIMES[0], len(taken)) and len(taken) > unlucky
 
 
 @pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
-def test_nullspace_past_primes_that_move_a_pivot(unlucky):
-    """The first `unlucky` primes divide the leading entry: they see the
-    full rank 2, but with pivots (1, 2) instead of (0, 1).  Their kernel
-    (1, 0, -M) is not the reduced echelon one and never verifies."""
-    big = 1
-    for p in islice(_prime_stream(), unlucky):
-        big *= p
+def test_nullspace_past_primes_that_move_a_pivot(unlucky, monkeypatch):
+    """The first `unlucky` primes of the lift's walk divide the leading
+    entry: they see the full rank 2, but with pivots (1, 2) instead of
+    (0, 1).  Their kernel (1, 0, -M) is not the reduced echelon one, so
+    the lift restarts until a prime sees the rational pivots."""
+    walk = _walk(RANK_PRIME, unlucky + 1)
+    big = prod(walk[:-1])
     mat = [[big, 0, 1], [0, 1, 0], [big, 1, 1]]
+    lifts = _spy_lifts(monkeypatch)
     assert nullspace(mat) == [[Fraction(-1, big), Fraction(0), Fraction(1)]]
+    assert lifts == walk
 
 
 def test_kernel_path_needs_many_primes():
@@ -182,8 +214,8 @@ def test_kernel_path_needs_many_primes():
     assert _bareiss_rank(mat) == 5
 
 
-def test_prime_stream_is_every_prime_below_cert_primes():
-    head = list(islice(_prime_stream(), 60))
+def test_det_walk_is_every_prime_below_cert_primes():
+    head = _walk(CERT_PRIMES[0], 60)
     assert tuple(head[:3]) == CERT_PRIMES
     assert all(a > b for a, b in zip(head, head[1:]))
     for a, b in zip(head, head[1:]):
@@ -194,7 +226,7 @@ def test_prime_stream_is_every_prime_below_cert_primes():
 
 def test_miller_rabin_matches_trial_division():
     # strong pseudoprimes to base 2, to bases 2 and 3, to bases 2, 3, 5
-    # and 7, and numbers around the primes the stream and GF(p) use
+    # and 7, and numbers around the primes det_exact and GF(p) use
     for n in [*range(3000), 2047, 3277, 4033, 4681, 8321, 1_373_653,
               25_326_001, 3_215_031_751, 2_147_483_647, 2_147_483_649,
               4_294_967_291, 4_294_967_293, 4_294_967_295]:
