@@ -40,6 +40,18 @@ For each rung (3n; n^9) of that pencil ladder, `_linalg.nullspace` runs
 frame of L: the kernel that `fatpoints._products_bound` lifts before it
 forms the products of its sections.
 
+For each system of SYSTEMS, a fixed-line class and a double conic at
+random rational points drawn from SEED and the pencil rung (9; 3^9) at the
+nine base points of a cubic pencil, one `cohomology --system` call is
+split into its stages, each run --repeat times: "parse" (the JSON
+document to a system, `cli._system_from_json`), "peel" (`_peel`), "frame"
+(the vertex frame and the kept exponents of the residual), "jets" (its
+reduced conditions mod RANK_PRIME), "rank" (`rank_profile_mod_p` on a
+fresh copy), "products" (`_products_bound`, when the rank is deficient)
+and "main" (the whole `cli.main` on the document, stdout captured).  A
+stage that the call does not reach is null: the peel leaves the double
+conic no point, and the fixed line is full rank after it.
+
 For the arrangements of ARRANGEMENTS, `arrangements.circuits`,
 `graded_counts(..., 3)` on those circuits and `singular_points` run
 --repeat times each.  One more `graded_counts` call, untimed, records every
@@ -62,22 +74,28 @@ reaches, h0, the proof path, and the best and median seconds
 reduced matrix, the number of sections and the best and median seconds
 of `nullspace` ("section_rows"), and per
 arrangement its circuit count, the best and median seconds of the three
-calls and its ranks ("arrangement_rows").
+calls and its ranks ("arrangement_rows"), and per system its class, the
+residual class, h0 and the best and median seconds of each stage
+("system_rows").
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import random
 import statistics
 import sys
+import tempfile
 import time
 from math import comb
 
-from linserlab import _linalg, arrangements, dumnicki, fatpoints
+from linserlab import _linalg, arrangements, cli, dumnicki, fatpoints
 from linserlab.dumnicki import InterpolationProblem, interp_matrix
 from linserlab.fatpoints import (FatPointSystem, conditions_matrix,
                                  make_config, random_rational_points)
-from linserlab.lattice import triangle_staircase
+from linserlab.lattice import jet_conditions, triangle_staircase
 
 CLASSES = {
     16: (5,) * 9 + (4,),
@@ -100,6 +118,12 @@ PEELED_CLASSES = (  # (d, mults); None: n^9 at the nine pencil points
     (8, (4,) * 5),
     (12, (6,) * 5),
 ) + tuple((3 * n, None) for n in (2, 3, 4, 5))
+
+SYSTEMS = (  # (name, d, mults); None: 3^9 at the nine pencil points
+    ("fixed_line", 13, (8, 7, 1, 1, 1)),
+    ("pencil", 9, None),
+    ("double_conic", 8, (4,) * 5),
+)
 
 ARRANGEMENTS = tuple((s, seed) for s in (5, 6, 7, 8) for seed in (0, 1, 2)) + (
     ("m8", None),)
@@ -320,6 +344,75 @@ def _arrangement_rows(repeat):
     return rows
 
 
+def _stages(doc, path, repeat):
+    """The best and median seconds of each stage of one `cohomology
+    --system` call on `doc`, written at `path`, as in
+    `fatpoints.cohomology`; None for a stage the call does not reach."""
+    p = _linalg.RANK_PRIME
+    times = {}
+
+    def timed(stage, fn):
+        times[stage] = _best_median(fn, repeat)
+        return fn()
+
+    system = timed("parse", lambda: cli._system_from_json(doc))
+    residual = timed("peel", lambda: fatpoints._peel(system))
+    times.update(dict.fromkeys(("frame", "jets", "rank", "products")))
+    if residual.d >= 0 and residual.mults:
+        d, mults = residual.d, residual.mults
+
+        def frame_and_kept():
+            frame = fatpoints._vertex_frame(residual)
+            return frame, fatpoints._kept(frame[0], d, mults)
+
+        (_, moved), kept = timed("frame", frame_and_kept)
+        blocks = [(pt, fatpoints._jets(mults[k], d)) for k, pt in moved]
+        residues = timed("jets", lambda: jet_conditions(kept, blocks, p))
+        rank = len(timed("rank", lambda: _linalg.rank_profile_mod_p(
+            residues.copy(), p))[0])
+        if rank < min(residues.shape):
+            upper = residues.shape[1] - rank
+            timed("products", lambda: fatpoints._products_bound(residual,
+                                                                upper))
+    argv = ["cohomology", "--system", path]
+
+    def main():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"cohomology --system exited {code}")
+
+    timed("main", main)
+    return residual, times
+
+
+def _system_rows(repeat):
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, d, mults in SYSTEMS:
+            if mults is None:
+                pts = make_config("pencil_products", {"k": 3},
+                                  seed=SEED).points
+                mults = (d // 3,) * 9
+            else:
+                pts = random_rational_points(len(mults), random.Random(SEED))
+            doc = {"degree": d, "mults": list(mults),
+                   "points": [[[x, 1] for x in pt] for pt in pts]}
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            residual, times = _stages(doc, path, repeat)
+            row = {"system": name, "d": d, "mults": list(mults),
+                   "residual": [residual.d, list(residual.mults)],
+                   "h0": fatpoints.cohomology(
+                       FatPointSystem(d, pts, mults)).h0}
+            for stage, best_median in times.items():
+                row[f"{stage}_best_s"], row[f"{stage}_median_s"] = (
+                    best_median or (None, None))
+            rows.append(row)
+    return rows
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--degrees", type=int, nargs="+", default=sorted(CLASSES),
@@ -353,7 +446,8 @@ def main() -> int:
                "kernel_rows": _kernel_rows(args.repeat),
                "cohomology_rows": _cohomology_rows(args.repeat),
                "section_rows": _section_rows(args.repeat),
-               "arrangement_rows": _arrangement_rows(args.repeat)},
+               "arrangement_rows": _arrangement_rows(args.repeat),
+               "system_rows": _system_rows(args.repeat)},
               sys.stdout, indent=2)
     print()
     return 0

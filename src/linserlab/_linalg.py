@@ -123,17 +123,22 @@ def rank_profile_mod_p(a, p):
 
     `a` is an int64 array with entries in [0, p) and is consumed.  The
     caller keeps p below P_LIMIT.  Each step reduces the pivot column and
-    the pivot row only, and subtracts products of residues from the rows
-    below without reducing them.  An entry holds at most `lazy` such
-    products between reductions, which keeps it inside int64; after `lazy`
-    updates the whole trailing block is reduced.  For p near 2**31, `lazy`
-    is 1 and the block is reduced after every update.
+    the pivot row only, scales the pivot row to 1 in place, and subtracts
+    products of residues from the rows below without reducing them.  One
+    `nonzero` of the column names both the pivot and the rows to update:
+    after the swap, the rows below that hold a nonzero are the rest of
+    that list.  When every row below is hit they are updated as one
+    slice, else as a gathered set of rows; the array ends the same
+    either way.  An entry holds at most `lazy` such products between
+    reductions, which keeps it inside int64; after `lazy` updates the
+    whole trailing block is reduced.  For p near 2**31, `lazy` is 1 and
+    the block is reduced after every update.
 
     The pivot rows are the original indices of the rows that the swaps
     bring up, in order; B = a[rows][:, pivots] is then invertible mod p.
     """
     nrows, ncols = a.shape
-    lazy = (2**63 - p) // (p - 1)**2 - 1
+    lazy = _lazy(p)
     pending = 0  # updates since the trailing block was last reduced
     order = list(range(nrows))
     pivots = []
@@ -148,22 +153,33 @@ def rank_profile_mod_p(a, p):
         if stuck.size == 0:
             continue
         i = r + int(stuck[0])
-        if i != r:
+        if i != r:  # the old row r, now at i, is zero at c
             a[[r, i]] = a[[i, r]]
             order[r], order[i] = order[i], order[r]
         # rows at or below r are zero left of column c
-        row = a[r, c:] % p if pending else a[r, c:]
-        a[r, c:] = row * pow(int(a[r, c]), -1, p) % p
-        below = a[r + 1:, c]
-        nz = below.nonzero()[0]
-        if nz.size:
-            a[r + 1 + nz, c:] -= below[nz, None] * a[r, c:]
+        row = a[r, c:]
+        if pending:
+            row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        if stuck.size > 1:
+            if stuck.size == nrows - r:
+                a[r + 1:, c:] -= np.multiply.outer(a[r + 1:, c], row)
+            else:
+                hit = r + stuck[1:]
+                a[hit, c:] -= a[hit, c, None] * row
             pending += 1
             if pending == lazy:
                 a[r + 1:, c + 1:] %= p
                 pending = 0
         pivots.append(c)
     return pivots, order[:len(pivots)]
+
+
+def _lazy(p):
+    """Products of two residues mod p that an int64 entry holds between
+    reductions: a sum of `lazy` of them stays below 2**63 - p."""
+    return (2**63 - p) // (p - 1)**2 - 1
 
 
 def _echelon_mod_p(a, primes):
@@ -357,14 +373,27 @@ def _inverse(b, p):
 
     `rank_profile_mod_p` on [B | I] leaves [U | E], U unit upper
     triangular and E B = U; back substitution clears U above its diagonal,
-    which turns E into U^-1 E = B^-1.
+    which turns E into U^-1 E = B^-1.  Each step reduces only the row it
+    subtracts, and the rows above take `_lazy(p)` unreduced products
+    before the block is reduced, as in the elimination.
     """
     n = len(b)
     g = np.concatenate([b, np.eye(n, dtype=np.int64)], axis=1)
     rank_profile_mod_p(g, p)
+    lazy, pending = _lazy(p), 0
     for c in range(n - 1, 0, -1):
-        g[:c, n:] = (g[:c, n:] - g[:c, c, None] * g[c, n:]) % p
-    return g[:, n:]
+        row = g[c, n:]
+        if pending:
+            row %= p
+        g[:c, n:] -= g[:c, c, None] * row
+        pending += 1
+        if pending == lazy:
+            g[:c, n:] %= p
+            pending = 0
+    inverse = g[:, n:]
+    if pending:
+        inverse %= p
+    return inverse
 
 
 class _Lift:

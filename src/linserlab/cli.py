@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import __version__
@@ -88,9 +89,25 @@ def _point(values, dim: int) -> tuple:
     return point
 
 
+def _coords(point) -> tuple:
+    """The integer coordinates of a point given as three [num, den]
+    pairs: each pair times the lcm of the denominators."""
+    pairs = [_point(c, 2) for c in point]
+    for num, den in pairs:
+        if den == 0:
+            raise ValueError(f"point coordinate {[num, den]!r} has a zero"
+                             f" denominator")
+    scale = lcm(*(den for _, den in pairs))
+    return tuple(num * (scale // den) for num, den in pairs)
+
+
 def _system_from_json(doc: dict) -> fatpoints.FatPointSystem:
-    pts = tuple(fatpoints.normalize_proj([Fraction(*_point(c, 2)) for c in p])
-                for p in doc["points"])
+    """The system {"degree", "points", "mults"} of a JSON document, each
+    point three [num, den] pairs.  The pairs of a point are scaled to
+    integers by the lcm of their denominators (`_coords`), so
+    `normalize_proj` takes its integer path and no Fraction is made; a
+    zero denominator is a ValueError."""
+    pts = tuple(fatpoints.normalize_proj(_coords(p)) for p in doc["points"])
     return fatpoints.FatPointSystem(dumnicki._json_int(doc["degree"]), pts,
                                     _ints(doc["mults"]))
 

@@ -552,10 +552,13 @@ def search_cuts(D, mults: Sequence[int], budget: int
     None when every candidate failed within the budget, and raises
     BudgetSpent when the whole budget went without an answer.  Neither
     proves the system nonempty: the candidates are only small-slope cuts.
-    Empty `mults` raise ValueError: every cut list leaves a piece.
+    Empty `mults` raise ValueError: every cut list leaves a piece.  So
+    does a multiplicity below 1, as in `fact3_certificate`.
     """
     if not mults:
         raise ValueError("need exactly one multiplicity per piece")
+    if min(mults) < 1:
+        raise ValueError("multiplicity must be >= 1")
     D = frozenset(D)
     attempts = [max(0, budget)]
     seen = set()

@@ -95,10 +95,6 @@ def normalize_proj(coords, fieldspec: FieldSpec = QQ) -> Tuple:
     return canonical(fracs)
 
 
-def affine_point(u, v, fieldspec: FieldSpec = QQ) -> Tuple:
-    return normalize_proj((u, v, 1), fieldspec)
-
-
 # ---------------------------------------------------------------------------
 # fat point systems
 
@@ -224,9 +220,16 @@ def _vertex_frame(system: FatPointSystem):
 
 def _kept(picked, d: int, mults):
     """The degree-d exponents that multiplicity mults[k] at the vertex
-    e_i, for the i-th picked k, leaves free: e_i <= d - mults[k]."""
-    return [e for e in monomial_exponents(d)
-            if all(e[i] <= d - mults[k] for i, k in enumerate(picked))]
+    e_i, for the i-th picked k, leaves free: e_i <= d - mults[k], in the
+    lex order of `monomial_exponents`.  With the bounds b_i, e_0 runs up
+    to b_0 and, for each e_0 = i, e_1 = j runs from d - i - b_2 to b_1,
+    which keeps e_2 = d - i - j <= b_2."""
+    bound = [d, d, d]
+    for i, k in enumerate(picked):
+        bound[i] = d - mults[k]
+    b0, b1, b2 = bound
+    return [(i, j, d - i - j) for i in range(min(b0, d) + 1)
+            for j in range(max(0, d - i - b2), min(b1, d - i) + 1)]
 
 
 def _frame_conditions(frame, d: int, mults, p: Optional[int]):
@@ -449,11 +452,24 @@ def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-999, 999), rng.randint(1, 9))
 
 
+def _rand_point(rng: random.Random) -> Tuple:
+    """The affine point (a/b, c/e) in normal form, drawn as two
+    `_rand_fraction` calls draw a/b and c/e.  It is built as the integer
+    triple (a e, c b, b e), so no Fraction is made, and `normalize_proj`
+    takes its integer path."""
+    a, b = rng.randint(-999, 999), rng.randint(1, 9)
+    c, e = rng.randint(-999, 999), rng.randint(1, 9)
+    return normalize_proj((a * e, c * b, b * e))
+
+
 def random_rational_points(r: int, rng: random.Random):
+    """r distinct affine points (a/b, c/e) in normal form, with
+    |a|, |c| <= 999 and 1 <= b, e <= 9 drawn in that order from rng, and a
+    point seen before drawn again (`_rand_point`)."""
     pts = []
     seen = set()
     while len(pts) < r:
-        p = affine_point(_rand_fraction(rng), _rand_fraction(rng))
+        p = _rand_point(rng)
         if p not in seen:
             seen.add(p)
             pts.append(p)
@@ -818,7 +834,7 @@ def collinear_constraint_experiment(d: int, mults: Sequence[int], groups,
             seen.add(q)
             pts.append(q)
     while len(pts) < r:
-        q = affine_point(_rand_fraction(rng), _rand_fraction(rng))
+        q = _rand_point(rng)
         if q not in seen:
             seen.add(q)
             pts.append(q)

@@ -73,18 +73,21 @@ def _index(values):
 
 
 def _falling_table(vals, orders, p=None):
-    """falling(v, a) = v (v-1) ... (v-a+1) (mod p) for v in vals, a in the
-    increasing orders: a running product, zero from any a > v >= 0 on."""
-    table = []
-    for v in vals:
-        f, a, row = 1, 0, []
-        for k in orders:
-            f = 0 if 0 <= v < k else f
-            while a < k and f:
-                f, a = (f * (v - a) % p if p else f * (v - a)), a + 1
-            row.append(f)
-        table.append(row)
-    return np.array(table, dtype=object if p is None else np.int64)
+    """falling(v, a) = v (v-1) ... (v-a+1) (mod p) for v in vals (rows)
+    and a in the increasing orders (columns): one running product over
+    the orders, each factor taken for all the values at once.  It is zero
+    from any a > v >= 0 on, since the factor v - v is.  The columns are
+    Python lists: the tables are a few dozen values by a few orders, where
+    numpy's cost per call exceeds the products."""
+    f, done, cols = [1] * len(vals), 0, []
+    for k in orders:
+        for a in range(done, k):
+            f = ([x * (v - a) for x, v in zip(f, vals)] if p is None
+                 else [x * (v - a) % p for x, v in zip(f, vals)])
+        done = k
+        cols.append(f)
+    return np.array(cols, dtype=object if p is None else np.int64).reshape(
+        len(orders), len(vals)).T
 
 
 def jet_conditions(exps, blocks, p=None):

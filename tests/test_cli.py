@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from linserlab import cli, surfaces
 from linserlab.cli import main
+from linserlab.fatpoints import normalize_proj
 
 
 def run(capsys, *argv):
@@ -268,6 +270,54 @@ def test_empty_without_multiplicities_is_a_usage_error(tmp_path, capsys,
     assert code == 1
     assert rep["command"] == "empty"
     assert rep["error"] == "need exactly one multiplicity per piece"
+
+
+@pytest.mark.parametrize("doc", [
+    {"degree": 0, "mults": [0]}, {"degree": 2, "mults": [-1]},
+    {"points": [], "mults": [0]},
+    {"degree": 2, "mults": [0], "cuts": []}])
+def test_empty_refuses_a_multiplicity_below_one(tmp_path, capsys, doc):
+    # whether or not the search would reach a piece, and with given cuts
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc))
+    code, rep = run(capsys, "empty", "--problem", str(prob))
+    assert code == 1
+    assert rep["command"] == "empty"
+    assert rep["error"] == "multiplicity must be >= 1"
+
+
+def _frozen_system_points(doc):
+    """The points of a --system document as `_system_from_json` read them
+    before, through Fractions: the oracle of its integer path."""
+    return tuple(normalize_proj([Fraction(*cli._point(c, 2)) for c in p])
+                 for p in doc["points"])
+
+
+_pair_entries = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(_pair_entries, _pair_entries.filter(
+    bool)).map(list), min_size=3, max_size=3), min_size=1, max_size=4))
+def test_system_points_are_the_frozen_fractions(points):
+    assume(all(any(num for num, _ in p) for p in points))
+    doc = {"degree": 3, "mults": [1] * len(points), "points": points}
+    want = _frozen_system_points(doc)
+    assume(len(set(want)) == len(want))
+    assert cli._system_from_json(doc).points == want
+
+
+@pytest.mark.parametrize("pairs", [
+    [[1, 0], [0, 1], [1, 1]], [[1, 2], [3, 4], [0, 0]]])
+def test_system_with_a_zero_denominator_is_a_usage_error(tmp_path, capsys,
+                                                          pairs):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"degree": 1, "mults": [1],
+                                "points": [pairs]}))
+    code, rep = run(capsys, "cohomology", "--system", str(path))
+    assert code == 1
+    assert rep["command"] == "cohomology"
+    assert "zero denominator" in rep["error"]
 
 
 FLOAT_INPUTS = [

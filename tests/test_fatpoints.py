@@ -1,6 +1,7 @@
 """Fat-point systems: cohomology tables, initial degrees, Cremona, Pell."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -920,3 +921,49 @@ def test_collinear_groups_free_a_quartic():
         collinear_constraint_experiment(4, (1,) * 16, [1, 4], seed=11)
     with pytest.raises(ValueError):
         collinear_constraint_experiment(2, (1,) * 3, [2, 2], seed=11)
+
+
+def _frozen_kept(picked, d, mults):
+    """`_kept` as it was, a filter of every degree-d exponent: the oracle
+    of its closed-form ranges."""
+    return [e for e in monomial_exponents(d)
+            if all(e[i] <= d - mults[k] for i, k in enumerate(picked))]
+
+
+@st.composite
+def kept_cases(draw):
+    """(picked, d, mults): up to three picked points of up to five, with
+    multiplicities up to d + 2."""
+    d = draw(st.integers(0, 30))
+    mults = draw(st.lists(st.integers(1, d + 2), max_size=5))
+    order = draw(st.permutations(range(len(mults))))
+    return order[:draw(st.integers(0, min(3, len(mults))))], d, mults
+
+
+@settings(max_examples=300, deadline=None)
+@given(kept_cases())
+def test_kept_is_the_frozen_filter(case):
+    assert fatpoints._kept(*case) == _frozen_kept(*case)
+
+
+def _frozen_random_rational_points(r, rng):
+    """`random_rational_points` as it was, through Fractions and the
+    Fraction path of `normalize_proj`: the oracle of its integer draws."""
+    pts, seen = [], set()
+    while len(pts) < r:
+        u = Fraction(rng.randint(-999, 999), rng.randint(1, 9))
+        v = Fraction(rng.randint(-999, 999), rng.randint(1, 9))
+        p = normalize_proj((u, v, Fraction(1)))
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return tuple(pts)
+
+
+@pytest.mark.parametrize("r", [1, 12])
+def test_random_points_are_the_frozen_draws(r):
+    for s in range(100):
+        new, old = random.Random(s), random.Random(s)
+        assert (fatpoints.random_rational_points(r, new)
+                == _frozen_random_rational_points(r, old))
+        assert new.getstate() == old.getstate()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from linserlab._linalg import CERT_PRIMES, RANK_PRIME
 from linserlab.fatpoints import normalize_proj
-from linserlab.lattice import (CutFunctional, canonical,
+from linserlab.lattice import (CutFunctional, _falling_table, canonical,
                                collision_staircase, cross,
                                dependent_triples, dot, halfplane_partition,
                                integer_threshold, is_staircase,
@@ -246,3 +246,30 @@ def test_dependent_triples_match_the_triple_loop(data):
     pts = data.draw(st.lists(st.tuples(coord, coord, coord).filter(any),
                              max_size=9, unique_by=normalize_proj))
     assert dependent_triples(pts) == _collinear_oracle(pts)
+
+
+def _frozen_falling_table(vals, orders, p=None):
+    """`_falling_table` as it was, one value at a time: the oracle of its
+    running product over whole columns."""
+    table = []
+    for v in vals:
+        f, a, row = 1, 0, []
+        for k in orders:
+            f = 0 if 0 <= v < k else f
+            while a < k and f:
+                f, a = (f * (v - a) % p if p else f * (v - a)), a + 1
+            row.append(f)
+        table.append(row)
+    return np.array(table, dtype=object if p is None else np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 60), min_size=1, max_size=12, unique=True),
+       st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
+       st.sampled_from([None, 2, 7, RANK_PRIME, CERT_PRIMES[0]]))
+def test_falling_table_is_the_frozen_loop(vals, orders, p):
+    vals, orders = sorted(vals), sorted(orders)
+    new, old = _falling_table(vals, orders, p), _frozen_falling_table(
+        vals, orders, p)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tolist() == old.tolist()

@@ -633,3 +633,92 @@ def test_inverse_of_a_pivot_block(p, case):
     b = (np.array(_unimodular(len(perm), seed), dtype=object)[list(perm)]
          % p).astype(np.int64)
     assert _is_inverse(_linalg._inverse(b.copy(), p), b.tolist(), p)
+
+
+def _frozen_rank_profile_mod_p(a, p):
+    """`rank_profile_mod_p` as it was before the rows to update came from
+    the pivot search and the full-height update became a slice, kept as
+    the oracle of its pivots, rows and final array."""
+    nrows, ncols = a.shape
+    lazy = (2**63 - p) // (p - 1)**2 - 1
+    pending = 0
+    order = list(range(nrows))
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        col = a[r:, c]
+        if pending:
+            col %= p
+        stuck = col.nonzero()[0]
+        if stuck.size == 0:
+            continue
+        i = r + int(stuck[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+            order[r], order[i] = order[i], order[r]
+        row = a[r, c:] % p if pending else a[r, c:]
+        a[r, c:] = row * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1:, c]
+        nz = below.nonzero()[0]
+        if nz.size:
+            a[r + 1 + nz, c:] -= below[nz, None] * a[r, c:]
+            pending += 1
+            if pending == lazy:
+                a[r + 1:, c + 1:] %= p
+                pending = 0
+        pivots.append(c)
+    return pivots, order[:len(pivots)]
+
+
+@st.composite
+def profile_cases(draw):
+    """(a, p): dense, sparse or low-rank residues mod p, with some columns
+    zero and the top rows zero on the leading columns, so that pivots
+    need swaps."""
+    p = draw(st.sampled_from([7, RANK_PRIME, CERT_PRIMES[0]]))
+    n, m = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    nonzero = st.one_of(st.integers(1, p - 1), st.sampled_from([1, p - 1]))
+    kind = draw(st.sampled_from(["dense", "sparse", "low_rank"]))
+    if kind == "low_rank":
+        k = draw(st.integers(0, min(n, m)))
+        left = np.array(draw(st.lists(st.lists(nonzero, min_size=k,
+                                               max_size=k),
+                                      min_size=n, max_size=n)),
+                        dtype=object).reshape(n, k)
+        right = np.array(draw(st.lists(nonzero, min_size=k * m,
+                                       max_size=k * m)),
+                         dtype=object).reshape(k, m)
+        a = (left @ right % p).astype(np.int64)
+    else:
+        entry = (nonzero if kind == "dense" else st.integers(0, 3).flatmap(
+            lambda k: nonzero if k == 0 else st.just(0)))
+        a = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m)),
+                     dtype=np.int64).reshape(n, m)
+    a[:, sorted(draw(st.sets(st.integers(0, m - 1), max_size=m)))] = 0
+    a[:draw(st.integers(0, n - 1)), :draw(st.integers(0, m))] = 0
+    return a, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_cases())
+@example(case=(np.array([[0, 0, 1], [0, 2, 3], [4, 5, 6]], dtype=np.int64),
+               7))
+def test_rank_profile_is_the_frozen_loop(case):
+    a, p = case
+    new, old = a.copy(), a.copy()
+    assert rank_profile_mod_p(new, p) == _frozen_rank_profile_mod_p(old, p)
+    assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("p, n", [(CERT_PRIMES[0], 40), (P30, 40), (7, 40)])
+def test_inverse_at_its_largest_updates(p, n):
+    """B is unit upper triangular with B[0, c] = p - 1 and B[c, n - 1] = 1
+    for 0 < c < n - 1, so the rank pass leaves E = I and back substitution
+    subtracts (p - 1)**2 from C[0, n - 1] at every step from n - 2 down:
+    more than int64 holds without the block reduction."""
+    b = np.eye(n, dtype=np.int64)
+    b[0, 1:] = p - 1
+    b[1:n - 1, n - 1] = 1
+    assert _is_inverse(_linalg._inverse(b.copy(), p), b.tolist(), p)

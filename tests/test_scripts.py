@@ -35,6 +35,10 @@ def test_script_runs(script, args, tmp_path):
     _run(script, [a.format(tmp=tmp_path) for a in args], tmp_path)
 
 
+SYSTEM_STAGES = ("parse", "peel", "frame", "jets", "rank", "products",
+                 "main")
+
+
 def test_time_rank_prints_both_primes(tmp_path):
     doc = json.loads(_run("time_rank.py", ["--degrees", "16", "--repeat", "1"],
                           tmp_path))
@@ -112,3 +116,25 @@ def test_time_rank_prints_both_primes(tmp_path):
     assert [(r["kind"], r["shape"], r["rank"]) for r in arr[-1]["ranks"]] == [
         ("piece", [7, 36], 7), ("piece", [91, 120], 56),
         ("piece", [56, 120], 55), ("syzygy", [56, 120], 55)]
+    # the stages of one cohomology --system call: the fixed line is full
+    # rank after the peel, the pencil rung takes the products, and the
+    # peel leaves the double conic no point
+    systems = doc["system_rows"]
+    assert [(row["system"], row["d"], row["mults"], row["residual"],
+             row["h0"]) for row in systems] == [
+        ("fixed_line", 13, [8, 7, 1, 1, 1], [11, [6, 5, 1, 1, 1]], 39),
+        ("pencil", 9, [3] * 9, [9, [3] * 9], 4),
+        ("double_conic", 8, [4] * 5, [0, []], 1)]
+    reached = {"fixed_line": SYSTEM_STAGES[:5] + ("main",),
+               "pencil": SYSTEM_STAGES,
+               "double_conic": ("parse", "peel", "main")}
+    for row in systems:
+        assert set(row) == {"system", "d", "mults", "residual", "h0"} | {
+            f"{stage}_{stat}_s" for stage in SYSTEM_STAGES
+            for stat in ("best", "median")}
+        for stage in SYSTEM_STAGES:
+            best, median = row[f"{stage}_best_s"], row[f"{stage}_median_s"]
+            if stage in reached[row["system"]]:
+                assert 0 < best <= median
+            else:
+                assert best is None and median is None
