@@ -127,12 +127,15 @@ def rank_profile_mod_p(a, p):
     products of residues from the rows below without reducing them.  One
     `nonzero` of the column names both the pivot and the rows to update:
     after the swap, the rows below that hold a nonzero are the rest of
-    that list.  When every row below is hit they are updated as one
-    slice, else as a gathered set of rows; the array ends the same
-    either way.  An entry holds at most `lazy` such products between
-    reductions, which keeps it inside int64; after `lazy` updates the
-    whole trailing block is reduced.  For p near 2**31, `lazy` is 1 and
-    the block is reduced after every update.
+    that list.  When more than three quarters of the rows from the pivot
+    down hold a nonzero, every row below is updated as one slice (a zero
+    row subtracts 0); else the rows that hold one are gathered.  The
+    slice is faster on the small dense matrices of special systems and
+    certificates, the gather on the larger sparser ones of generic
+    systems and ideals (CHANGES.md has the times).  An entry holds at
+    most `lazy` such products between reductions, which keeps it inside
+    int64; after `lazy` updates the whole trailing block is reduced.  For
+    p near 2**31, `lazy` is 1 and the block is reduced after every update.
 
     The pivot rows are the original indices of the rows that the swaps
     bring up, in order; B = a[rows][:, pivots] is then invertible mod p.
@@ -163,7 +166,7 @@ def rank_profile_mod_p(a, p):
         row *= pow(int(row[0]), -1, p)
         row %= p
         if stuck.size > 1:
-            if stuck.size == nrows - r:
+            if 4 * stuck.size > 3 * (nrows - r):
                 a[r + 1:, c:] -= np.multiply.outer(a[r + 1:, c], row)
             else:
                 hit = r + stuck[1:]

@@ -447,18 +447,22 @@ def cohomology(system: FatPointSystem) -> SystemReport:
 # random rational points and named configurations
 
 
+def _rand_pair(rng: random.Random) -> Tuple[int, int]:
+    """The numerator and denominator of a random fraction; its height
+    stays well under 1e4."""
+    return rng.randint(-999, 999), rng.randint(1, 9)
+
+
 def _rand_fraction(rng: random.Random) -> Fraction:
-    # height stays well under 1e4
-    return Fraction(rng.randint(-999, 999), rng.randint(1, 9))
+    return Fraction(*_rand_pair(rng))
 
 
 def _rand_point(rng: random.Random) -> Tuple:
-    """The affine point (a/b, c/e) in normal form, drawn as two
-    `_rand_fraction` calls draw a/b and c/e.  It is built as the integer
-    triple (a e, c b, b e), so no Fraction is made, and `normalize_proj`
-    takes its integer path."""
-    a, b = rng.randint(-999, 999), rng.randint(1, 9)
-    c, e = rng.randint(-999, 999), rng.randint(1, 9)
+    """The affine point (a/b, c/e) in normal form, a/b and c/e drawn by
+    two `_rand_pair` calls.  It is built as the integer triple
+    (a e, c b, b e), so no Fraction is made, and `normalize_proj` takes
+    its integer path."""
+    (a, b), (c, e) = _rand_pair(rng), _rand_pair(rng)
     return normalize_proj((a * e, c * b, b * e))
 
 

@@ -637,8 +637,8 @@ def test_inverse_of_a_pivot_block(p, case):
 
 def _frozen_rank_profile_mod_p(a, p):
     """`rank_profile_mod_p` as it was before the rows to update came from
-    the pivot search and the full-height update became a slice, kept as
-    the oracle of its pivots, rows and final array."""
+    the pivot search and a mostly hit update became a slice, kept as the
+    oracle of its pivots, rows and final array."""
     nrows, ncols = a.shape
     lazy = (2**63 - p) // (p - 1)**2 - 1
     pending = 0
