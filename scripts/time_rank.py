@@ -45,10 +45,11 @@ random rational points drawn from SEED and the pencil rung (9; 3^9) at the
 nine base points of a cubic pencil, one `cohomology --system` call is
 split into its stages, each run --repeat times: "parse" (the JSON
 document to a system, `cli._system_from_json`), "peel" (`_peel`), "frame"
-(the vertex frame and the kept exponents of the residual), "jets" (its
-reduced conditions mod RANK_PRIME), "rank" (`rank_profile_mod_p` on a
-fresh copy), "products" (`_products_bound`, when the rank is deficient)
-and "main" (the whole `cli.main` on the document, stdout captured).  A
+(the `_vertex_frame` of the residual), "jets" (its kept exponents and
+reduced conditions mod RANK_PRIME on that frame, `_vertex_conditions`),
+"rank" (`rank_profile_mod_p` on a fresh copy), "products"
+(`_products_bound` on the same frame, when the rank is deficient) and
+"main" (the whole `cli.main` on the document, stdout captured).  A
 stage that the call does not reach is null: the peel leaves the double
 conic no point, and the fixed line is full rank after it.
 
@@ -95,7 +96,7 @@ from linserlab import _linalg, arrangements, cli, dumnicki, fatpoints
 from linserlab.dumnicki import InterpolationProblem, interp_matrix
 from linserlab.fatpoints import (FatPointSystem, conditions_matrix,
                                  make_config, random_rational_points)
-from linserlab.lattice import jet_conditions, triangle_staircase
+from linserlab.lattice import triangle_staircase
 
 CLASSES = {
     16: (5,) * 9 + (4,),
@@ -206,9 +207,10 @@ def _kernel_rows(repeat):
 
 def _proof_path(system):
     """The path that proves h0 of the system in `fatpoints.cohomology`,
-    read by wrapping the functions it calls: the last of "rank" (the
-    reduced matrix is built), "products" (the bound of the products of
-    sections is tried and suffices) and "lift" reached, else "peel"."""
+    read by wrapping the functions it calls: the last of "rank" (a
+    reduced matrix is built by `_vertex_conditions`), "products" (the
+    bound of the products of sections, on the same frame, is tried and
+    suffices) and "lift" reached, else "peel"."""
     wrapped = ((fatpoints, "_vertex_conditions", "rank"),
                (fatpoints, "_products_bound", "products"),
                (_linalg, "deficient_rank", "lift"))
@@ -263,7 +265,7 @@ def _section_rows(repeat):
             continue
         n = d // 3
         frame = fatpoints._vertex_frame(FatPointSystem(d, pts, (n,) * 9))
-        small = fatpoints._frame_conditions(frame, 3, (1,) * 9, None)[0]
+        small = fatpoints._vertex_conditions(frame, 3, (1,) * 9)[0]
         args = small.tolist(), small.shape[1]
         best, median = _best_median(lambda: _linalg.nullspace(*args), repeat)
         rows.append({"d": d, "mults": [n] * 9, "small": [3, [1] * 9],
@@ -360,20 +362,15 @@ def _stages(doc, path, repeat):
     times.update(dict.fromkeys(("frame", "jets", "rank", "products")))
     if residual.d >= 0 and residual.mults:
         d, mults = residual.d, residual.mults
-
-        def frame_and_kept():
-            frame = fatpoints._vertex_frame(residual)
-            return frame, fatpoints._kept(frame[0], d, mults)
-
-        (_, moved), kept = timed("frame", frame_and_kept)
-        blocks = [(pt, fatpoints._jets(mults[k], d)) for k, pt in moved]
-        residues = timed("jets", lambda: jet_conditions(kept, blocks, p))
+        frame = timed("frame", lambda: fatpoints._vertex_frame(residual))
+        residues, kept = timed("jets", lambda: fatpoints._vertex_conditions(
+            frame, d, mults, p))
         rank = len(timed("rank", lambda: _linalg.rank_profile_mod_p(
             residues.copy(), p))[0])
         if rank < min(residues.shape):
-            upper = residues.shape[1] - rank
-            timed("products", lambda: fatpoints._products_bound(residual,
-                                                                upper))
+            upper = len(kept) - rank
+            timed("products", lambda: fatpoints._products_bound(
+                residual, upper, frame, kept))
     argv = ["cohomology", "--system", path]
 
     def main():
@@ -429,7 +426,9 @@ def main() -> int:
         system = FatPointSystem(d, pts, mults)
         for p in (_linalg.CERT_PRIMES[0], _linalg.RANK_PRIME):
             residues = conditions_matrix(system, p)
-            reduced, killed = fatpoints._vertex_conditions(system, p)
+            reduced, kept = fatpoints._vertex_conditions(
+                fatpoints._vertex_frame(system), d, mults, p)
+            killed = comb(d + 2, 2) - len(kept)
             rank, best, median = _eliminate(residues, p, args.repeat)
             reduced_rank, reduced_best, reduced_median = _eliminate(
                 reduced, p, args.repeat)

@@ -104,10 +104,10 @@ def _coords(point) -> tuple:
 def _system_from_json(doc: dict) -> fatpoints.FatPointSystem:
     """The system {"degree", "points", "mults"} of a JSON document, each
     point three [num, den] pairs.  The pairs of a point are scaled to
-    integers by the lcm of their denominators (`_coords`), so
-    `normalize_proj` takes its integer path and no Fraction is made; a
-    zero denominator is a ValueError."""
-    pts = tuple(fatpoints.normalize_proj(_coords(p)) for p in doc["points"])
+    integers by the lcm of their denominators (`_coords`), so the
+    normalization in `FatPointSystem` takes its integer path and no
+    Fraction is made; a zero denominator is a ValueError."""
+    pts = tuple(_coords(p) for p in doc["points"])
     return fatpoints.FatPointSystem(dumnicki._json_int(doc["degree"]), pts,
                                     _ints(doc["mults"]))
 

@@ -1,11 +1,12 @@
 """Linear systems of plane curves with assigned base multiplicities.
 
 The conditions matrix of L(d; m_1..m_r) holds the derivative conditions of
-each point in its affine chart, built by `lattice.jet_conditions` after the
-point is put in normal form (coprime integers over Q).  Cohomology numbers
-come from its rank, read after three points that span the plane are moved
-to the coordinate vertices (`_vertex_conditions`): there a multiplicity
-only kills fixed monomials, whose columns are deleted and counted.  Over
+each point in its affine chart, built by `lattice.jet_conditions` at the
+normal form that `FatPointSystem` stores (coprime integers over Q).
+Cohomology numbers come from its rank, read after three points that span
+the plane are moved to the coordinate vertices (`_vertex_frame`, once per
+system, and `_vertex_conditions`): there a multiplicity only kills fixed
+monomials, whose columns are deleted and counted.  Over
 GF(p) the rank is that of the residues mod p.  Over Q the fixed lines and
 conics are split off first by Bezout (a curve that meets the base points
 more often than its degree allows is a component of every member), and
@@ -101,7 +102,11 @@ def normalize_proj(coords, fieldspec: FieldSpec = QQ) -> Tuple:
 
 @dataclass(frozen=True)
 class FatPointSystem:
-    """L(d; m_1, ..., m_r): degree-d curves with multiplicity m_i at p_i."""
+    """L(d; m_1, ..., m_r): degree-d curves with multiplicity m_i at p_i.
+
+    The one place where points are checked: each is stored in the normal
+    form of `normalize_proj`, they must be distinct in it (one point given
+    at two scalings is refused), and over GF(p) every m_i - 1 < p."""
 
     d: int
     points: Tuple[Tuple, ...]
@@ -113,8 +118,15 @@ class FatPointSystem:
             raise ValueError("one multiplicity per point")
         if any(m < 1 for m in self.mults):
             raise ValueError("multiplicities must be >= 1")
-        if len(set(self.points)) != len(self.points):
+        fs = self.fieldspec
+        points = tuple(normalize_proj(pt, fs) for pt in self.points)
+        if len(set(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
+        if fs.kind == "prime" and max(self.mults, default=1) > fs.p:
+            raise ValueError(f"multiplicity {max(self.mults)} needs"
+                             f" derivatives of order >= {fs.p}, which"
+                             f" vanish identically over GF({fs.p})")
+        object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
@@ -143,12 +155,6 @@ def _modulus(system: FatPointSystem, p: Optional[int]):
         if p not in (None, fs.p):
             raise ValueError(f"a system over GF({fs.p}) has no matrix"
                              f" mod {p}")
-        for m in system.mults:
-            if m - 1 >= fs.p:
-                raise ValueError(
-                    f"multiplicity {m} needs derivatives of order >= {fs.p}"
-                    f" which vanish identically over GF({fs.p})"
-                )
         return fs.p
     if p is not None and not 2 <= p < _linalg.P_LIMIT:
         raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
@@ -164,7 +170,7 @@ def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
     """Rows impose vanishing of all partials of order < m_i at p_i.
 
     The rows of each point are its jets (a, b) with a + b < m_i in
-    `lattice.jet_conditions`, at the normal form of `normalize_proj`
+    `lattice.jet_conditions`, at the normal form the system stores
     (coprime integers over Q).  Scaling a point by c scales its block by
     c^d, so rank and kernel stay those of the given coordinates.  Rows with
     a + b > d vanish identically and are not emitted; every other row is
@@ -176,7 +182,7 @@ def conditions_matrix(system: FatPointSystem, p: Optional[int] = None):
     matrix of `_vertex_conditions`; this one is their oracle.
     """
     p = _modulus(system, p)
-    blocks = [(normalize_proj(pt, system.fieldspec), _jets(m, system.d))
+    blocks = [(pt, _jets(m, system.d))
               for pt, m in zip(system.points, system.mults)]
     return jet_conditions(monomial_exponents(system.d), blocks, p)
 
@@ -192,17 +198,16 @@ def _independent(vecs, q: Optional[int]) -> bool:
 def _vertex_frame(system: FatPointSystem):
     """(picked, moved): the indices of the points sent to the vertices
     e_0, e_1, e_2, in that order, and (k, T q_k) in normal form for every
-    other point q_k.
+    other point q_k; only T q_k is normalized here, q_k already is.
 
     Up to three points, largest multiplicity first and independent over
     the field (mod q over GF(q)), are completed by unit vectors to a basis
     c_0, c_1, c_2; the integer adjugate T of [c_0 c_1 c_2] sends c_i to
     det e_i and, being invertible, keeps ranks and kernel dimensions.  The
     frame depends on the points and on the order of the multiplicities
-    only, so it serves every multiple of the system as well.
+    only, so it serves every degree and multiple of the system as well.
     """
-    fs, mults = system.fieldspec, system.mults
-    pts = [normalize_proj(pt, fs) for pt in system.points]
+    fs, mults, pts = system.fieldspec, system.mults, system.points
     picked = []
     for k in sorted(range(len(pts)), key=lambda k: -mults[k]):
         if len(picked) < 3 and _independent(
@@ -232,45 +237,37 @@ def _kept(picked, d: int, mults):
             for j in range(max(0, d - i - b2), min(b1, d - i) + 1)]
 
 
-def _frame_conditions(frame, d: int, mults, p: Optional[int]):
-    """(matrix, kept): the jets of the moved points of `frame` in degree d
-    with multiplicities `mults`, on the columns `_kept` leaves."""
+def _vertex_conditions(frame, d: int, mults, p: Optional[int] = None):
+    """(matrix, kept) with rank(conditions_matrix) = killed + rank(matrix),
+    killed = C(d + 2, 2) - len(kept), in degree d on the `_vertex_frame`
+    of points with multiplicities `mults`.
+
+    At the vertex e_i, multiplicity m only says that the monomials with
+    exponent e_i > d - m vanish: unit rows on the columns that `_kept`
+    leaves out.  The matrix holds the moved points' jets at T q on the
+    kept columns, mod p if given (q over GF(q)), else exact.  Its rows are
+    the same over Q and mod p, zero rows included (a point on a line
+    through two vertices), so a rank profile mod p names rows of the
+    exact matrix.
+    """
     picked, moved = frame
     kept = _kept(picked, d, mults)
     blocks = [(pt, _jets(mults[k], d)) for k, pt in moved]
     return jet_conditions(kept, blocks, p), kept
 
 
-def _vertex_conditions(system: FatPointSystem, p: Optional[int] = None):
-    """(matrix, killed) with rank(conditions_matrix) = killed + rank(matrix).
-
-    The points of `_vertex_frame` move to the vertices.  At e_i,
-    multiplicity m only says that the monomials with exponent e_i > d - m
-    vanish: unit rows, which cover `killed` columns.  The matrix holds the
-    other points' jets at T q in normal form on the other columns.  Its
-    rows are the same over Q and mod p, zero rows included (a point on a
-    line through two vertices, or given twice), so a rank profile mod p
-    names rows of the exact matrix.
-    """
-    p = _modulus(system, p)
-    matrix, kept = _frame_conditions(_vertex_frame(system), system.d,
-                                     system.mults, p)
-    return matrix, comb(system.d + 2, 2) - len(kept)
-
-
-def _conic_through(pts, five):
+def _conic_through(pts, five, multi):
     """The indices of the points on the conic through the five points
-    indexed by `five`, or None if three of those five are collinear.
+    indexed by `five`, or None if one of the collinear sets `multi` of
+    the points (`_peel`) holds three of those five.
 
     With no three collinear the conic is smooth and unique: the member of
     the pencil spanned by the line pairs L12 L34 and L13 L24 through
     p5, which lies on neither pair.
     """
-    q = [pts[k] for k in five]
-    if any(dot(cross(u, v), w) == 0
-           for i, u in enumerate(q) for j, v in enumerate(q[i + 1:], i + 1)
-           for w in q[j + 1:]):
+    if any(len(set(line).intersection(five)) > 2 for line in multi):
         return None
+    q = [pts[k] for k in five]
     l12, l34, l13, l24 = (cross(q[0], q[1]), cross(q[2], q[3]),
                           cross(q[0], q[2]), cross(q[1], q[3]))
     lam = dot(l13, q[4]) * dot(l24, q[4])
@@ -290,16 +287,13 @@ def _peel(system: FatPointSystem) -> FatPointSystem:
     conic, the one through the five points of largest multiplicity with no
     three of them collinear, is split off the same way when the
     multiplicities on it sum to more than 2d.  The collinear sets depend
-    only on the points and are found once (`lattice.dependent_triples`);
-    the loop then runs on (d, m) until neither curve is fixed or d < 0.
-    The residual keeps the points with a positive multiplicity; its degree
-    may be negative (L(d) = 0).  A curve that is not found only leaves the
-    work to the rank.
+    only on the points and are found once (`lattice.dependent_triples`),
+    for the lines and the conic; the loop then runs on (d, m) until
+    neither curve is fixed or d < 0.  The residual keeps the points with a
+    positive multiplicity; its degree may be negative (L(d) = 0).  A curve
+    that is not found only leaves the work to the rank.
     """
-    pts = [normalize_proj(pt) for pt in system.points]
-    if len(set(pts)) < len(pts):  # the same point twice is no line
-        return system
-    d, m = system.d, list(system.mults)
+    pts, d, m = system.points, system.d, list(system.mults)
     multi = dependent_triples(pts)
     conics = {}
     while d >= 0:
@@ -313,7 +307,7 @@ def _peel(system: FatPointSystem) -> FatPointSystem:
                 and sum(m[k] for k in top[:5]) > 2 * d):
             five = tuple(sorted(top[:5]))
             if five not in conics:
-                conics[five] = _conic_through(pts, five)
+                conics[five] = _conic_through(pts, five, multi)
             curve, step = conics[five], 2
             if curve is not None and sum(m[k] for k in curve) <= 2 * d:
                 curve = None
@@ -357,13 +351,14 @@ def _section_products(sections, small_kept, kept, d: int, g: int, p: int):
         :, [i * width + j for i, j, _ in kept]]
 
 
-def _products_bound(system: FatPointSystem, upper: int) -> int:
+def _products_bound(system: FatPointSystem, upper: int, frame, kept) -> int:
     """A proved lower bound on the kernel dimension of the reduced matrix
     of a system L over Q, from the products of the sections of L/g,
-    g = gcd(d, m_1, ..., m_r).
+    g = gcd(d, m_1, ..., m_r).  `frame` is the `_vertex_frame` of L and
+    `kept` its kept exponents in degree d, as `cohomology` built them.
 
     The integer kernel of the reduced matrix of L/g = (d/g; m/g), built on
-    the frame of L, is lifted exactly (`_linalg.nullspace`).  Its k
+    the same frame, is lifted exactly (`_linalg.nullspace`).  Its k
     sections are members of L/g, and multiplicities add under products,
     so their degree-g products are members of L; a product of kept
     exponents of L/g (e_i <= (d - m)/g) is a kept exponent of L.  The
@@ -377,14 +372,12 @@ def _products_bound(system: FatPointSystem, upper: int) -> int:
     if g == 1:
         return 0
     p = _linalg.RANK_PRIME
-    frame = _vertex_frame(system)
-    small, small_kept = _frame_conditions(
-        frame, system.d // g, [m // g for m in system.mults], None)
+    small, small_kept = _vertex_conditions(
+        frame, system.d // g, [m // g for m in system.mults])
     if len(small_kept) * (p - 1)**2 >= 2**63:
         return 0
     sections = _linalg.to_int_rows(
         _linalg.nullspace(small.tolist(), small.shape[1]))
-    kept = _kept(frame[0], system.d, system.mults)
     if not upper <= comb(len(sections) + g - 1, g) <= len(kept):
         return 0
     products = _section_products(sections, small_kept, kept, system.d, g, p)
@@ -396,8 +389,8 @@ def cohomology(system: FatPointSystem) -> SystemReport:
 
     Over Q the fixed lines and conics are split off first (`_peel`), which
     leaves h0 unchanged: a residual of negative degree has h0 = 0, one
-    without points h0 = C(d + 2, 2).  Otherwise h0 is C(d + 2, 2) less the
-    killed columns and the rank of the residual's `_vertex_conditions`:
+    without points h0 = C(d + 2, 2).  Otherwise h0 is the kept columns
+    less the rank of `_vertex_conditions` on the residual's one frame:
     mod RANK_PRIME first, where full rank is already the proof.  A
     deficient rank r leaves the kernel dimension at most cols - r.  When
     g = gcd(d, m_1, ..., m_r) > 1, `_products_bound` forms the degree-g
@@ -419,17 +412,19 @@ def cohomology(system: FatPointSystem) -> SystemReport:
     elif not residual.mults:
         h0 = comb(residual.d + 2, 2)
     else:
+        d, mults = residual.d, residual.mults
         p = residual.fieldspec.p or _linalg.RANK_PRIME
-        residues, killed = _vertex_conditions(residual, p)
+        frame = _vertex_frame(residual)
+        residues, kept = _vertex_conditions(frame, d, mults, p)
         full = min(residues.shape)
         profile = _linalg.rank_profile_mod_p(residues, p)
         rank = len(profile[0])
-        upper = residues.shape[1] - rank  # the kernel dimension at most
+        upper = len(kept) - rank  # the kernel dimension at most
         if (rank < full and rational
-                and _products_bound(residual, upper) < upper):
-            rank = _linalg.deficient_rank(_vertex_conditions(residual)[0],
-                                          full, profile)
-        h0 = comb(residual.d + 2, 2) - killed - rank
+                and _products_bound(residual, upper, frame, kept) < upper):
+            rank = _linalg.deficient_rank(
+                _vertex_conditions(frame, d, mults)[0], full, profile)
+        h0 = len(kept) - rank
     chi = _chi(system.d, system.mults)
     h1 = h0 - chi
     return SystemReport(
@@ -520,27 +515,12 @@ def _rand_line(rng: random.Random):
 
 
 def general_position_lines(k: int, rng: random.Random):
-    """k lines, pairwise distinct, no three concurrent."""
+    """k lines, pairwise distinct, no three concurrent
+    (`lattice.dependent_triples`)."""
     while True:
         lines = [_rand_line(rng) for _ in range(k)]
-        if len({normalize_proj(l) for l in lines}) != k:
-            continue
-        pts = {}
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                q = cross(lines[i], lines[j])
-                if not any(q):
-                    ok = False
-                    break
-                q = normalize_proj(q)
-                if q in pts:
-                    ok = False
-                    break
-                pts[q] = (i, j)
-            if not ok:
-                break
-        if ok:
+        if (len({normalize_proj(l) for l in lines}) == k
+                and not dependent_triples(lines)):
             return lines
 
 
@@ -600,12 +580,12 @@ def alpha(points: Sequence[Tuple], m) -> int:
     alpha is found by bisection between a degree proved empty (lo = -1 at
     first) and the chi bound, the least t with C(t+2, 2) > sum C(m_i+1, 2),
     where chi > 0 proves L(t) nonempty.  A probe at t reads the rank of
-    its `_vertex_conditions` mod RANK_PRIME: full column rank proves L(t)
-    empty, so lo = t; a deficient rank only suggests L(t) nonempty, so
-    hi = t tentatively.  The first probe is at hi - 1, which settles a
-    nonspecial system with one modular rank.  When hi = lo + 1 below the
-    chi bound, `cohomology` proves h0 of L(hi); if it is 0, lo = hi and
-    the search resumes below the chi bound.
+    its `_vertex_conditions` mod RANK_PRIME on the points' one frame: full
+    column rank proves L(t) empty, so lo = t; a deficient rank only
+    suggests L(t) nonempty, so hi = t tentatively.  The first probe is at
+    hi - 1, which settles a nonspecial system with one modular rank.  When
+    hi = lo + 1 below the chi bound, `cohomology` proves h0 of L(hi); if it
+    is 0, lo = hi and the search resumes below the chi bound.
     """
     if isinstance(m, int):
         if m < 1:
@@ -616,14 +596,13 @@ def alpha(points: Sequence[Tuple], m) -> int:
     bound = 0
     while comb(bound + 2, 2) <= conditions:
         bound += 1
-    FatPointSystem(bound, points, mults)  # validates points and mults
+    frame = _vertex_frame(FatPointSystem(bound, points, mults))
+    p = _linalg.RANK_PRIME
     lo, hi, t = -1, bound, bound - 1
     while True:
         while hi - lo > 1:
-            residues = _vertex_conditions(FatPointSystem(t, points, mults),
-                                          _linalg.RANK_PRIME)[0]
-            profile = _linalg.rank_profile_mod_p(residues, _linalg.RANK_PRIME)
-            if len(profile[0]) == residues.shape[1]:
+            residues, kept = _vertex_conditions(frame, t, mults, p)
+            if len(_linalg.rank_profile_mod_p(residues, p)[0]) == len(kept):
                 lo = t
             else:
                 hi = t
@@ -786,8 +765,6 @@ def semi_effectivity_status(cls: PlaneDivisorClass, points: Sequence[Tuple],
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(points) != len(cls.mults):
-        raise ValueError("one point per multiplicity")
     d, mults = cls.d, cls.mults
     for n in range(1, k + 1):
         rep = cohomology(FatPointSystem(
@@ -819,8 +796,9 @@ def collinear_constraint_experiment(d: int, mults: Sequence[int], groups,
 
     groups is either an int r (one group of r collinear points among the
     first r) or a sequence of group sizes; each group sits on its own random
-    line, leftover points are generic.  Returns (general, constrained)
-    SystemReports over the same multiplicities.
+    line, leftover points are generic; `FatPointSystem` refuses groups
+    that share a point.  Returns (general, constrained) SystemReports over
+    the same multiplicities.
     """
     sizes = [groups] if isinstance(groups, int) else list(groups)
     if any(g < 2 for g in sizes):
@@ -830,13 +808,9 @@ def collinear_constraint_experiment(d: int, mults: Sequence[int], groups,
         raise ValueError("groups use more points than the system has")
     rng = random.Random((seed, d, tuple(mults), tuple(sizes)).__repr__())
     pts = []
-    seen = set()
     for g in sizes:
-        for q in _collinear_points(g, rng)[0]:
-            if q in seen:
-                raise ValueError("degenerate draw, change the seed")
-            seen.add(q)
-            pts.append(q)
+        pts += _collinear_points(g, rng)[0]
+    seen = set(pts)
     while len(pts) < r:
         q = _rand_point(rng)
         if q not in seen:

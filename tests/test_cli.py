@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from linserlab import cli, surfaces
+from linserlab import cli, fatpoints, surfaces
 from linserlab.cli import main
 from linserlab.fatpoints import normalize_proj
 
@@ -590,3 +590,22 @@ def test_usage_errors(capsys):
         assert rep["command"] == command and message in rep["error"]
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_fixed_line_system_normalizes_each_point_once(tmp_path, capsys,
+                                                      monkeypatch):
+    # (9; 6, 5, 1, 1): the line through the first two points is fixed
+    # twice, and the residual (7; 4, 3, 1, 1) keeps all four points, three
+    # of them at the vertices.  The system normalizes the input points,
+    # the residual its points, and the frame the one moved point.
+    pts = fatpoints.make_config("random", {"r": 4}, seed=11).points
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"degree": 9, "mults": [6, 5, 1, 1],
+                                "points": [[[3 * x, 3] for x in pt]
+                                           for pt in pts]}))
+    calls, normalize = [], fatpoints.normalize_proj
+    monkeypatch.setattr(fatpoints, "normalize_proj", lambda *args: (
+        calls.append(args) or normalize(*args)))
+    code, rep = run(capsys, "cohomology", "--system", str(path))
+    assert (code, rep["h0"]) == (0, 18)
+    assert len(calls) <= 4 + 4 + 1

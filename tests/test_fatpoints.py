@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from linserlab.fatpoints import (
     collinear_constraint_experiment,
     conditions_matrix,
     cremona_reduce,
+    general_position_lines,
     generic_cohomology,
     make_config,
     monomial_exponents,
@@ -34,7 +36,7 @@ from linserlab.fatpoints import (
     speciality_stability,
     waldschmidt_sandwich,
 )
-from linserlab.lattice import cross, dot
+from linserlab.lattice import cross, dependent_triples, dot
 
 SEEDS = (11, 23, 77)
 
@@ -145,9 +147,8 @@ def test_builder_matches_three_branch_oracle(d, points, data):
     mults = tuple(data.draw(st.lists(st.integers(1, 8), min_size=len(points),
                                      max_size=len(points))))
     system = FatPointSystem(d, tuple(points), mults)
-    normal = FatPointSystem(d, tuple(normalize_proj(p) for p in points),
-                            mults)
-    oracle = _nonzero_rows(_three_branch_conditions(normal))
+    assert system.points == tuple(normalize_proj(p) for p in points)
+    oracle = _nonzero_rows(_three_branch_conditions(system))
     exact = conditions_matrix(system)
     assert exact.dtype == object and exact.tolist() == oracle
     assert exact.shape[0] == sum(1 for m in mults for a in range(m)
@@ -158,7 +159,8 @@ def test_builder_matches_three_branch_oracle(d, points, data):
         assert residues.dtype == np.int64
         assert residues.tolist() == [[e % p for e in row] for row in oracle]
     # Fraction coordinates scale each block by a constant: same rank
-    raw = _three_branch_conditions(system)
+    raw = _three_branch_conditions(SimpleNamespace(
+        d=d, points=points, mults=mults, fieldspec=fatpoints.QQ))
     assert cohomology(system).h0 == comb(d + 2, 2) - rank_exact(raw)
 
 
@@ -188,21 +190,39 @@ def test_builder_refuses_other_moduli():
         conditions_matrix(FatPointSystem(3, pt, (2,)), 2**31 + 11)
 
 
-def _spy_builds_and_primes(monkeypatch):
-    """Moduli of every build of the vertex-reduced matrix (an unreduced
-    `conditions_matrix` build is recorded as ("unreduced", p)), primes of
-    every rank pass and stacked elimination, and (prime, shape) of every
-    inversion mod p; the rank pass on [B | I] inside an inversion is not
-    listed apart."""
-    builds, primes, inverses, inside = [], [], [], []
-    build, unreduced, profile, echelon, inverse = (
-        fatpoints._vertex_conditions, fatpoints.conditions_matrix,
-        _linalg.rank_profile_mod_p, _linalg._echelon_mod_p,
-        _linalg._inverse)
+def _reduced(system, p=None):
+    """(matrix, killed) of the system on its own vertex frame, mod p if
+    given (mod q over GF(q)), with killed = C(d + 2, 2) - len(kept)."""
+    matrix, kept = fatpoints._vertex_conditions(
+        fatpoints._vertex_frame(system), system.d, system.mults,
+        system.fieldspec.p if p is None else p)
+    return matrix, comb(system.d + 2, 2) - len(kept)
 
-    def spy_build(system, p=None):
-        builds.append(p)
-        return build(system, p)
+
+def _spy_builds_and_primes(monkeypatch):
+    """Moduli of every build of the vertex-reduced matrix of the system
+    (the build of L/g inside `_products_bound` is not listed; an
+    unreduced `conditions_matrix` build is recorded as ("unreduced", p)),
+    primes of every rank pass and stacked elimination, and (prime, shape)
+    of every inversion mod p; the rank pass on [B | I] inside an
+    inversion is not listed apart."""
+    builds, primes, inverses, inside, bounding = [], [], [], [], []
+    build, bound, unreduced, profile, echelon, inverse = (
+        fatpoints._vertex_conditions, fatpoints._products_bound,
+        fatpoints.conditions_matrix, _linalg.rank_profile_mod_p,
+        _linalg._echelon_mod_p, _linalg._inverse)
+
+    def spy_build(frame, d, mults, p=None):
+        if not bounding:
+            builds.append(p)
+        return build(frame, d, mults, p)
+
+    def spy_bound(*args):
+        bounding.append(args)
+        try:
+            return bound(*args)
+        finally:
+            bounding.pop()
 
     def spy_unreduced(system, p=None):
         builds.append(("unreduced", p))
@@ -226,6 +246,7 @@ def _spy_builds_and_primes(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(fatpoints, "_vertex_conditions", spy_build)
+    monkeypatch.setattr(fatpoints, "_products_bound", spy_bound)
     monkeypatch.setattr(fatpoints, "conditions_matrix", spy_unreduced)
     monkeypatch.setattr(_linalg, "rank_profile_mod_p", spy_profile)
     monkeypatch.setattr(_linalg, "_echelon_mod_p", spy_echelon)
@@ -248,7 +269,7 @@ def _eliminated_once(monkeypatch, pts, d, mults):
     vertex-reduced matrix is built once, only its square pivot block is
     inverted, once, and no other prime (no CERT_PRIMES) is eliminated."""
     system = FatPointSystem(d, pts, mults)
-    killed = fatpoints._vertex_conditions(system)[1]
+    killed = _reduced(system)[1]
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
     rep = cohomology(system)
     rank = (d + 1) * (d + 2) // 2 - rep.h0 - killed
@@ -273,8 +294,7 @@ def test_multiple_pencil_is_proved_by_products(monkeypatch):
     # matrix is neither built nor lifted; only the 6 x 7 one of (3; 1^9)
     pts = make_config("pencil_products", {"k": 3}, seed=11).points
     system = FatPointSystem(6, pts, (2,) * 9)
-    assert fatpoints._vertex_conditions(system, RANK_PRIME)[0].shape == (
-        18, 19)
+    assert _reduced(system, RANK_PRIME)[0].shape == (18, 19)
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
     lifted, lift = [], _linalg.deficient_rank
     monkeypatch.setattr(_linalg, "deficient_rank", lambda mat, *args: (
@@ -306,21 +326,22 @@ def _pencil_points(draw):
 @given(_pencil_points(), st.integers(2, 5))
 def test_pencil_products_prove_h0(pts, n):
     system = FatPointSystem(3 * n, pts, (n,) * 9)
-    mat, killed = fatpoints._vertex_conditions(system)
+    mat, killed = _reduced(system)
     upper = mat.shape[1] - len(_linalg.rank_profile_mod_p(
-        fatpoints._vertex_conditions(system, RANK_PRIME)[0], RANK_PRIME)[0])
+        _reduced(system, RANK_PRIME)[0], RANK_PRIME)[0])
+    frame = fatpoints._vertex_frame(system)
+    kept = fatpoints._kept(frame[0], 3 * n, (n,) * 9)
     # the products path, and the lift of the exact matrix as the oracle
-    assert fatpoints._products_bound(system, upper) == upper == n + 1
+    assert fatpoints._products_bound(system, upper, frame, kept) == (
+        upper) == n + 1
     assert cohomology(system).h0 == n + 1
     assert mat.shape[1] - _linalg.deficient_rank(mat, min(mat.shape)) == (
         n + 1)
     # the products F^a G^(n - a), exact on the shared frame, lie on the
     # kept columns, are annihilated by the exact matrix, and are what
     # the products path reads mod RANK_PRIME
-    frame = fatpoints._vertex_frame(system)
-    small, small_kept = fatpoints._frame_conditions(frame, 3, (1,) * 9, None)
+    small, small_kept = fatpoints._vertex_conditions(frame, 3, (1,) * 9)
     sections = _linalg.to_int_rows(_linalg.nullspace(small.tolist()))
-    kept = fatpoints._kept(frame[0], 3 * n, (n,) * 9)
     xyz = sympy.symbols("x y z")
     forms = [sympy.Poly(dict(zip(small_kept, v)), *xyz) for v in sections]
     exact = []
@@ -386,22 +407,31 @@ def test_peel_refuses_a_line_at_exactly_d():
 def test_conic_refuses_three_collinear_points():
     circle = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (3, 4, 5),
               (5, 12, 13), (1, 1, 1)]
-    assert fatpoints._conic_through(circle, (0, 1, 2, 3, 4)) == (
+    multi = dependent_triples(circle)
+    assert fatpoints._conic_through(circle, (0, 1, 2, 3, 4), multi) == (
         0, 1, 2, 3, 4, 5)
-    assert fatpoints._conic_through(circle, (0, 1, 2, 5, 4)) == (
+    assert fatpoints._conic_through(circle, (0, 1, 2, 5, 4), multi) == (
         0, 1, 2, 3, 4, 5)
     # (1:0:1), (0:0:1) and (-1:0:1) lie on y = 0: no smooth conic
     pts = circle[:4] + [(0, 0, 1)]
-    assert fatpoints._conic_through(pts, (0, 1, 2, 3, 4)) is None
+    assert fatpoints._conic_through(pts, (0, 1, 2, 3, 4),
+                                    dependent_triples(pts)) is None
     system = FatPointSystem(4, tuple(pts), (2,) * 5)
     assert cohomology(system).h0 == 15 - rank_exact(
         conditions_matrix(system).tolist())
 
 
-def test_peel_leaves_the_same_point_twice_to_the_rank():
-    system = FatPointSystem(3, ((0, 0, 1), (0, 0, 2)), (2, 2))
-    assert fatpoints._peel(system) is system
-    assert cohomology(system).h0 == 7
+def test_the_same_point_twice_is_refused():
+    # the system stores each point in normal form and refuses one
+    # projective point given twice: at two scalings, or equal mod p
+    system = FatPointSystem(3, ((0, 0, 2), (Fraction(1, 2), 1, -3)), (1, 1))
+    assert system.points == ((0, 0, 1), (1, 2, -6))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        FatPointSystem(3, ((0, 0, 1), (0, 0, 2)), (2, 2))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        FatPointSystem(3, ((1, 2, 3), (8, 2, 10)), (1, 1), fieldspec=GF(7))
+    assert FatPointSystem(3, ((1, 2, 3), (8, 2, 10)), (1, 1)).points == (
+        (1, 2, 3), (4, 1, 5))
 
 
 def test_alpha_star_proves_by_peeling(monkeypatch):
@@ -506,9 +536,15 @@ def test_input_validation():
 
 def test_prime_field_multiplicity_guard():
     # order-p derivatives vanish identically in characteristic p
+    # and the system refuses them at construction, so no build skips it
     pt = ((0, 0, 1),)
+    with pytest.raises(ValueError, match="GF\\(2\\)"):
+        FatPointSystem(4, pt, (3,), fieldspec=GF(2))
     with pytest.raises(ValueError):
         conditions_matrix(FatPointSystem(4, pt, (3,), fieldspec=GF(2)))
+    with pytest.raises(ValueError):
+        cohomology(FatPointSystem(4, pt + ((1, 0, 0),), (3, 1),
+                                  fieldspec=GF(2)))
     rep = cohomology(FatPointSystem(2, pt, (2,), fieldspec=GF(5)))
     assert rep.h0 == 3
 
@@ -713,6 +749,74 @@ def test_alpha_proves_a_special_degree(monkeypatch):
     assert proofs == []
 
 
+def test_one_vertex_frame_per_call(monkeypatch):
+    # cohomology builds the frame of the residual once, for the rank mod
+    # RANK_PRIME, the products and the lift alike, and none when the peel
+    # leaves no point; alpha builds one for all its probes, and `cohomology`
+    # its own when alpha asks it for a proof
+    pencil = make_config("pencil_products", {"k": 3}, seed=11).points
+    frames = _spy(monkeypatch, fatpoints, "_vertex_frame")
+    for d, pts, mults, built in [
+            (10, make_config("random", {"r": 8}, seed=11).points, (3,) * 8, 1),
+            (3, pencil, (1,) * 9, 1),  # the lift
+            (6, pencil, (2,) * 9, 1),  # the products
+            (4, make_config("random", {"r": 5}, seed=11).points, (2,) * 5,
+             0)]:
+        frames.clear()
+        cohomology(FatPointSystem(d, pts, mults))
+        assert len(frames) == built
+    frames.clear()
+    assert alpha(make_config("random", {"r": 12}, seed=3).points, 3) == 11
+    assert len(frames) == 1
+    frames.clear()
+    assert alpha(make_config("random", {"r": 7}, seed=6).points, SEVEN) == 6
+    assert len(frames) == 2
+
+
+def test_alpha_probes_build_no_system(monkeypatch):
+    # the twelve points are normalized once, by the one system alpha
+    # builds, and its frame normalizes the nine moved points once
+    pts = make_config("random", {"r": 12}, seed=3).points
+    calls = _spy(monkeypatch, fatpoints, "normalize_proj")
+    assert alpha(pts, 3) == 11
+    assert len(calls) == 12 + 9
+
+
+def _frozen_general_position_lines(k, rng):
+    """`general_position_lines` as it was, with its own loop over the
+    pairwise intersections: the oracle of the `dependent_triples` test."""
+    while True:
+        lines = [fatpoints._rand_line(rng) for _ in range(k)]
+        if len({normalize_proj(l) for l in lines}) != k:
+            continue
+        pts = {}
+        ok = True
+        for i in range(k):
+            for j in range(i + 1, k):
+                q = cross(lines[i], lines[j])
+                if not any(q):
+                    ok = False
+                    break
+                q = normalize_proj(q)
+                if q in pts:
+                    ok = False
+                    break
+                pts[q] = (i, j)
+            if not ok:
+                break
+        if ok:
+            return lines
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_general_position_lines_are_the_frozen_draws(k):
+    for s in range(400):
+        new, old = random.Random(s), random.Random(s)
+        assert (general_position_lines(k, new)
+                == _frozen_general_position_lines(k, old))
+        assert new.getstate() == old.getstate()
+
+
 def test_alpha_special_degree_builds_no_exact_matrix(monkeypatch):
     # the exact matrix of L(6) is never built, no prime but RANK_PRIME is
     # eliminated, and the only block inverted is that of the section's
@@ -801,12 +905,12 @@ def test_vertex_reduction_matches_the_unreduced_rank(system):
     rep = cohomology(system)
     assert (rep.h0, rep.h1) == (h0, h0 - rep.chi)
     if system.fieldspec.kind == "prime":
-        mat, killed = fatpoints._vertex_conditions(system)
+        mat, killed = _reduced(system)
         assert comb(system.d + 2, 2) - killed - rank_mod_p(
             mat.tolist(), system.fieldspec.p) == h0
         return
-    mat, killed = fatpoints._vertex_conditions(system)
-    residues, same = fatpoints._vertex_conditions(system, RANK_PRIME)
+    mat, killed = _reduced(system)
+    residues, same = _reduced(system, RANK_PRIME)
     assert same == killed and residues.shape == mat.shape
     assert residues.tolist() == (mat % RANK_PRIME).tolist()
     assert comb(system.d + 2, 2) - killed - rank_exact(mat.tolist()) == h0

@@ -226,3 +226,66 @@ def test_file_readers_keep_the_exit_code_contract(case):
     assert code in (0, 1, 2, 3)
     rep = json.loads(out.getvalue())
     assert rep["command"] == head[0]
+
+
+# (argv head, {option: values}) for the subcommands that read no file;
+# their sizes stay small for the same reason as the readers' integers
+_CONFIGS = st.sampled_from(["star", "collinear", "random",
+                            "pencil_products", "bogus"])
+OPTIONS = (
+    (["cohomology"], {
+        "--degree": st.integers(-3, 12),
+        "--mults": st.lists(st.integers(-2, 5), max_size=6).map(
+            lambda ms: ",".join(map(str, ms))),
+        "--trials": st.integers(-1, 3)}),
+    (["alpha"], {"--config": _CONFIGS, "--param": st.integers(-2, 5),
+                 "--m": st.integers(-1, 3)}),
+    (["waldschmidt"], {"--config": _CONFIGS, "--param": st.integers(-2, 5),
+                       "--k": st.integers(-1, 2)}),
+    (["negativity"], {
+        "--config": st.sampled_from(["pg2", "pg3", "pg", "projective_plane",
+                                     "general_lines", "collinear",
+                                     "exceptional_only", "bogus"]),
+        "--q": st.integers(-1, 5), "--s": st.integers(-1, 7),
+        "--n": st.integers(-1, 7)}),
+    (["ot", "counts"], {"--generic": st.integers(-2, 7),
+                        "--maxdeg": st.integers(-1, 3)}),
+    (["ot", "divisor"], {"--generic": st.integers(-2, 7)}),
+    (["empty"], {"--family": st.sampled_from(["paper", "bogus"]),
+                 "--n": st.integers(-2, 3), "--budget": st.integers(-1, 50)}),
+) + tuple(
+    (["surface", action], {
+        opt: st.integers(-3, 9) for opt in (
+            "--n", "--a1", "--a2", "--b", "--c", "--c1sq", "--c2",
+            "--genus")})
+    for action in ("kollar", "nef", "counterexample", "bounds"))
+
+MALFORMED = st.sampled_from(["x", "1.5", "", "-", "2,,", "1e3", "--seed"])
+
+
+@st.composite
+def argument_lists(draw):
+    """A subcommand with a random subset of its options and --seed, each
+    drawn from its range or, one time in eight, malformed."""
+    head, options = draw(st.sampled_from(OPTIONS))
+    options = dict(options, **{"--seed": st.integers(-5, 5)})
+    argv = list(head)
+    for opt in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        bad = draw(st.integers(0, 7)) == 0
+        argv += [opt, draw(MALFORMED) if bad else str(draw(options[opt]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argument_lists())
+def test_argument_lists_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = ["--certificate", os.path.join(tmp, "cert.json")]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + cert * (argv[0] == "empty"))
+        assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2, 3)
+    rep = json.loads(out.getvalue())
+    assert rep["command"] == argv[0]
