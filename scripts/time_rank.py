@@ -16,9 +16,10 @@ W1 does on d = 39.
 For m in DET_MULTS, `det_exact` runs --repeat times on the square
 interpolation matrix of a fat point of multiplicity m at C(m + 1, 2)
 lattice points drawn from SEED in a box of side m + 4, as the benchmark's
-certify workload draws its pieces.  Next to it, --repeat times, what such a
-piece costs a certificate: `_certify_piece`, then `verify_certificate` of
-the one-piece certificate.
+certify workload draws its pieces: one rank pass on [B | I] per prime,
+from RANK_PRIME down, until the primes pass twice the Hadamard bound.
+Next to it, --repeat times, what such a piece costs a certificate:
+`_certify_piece`, then `verify_certificate` of the one-piece certificate.
 
 For n in CONIC_STEPS, `deficient_rank` runs --repeat times on the exact
 conditions matrix of the double conic (4n; (2n)^5) at five random rational

@@ -4,41 +4,40 @@ Matrices are plain lists of rows; entries are ints or Fractions, and a
 float is refused with TypeError rather than truncated.  Rank, kernel and
 determinant computations never touch floating point.
 
-One engine gives exact ranks, kernels and row selections: one modular
-elimination loop (`rank_profile_mod_p`, numpy, int64) gives every rank,
-rank profile and inverse mod p.  It bounds the rank from below: rank
-over GF(p) never exceeds rank over Q, so a full rank mod p settles the
-exact rank at once.  A deficient rank r mod p also names the pivot
-columns P and the rows R that carry them, and B = A[R, P] is then
-invertible mod p.  The kernel that this profile predicts, the solution X
-of B X = -A[R, F] over the free columns F, is lifted p-adically (`_Lift`,
-after Dixon): B is inverted mod p once (`_inverse`, the same loop on
-[B | I]), each step adds one p-adic digit, and rational reconstruction
-turns the digits into a basis.  A basis that keeps the identity on F and that A
-annihilates exactly over Z proves rank <= r.  An unlucky prime can only
-delay that proof, never fake it: past the Hadamard bound of the minors a
-failing basis proves the rank larger than r, and the lift starts again
-at the next prime below (`_prime_below`).  Every exact proof walks that
-one sequence, RANK_PRIME and the primes below it, and `_lift_kernel`
-hands back the profile of the prime whose rank it proved.
+One engine gives exact ranks, kernels, row selections and determinants:
+one modular elimination loop (`rank_profile_mod_p`, numpy, int64) gives
+every rank, rank profile, inverse and determinant mod p.  It bounds the
+rank from below: rank over GF(p) never exceeds rank over Q, so a full
+rank mod p settles the exact rank at once.  A deficient rank r mod p
+also names the pivot columns P and the rows R that carry them, and
+B = A[R, P] is then invertible mod p.  The kernel that this profile
+predicts, the solution X of B X = -A[R, F] over the free columns F, is
+lifted p-adically (`_Lift`, after Dixon): B is inverted mod p once
+(`_inverse`, the same loop on [B | I]), each step adds one p-adic digit,
+and rational reconstruction turns the digits into a basis.  A basis that
+keeps the identity on F and that A annihilates exactly over Z proves
+rank <= r.  An unlucky prime can only delay that proof, never fake it:
+past the Hadamard bound of the minors a failing basis proves the rank
+larger than r, and the lift starts again at the next prime below
+(`_prime_below`).  Every exact proof walks that one sequence, RANK_PRIME
+and the primes below it, and `_lift_kernel` hands back the profile of
+the prime whose rank it proved.
 
 `rank_exact` races the kernels of A and of A^T, stepping the one with
 less work done; `nullspace` lifts the kernel of A alone and also asks for
 the rational pivots, the profile of the reduced echelon form;
 `independent_rows` returns the pivots of A^T in the proved profile: rows
 independent mod p, as many as the rank over Q.  `det_exact` takes the
-determinant from its residues mod enough primes, from CERT_PRIMES[0]
-down by `_prime_below`, to pass twice the Hadamard bound, eliminated in
-stacks of primes by `_echelon_mod_p`, its own loop.  No certificate uses
-`det_exact`: a square piece is proved by its rank, like any other.
+determinant from its residues on the same walk, each from the pass on
+[B | I] (`_det_mod_p`), until the primes pass twice the Hadamard bound.
+No certificate uses `det_exact`: a square piece is proved by its rank.
 
-Rank-only residues are taken mod RANK_PRIME, the largest prime below
-2**26.  There one product of residues fills 52 bits, so the elimination
-subtracts up to 2047 of them before an entry must be reduced, and it
-reduces only the pivot column and the pivot row at each step (Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008).  The same bound keeps the lift
-in int64: its digits lie below RANK_PRIME, and the exact B is split into
-26-bit limbs.
+Every walk starts at RANK_PRIME, the largest prime below 2**26.  There
+one product of residues fills 52 bits, so the elimination subtracts up
+to 2047 of them before an entry must be reduced, and it reduces only the
+pivot column and the pivot row at each step (Dumas, Giorgi and Pernet,
+ACM TOMS 35(3), 2008).  The same bound keeps the lift in int64: its
+digits lie below RANK_PRIME, and the exact B is split into 26-bit limbs.
 
 The halves of `rank_exact` can be called on their own:
 `rank_profile_mod_p` eliminates an int64 array of residues, and
@@ -58,14 +57,11 @@ import numpy as np
 # reducing, so every prime it takes is below P_LIMIT: p**2 < 2**62.
 P_LIMIT = 2**31
 
-# The largest primes below P_LIMIT; `det_exact` walks down from the first.
+# The largest primes below P_LIMIT: the top of the modulus range, where
+# the elimination reduces after every update.
 CERT_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
 
-# Primes per stack when determinant residues are eliminated: a fixed stack
-# size bounds the memory of a large determinant, which needs many primes.
-_DET_CHUNK = 16
-
-# The largest prime below 2**26: the modulus of rank-only residues, where
+# The largest prime below 2**26: the first modulus of every walk, where
 # (p - 1)**2 < 2**52 leaves room for 2047 unreduced updates per entry.
 RANK_PRIME = 67_108_859
 
@@ -105,12 +101,24 @@ def to_int_rows(rows):
 
 
 def rank_mod_p(rows, p):
-    """Rank over GF(p), p < P_LIMIT.  Entries may be arbitrary ints."""
+    """Rank over GF(p), p < P_LIMIT, of rows read by `_mod_p_rows`."""
+    a = _mod_p_rows(rows, p)
+    return 0 if a is None else len(rank_profile_mod_p(a, p)[0])
+
+
+def _mod_p_rows(rows, p):
+    """The int64 residues mod p of the rows, each scaled to integers by
+    `_scaled_rows`, or None for no rows or no columns.  The scales are
+    units mod p, which keeps the rank and the independent rows; a float
+    raises TypeError and a denominator that p divides ValueError."""
     if not 2 <= p < P_LIMIT:
-        raise ValueError(f"rank_mod_p needs 2 <= p < 2**31, got {p}")
+        raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
     if not rows or not rows[0]:
-        return 0
-    return len(rank_profile_mod_p(_residues(rows, p), p)[0])
+        return None
+    ints, scale = _scaled_rows(rows)
+    if scale % p == 0:
+        raise ValueError(f"a denominator is divisible by {p}")
+    return _residues(ints, p)
 
 
 def _residues(rows, p):
@@ -183,56 +191,6 @@ def _lazy(p):
     """Products of two residues mod p that an int64 entry holds between
     reductions: a sum of `lazy` of them stays below 2**63 - p."""
     return (2**63 - p) // (p - 1)**2 - 1
-
-
-def _echelon_mod_p(a, primes):
-    """Row echelon forms of a stack of matrices, a[b] mod primes[b].
-
-    `a` (int64, shape (batch, rows, cols), entries in [0, p)) is consumed;
-    all primes are eliminated in lockstep, which spreads numpy's per-call
-    cost over the batch, and pivot rows are scaled to 1.  At a column where
-    only some primes find a pivot, the others are dropped: a column
-    independent of the earlier ones mod p is so over Q, so their rank
-    profile is not the rational one.  Returns the primes kept, the pivot
-    columns, and per kept prime the product of its pivots, signed by its
-    row swaps: the determinant mod p of a square matrix whose rank reaches
-    its size.  Rows at or below the current pivot are zero left of
-    its column, so each step only touches the columns from the pivot on.
-    """
-    q = primes[:, None, None]
-    nrows, ncols = a.shape[1:]
-    pivots = []
-    dets = [1] * len(primes)
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        if not a[:, r, c].all():
-            stuck = a[:, r:, c] != 0
-            found = stuck.any(axis=1)
-            if not found.all():
-                if not found.any():
-                    continue
-                dets = [d for d, f in zip(dets, found.tolist()) if f]
-                a, primes, stuck = a[found], primes[found], stuck[found]
-                q = primes[:, None, None]
-            b, first = np.arange(len(primes)), stuck.argmax(axis=1) + r
-            a[b, r], a[b, first] = a[b, first], a[b, r]
-            dets = [-d if i != r else d for d, i in zip(dets, first.tolist())]
-        heads, ps = a[:, r, c].tolist(), primes.tolist()
-        inv = [pow(x, -1, p) for x, p in zip(heads, ps)]
-        dets = [d * x % p for d, x, p in zip(dets, heads, ps)]
-        row = a[:, r, c:]
-        row *= np.array(inv)[:, None]
-        row %= q[:, 0]
-        rows = r + 1 + (a[:, r + 1:, c] != 0).any(axis=0).nonzero()[0]
-        if rows.size:
-            block = a[:, rows, c:]
-            block -= block[:, :, :1] * row[:, None, :]
-            block %= q
-            a[:, rows, c:] = block
-        pivots.append(c)
-    return primes, pivots, dets
 
 
 def rank_exact(rows):
@@ -370,19 +328,27 @@ def _dot(a, b):
                for k in range(0, n, _INNER))
 
 
+def _beside_identity(b, p):
+    """[U | E], the pivots and the row order that `rank_profile_mod_p`
+    leaves from [B | I], for an n x n int64 array `b` with entries in
+    [0, p < P_LIMIT).  E B = U, U is unit upper triangular when B is
+    invertible mod p, and else a pivot lands in the I block."""
+    n = len(b)
+    g = np.concatenate([b, np.eye(n, dtype=np.int64)], axis=1)
+    return g, *rank_profile_mod_p(g, p)
+
+
 def _inverse(b, p):
     """C = B^-1 mod p for an int64 array `b` that is invertible mod p, with
     entries in [0, p < P_LIMIT).
 
-    `rank_profile_mod_p` on [B | I] leaves [U | E], U unit upper
-    triangular and E B = U; back substitution clears U above its diagonal,
-    which turns E into U^-1 E = B^-1.  Each step reduces only the row it
-    subtracts, and the rows above take `_lazy(p)` unreduced products
-    before the block is reduced, as in the elimination.
+    Back substitution clears U above its diagonal in `_beside_identity`'s
+    [U | E], which turns E into U^-1 E = B^-1.  Each step reduces only the
+    row it subtracts, and the rows above take `_lazy(p)` unreduced
+    products before the block is reduced, as in the elimination.
     """
     n = len(b)
-    g = np.concatenate([b, np.eye(n, dtype=np.int64)], axis=1)
-    rank_profile_mod_p(g, p)
+    g = _beside_identity(b, p)[0]
     lazy, pending = _lazy(p), 0
     for c in range(n - 1, 0, -1):
         row = g[c, n:]
@@ -397,6 +363,28 @@ def _inverse(b, p):
     if pending:
         inverse %= p
     return inverse
+
+
+def _det_mod_p(b, p):
+    """det B mod p for an n x n int64 array `b` with entries in [0, p).
+
+    Row k of `_beside_identity`'s [U | E] is the original row order[k]
+    divided by the k-th pivot, less multiples of the rows above it.  So E
+    is a lower triangular matrix with E[k, order[k]] on its diagonal, its
+    rows permuted by `order`, and det B = sign(order) / prod E[k, order[k]]
+    since det U = 1.  When B is singular mod p, the residue is 0.
+    """
+    n = len(b)
+    g, pivots, order = _beside_identity(b, p)
+    if pivots[-1] >= n:
+        return 0
+    det = prod(g[range(n), [n + i for i in order]].tolist()) % p
+    perm = list(order)
+    for k in range(n):  # sort perm by swaps, each flipping the sign
+        while perm[k] != k:
+            i = perm[k]
+            perm[k], perm[i], det = perm[i], i, -det
+    return pow(det, -1, p)
 
 
 class _Lift:
@@ -553,14 +541,12 @@ def det_exact(rows):
     """Exact determinant of a square matrix with int/Fraction entries.
 
     Each row is scaled to integers, and det**2 <= h2, the product of the
-    squared row norms (Hadamard).  Primes are taken from CERT_PRIMES[0]
-    down, by `_prime_below`, until their product M has M**2 > 4 h2; then
-    det is the residue of least absolute value mod M (Abbott, Bronstein
-    and Mulders, ISSAC 1999).  The residues are eliminated in stacks of
-    _DET_CHUNK primes.  A prime whose rank falls below n divides det, so
-    its residue is 0, and a prime of full rank gives det mod p as its
-    signed pivot product: no prime needs to be lucky, and no singularity
-    test is separate.
+    squared row norms (Hadamard).  Primes are taken from RANK_PRIME down,
+    by `_prime_below`, until their product M has M**2 > 4 h2; then det is
+    the residue of least absolute value mod M (Abbott, Bronstein and
+    Mulders, ISSAC 1999).  Each residue is one rank pass on [B | I]
+    (`_det_mod_p`): a prime that divides det gives 0 there, so no prime
+    needs to be lucky, and no singularity test is separate.
     """
     n = len(rows)
     if n == 0:
@@ -569,20 +555,13 @@ def det_exact(rows):
         raise ValueError("determinant needs a square matrix")
     ints, scale = _scaled_rows(rows)
     bound = 4 * prod(sum(e * e for e in row) for row in ints)
-    primes, modulus = [], 1
+    primes, modulus = [RANK_PRIME], RANK_PRIME
     while modulus * modulus <= bound:
-        primes.append(_prime_below(primes[-1]) if primes else CERT_PRIMES[0])
+        primes.append(_prime_below(primes[-1]))
         modulus *= primes[-1]
     mat = np.array(ints, dtype=object)
-    residues = []
-    for k in range(0, len(primes), _DET_CHUNK):
-        chunk = np.array(primes[k:k + _DET_CHUNK], dtype=np.int64)
-        a = np.stack([(mat % p).astype(np.int64) for p in chunk.tolist()])
-        kept, pivots, dets = _echelon_mod_p(a, chunk)
-        full = dict(zip(kept.tolist(), dets)) if len(pivots) == n else {}
-        residues += [full.get(p, 0) for p in chunk.tolist()]
-    det = sum(r * (modulus // p) * pow(modulus // p, -1, p)
-              for r, p in zip(residues, primes)) % modulus
+    det = sum(_det_mod_p((mat % p).astype(np.int64), p) * (modulus // p)
+              * pow(modulus // p, -1, p) for p in primes) % modulus
     if det > modulus // 2:
         det -= modulus
     return Fraction(det, scale)
@@ -615,13 +594,10 @@ def independent_rows_mod_p(rows, p):
     the pivot columns of the echelon form of the transpose.  Sound for
     exact certificates: rows independent mod p are independent over Q.
     """
-    if not 2 <= p < P_LIMIT:
-        raise ValueError(f"independent_rows_mod_p needs 2 <= p < 2**31, "
-                         f"got {p}")
-    if not rows or not rows[0]:
+    a = _mod_p_rows(rows, p)
+    if a is None:
         return []
-    return rank_profile_mod_p(np.ascontiguousarray(_residues(rows, p).T),
-                              p)[0]
+    return rank_profile_mod_p(np.ascontiguousarray(a.T), p)[0]
 
 
 def independent_rows(rows):

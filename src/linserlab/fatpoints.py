@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, isqrt
+from operator import index
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,13 +72,16 @@ def normalize_proj(coords, fieldspec: FieldSpec = QQ) -> Tuple:
     """Canonical homogeneous coordinates.
 
     Over Q: coprime integers, first nonzero positive.  Over GF(p): residues
-    with first nonzero coordinate scaled to 1.
+    with first nonzero coordinate scaled to 1, where a/b reads a b^-1 and
+    a b that p divides raises ValueError.  A coordinate is an integer or a
+    Fraction; a float raises TypeError rather than be truncated.
     """
     if len(coords) != 3:
         raise ValueError("projective plane points have 3 coordinates")
     if fieldspec.kind == "prime":
         p = fieldspec.p
-        c = tuple(int(x) % p for x in coords)
+        c = tuple(x % p if type(x) is int else _residue(x, p)
+                  for x in coords)
         lead = next((x for x in c if x), None)
         if lead is None:
             raise ValueError("(0:0:0) is not a projective point")
@@ -90,10 +94,27 @@ def normalize_proj(coords, fieldspec: FieldSpec = QQ) -> Tuple:
         if (coords[0] or coords[1] or coords[2]) < 0:
             g = -g
         return (coords[0] // g, coords[1] // g, coords[2] // g)
-    fracs = [Fraction(x) for x in coords]
+    fracs = [Fraction(*_ratio(x)) for x in coords]
     if not any(fracs):
         raise ValueError("(0:0:0) is not a projective point")
     return canonical(fracs)
+
+
+def _ratio(x):
+    """(numerator, denominator) of an integer or Fraction coordinate."""
+    try:
+        return int(x.numerator), int(x.denominator)
+    except AttributeError:
+        raise TypeError(f"coordinate {x!r} is not an integer or a"
+                        f" Fraction") from None
+
+
+def _residue(x, p):
+    """The coordinate x = a/b mod p, a b^-1."""
+    a, b = _ratio(x)
+    if b % p == 0:
+        raise ValueError(f"coordinate {x!r} has no residue mod {p}")
+    return a * pow(b, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +681,7 @@ class PlaneDivisorClass:
     mults: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(map(index, self.mults)))
 
     def self_intersection(self) -> int:
         return self.d ** 2 - sum(m * m for m in self.mults)

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import is_prime
@@ -31,7 +32,7 @@ class NSLattice:
     canonical: Tuple[int, ...]
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(map(index, row)) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(self.labels)
         if len(g) != n or any(len(row) != n for row in g):
@@ -47,8 +48,7 @@ class DivClass:
     coeffs: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
 
 
 def ee_lattice() -> NSLattice:

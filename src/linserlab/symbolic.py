@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from operator import index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dumnicki import _json_int
@@ -72,7 +73,7 @@ class MonomialIdeal:
             raise ValueError(f"need between 1 and {MAX_VARS} variables")
         gens = []
         for g in self.gens:
-            g = tuple(int(e) for e in g)
+            g = tuple(map(index, g))
             if len(g) != len(variables):
                 raise ValueError("generator length does not match variables")
             if any(e < 0 for e in g):
@@ -157,7 +158,7 @@ def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 def contains(i: MonomialIdeal, m: Exponent) -> bool:
-    m = tuple(int(e) for e in m)
+    m = tuple(map(index, m))
     if len(m) != i.nvars:
         raise ValueError("monomial length does not match the ring")
     return any(_divides(g, m) for g in i.gens)
@@ -186,7 +187,7 @@ class PrimeSupport:
     variables: Tuple[int, ...]
 
     def __post_init__(self):
-        v = tuple(sorted(set(int(k) for k in self.variables)))
+        v = tuple(sorted(set(map(index, self.variables))))
         if not v:
             raise ValueError("a prime support must be nonempty")
         object.__setattr__(self, "variables", v)

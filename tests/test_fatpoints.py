@@ -203,14 +203,14 @@ def _spy_builds_and_primes(monkeypatch):
     """Moduli of every build of the vertex-reduced matrix of the system
     (the build of L/g inside `_products_bound` is not listed; an
     unreduced `conditions_matrix` build is recorded as ("unreduced", p)),
-    primes of every rank pass and stacked elimination, and (prime, shape)
+    primes of every rank pass and determinant residue, and (prime, shape)
     of every inversion mod p; the rank pass on [B | I] inside an
-    inversion is not listed apart."""
+    inversion or a determinant residue is not listed apart."""
     builds, primes, inverses, inside, bounding = [], [], [], [], []
-    build, bound, unreduced, profile, echelon, inverse = (
+    build, bound, unreduced, profile, det, inverse = (
         fatpoints._vertex_conditions, fatpoints._products_bound,
         fatpoints.conditions_matrix, _linalg.rank_profile_mod_p,
-        _linalg._echelon_mod_p, _linalg._inverse)
+        _linalg._det_mod_p, _linalg._inverse)
 
     def spy_build(frame, d, mults, p=None):
         if not bounding:
@@ -233,9 +233,13 @@ def _spy_builds_and_primes(monkeypatch):
             primes.append(p)
         return profile(a, p)
 
-    def spy_echelon(a, batch):
-        primes.extend(batch.tolist())
-        return echelon(a, batch)
+    def spy_det(b, p):
+        primes.append(p)
+        inside.append(b)
+        try:
+            return det(b, p)
+        finally:
+            inside.pop()
 
     def spy_inverse(b, p):
         inverses.append((p, b.shape))
@@ -249,7 +253,7 @@ def _spy_builds_and_primes(monkeypatch):
     monkeypatch.setattr(fatpoints, "_products_bound", spy_bound)
     monkeypatch.setattr(fatpoints, "conditions_matrix", spy_unreduced)
     monkeypatch.setattr(_linalg, "rank_profile_mod_p", spy_profile)
-    monkeypatch.setattr(_linalg, "_echelon_mod_p", spy_echelon)
+    monkeypatch.setattr(_linalg, "_det_mod_p", spy_det)
     monkeypatch.setattr(_linalg, "_inverse", spy_inverse)
     return builds, primes, inverses
 
@@ -267,7 +271,8 @@ def _eliminated_once(monkeypatch, pts, d, mults):
     """The (h0, h1) of the system, checking that the kernel proof reuses
     the rank profile of the one elimination mod RANK_PRIME: the exact
     vertex-reduced matrix is built once, only its square pivot block is
-    inverted, once, and no other prime (no CERT_PRIMES) is eliminated."""
+    inverted, once, and no other prime (no determinant residue) is
+    eliminated."""
     system = FatPointSystem(d, pts, mults)
     killed = _reduced(system)[1]
     builds, primes, inverses = _spy_builds_and_primes(monkeypatch)
@@ -432,6 +437,27 @@ def test_the_same_point_twice_is_refused():
         FatPointSystem(3, ((1, 2, 3), (8, 2, 10)), (1, 1), fieldspec=GF(7))
     assert FatPointSystem(3, ((1, 2, 3), (8, 2, 10)), (1, 1)).points == (
         (1, 2, 3), (4, 1, 5))
+
+
+def test_point_coordinates_are_read_exactly():
+    # over GF(p), a/b is a b^-1 mod p (1/2 = 4 mod 7), and a b that p
+    # divides has no residue; a float is refused over Q and over GF(p)
+    assert normalize_proj((Fraction(1, 2), 1, 1), GF(7)) == (1, 2, 2)
+    assert normalize_proj((np.int64(3), Fraction(-2, 3), 1), GF(7)) == (
+        1, 6, 5)
+    system = FatPointSystem(1, ((Fraction(1, 2), 1, 1), (0, 1, 1)), (1, 1),
+                            GF(7))
+    assert system.points == ((1, 2, 2), (0, 1, 1))
+    with pytest.raises(ValueError, match="no residue mod 7"):
+        normalize_proj((Fraction(1, 7), 1, 1), GF(7))
+    with pytest.raises(ValueError, match="no residue mod 7"):
+        FatPointSystem(1, ((1, Fraction(2, 21), 1),), (1,), GF(7))
+    for fs in (fatpoints.QQ, GF(7)):
+        for pt in ((0.5, 1, 1), (1, np.float64(2.0), 3), (1, 1, 2.0)):
+            with pytest.raises(TypeError):
+                normalize_proj(pt, fs)
+            with pytest.raises(TypeError):
+                FatPointSystem(1, (pt,), (1,), fs)
 
 
 def test_alpha_star_proves_by_peeling(monkeypatch):

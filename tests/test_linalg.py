@@ -9,8 +9,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from linserlab import _linalg
-from linserlab._linalg import (CERT_PRIMES, RANK_PRIME, det_exact,
-                               independent_rows, independent_rows_mod_p,
+from linserlab._linalg import (CERT_PRIMES, RANK_PRIME, _prime_below,
+                               det_exact, independent_rows,
+                               independent_rows_mod_p,
                                is_prime, nullspace, rank_exact, rank_mod_p,
                                rank_profile_mod_p, to_int_rows)
 
@@ -41,11 +42,22 @@ def test_to_int_rows_clears_denominators():
 
 def test_exact_rows_take_integers_and_refuse_floats():
     """Every entry is read through its denominator: bools and numpy
-    integers count as integers, and a float is refused, not truncated."""
+    integers count as integers, and a float is refused, not truncated.
+    Mod p a Fraction row is scaled by a unit, and a denominator that p
+    divides is refused."""
     assert to_int_rows([[True, np.int64(-3), Fraction(5, 4)]]) == [[4, -12, 5]]
     assert det_exact([[np.int64(2), Fraction(1, 3)], [1, 1]]) == Fraction(5, 3)
+    assert rank_mod_p([[Fraction(1, 2)]], 7) == 1
+    assert independent_rows_mod_p([[Fraction(1, 2)]], 7) == [0]
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [3, 2], [0, Fraction(5, 4)]]
+    assert rank_mod_p(rows, 7) == 2
+    assert independent_rows_mod_p(rows, 7) == [0, 2]
+    for call in (rank_mod_p, independent_rows_mod_p):
+        with pytest.raises(ValueError):
+            call([[1, 0], [0, Fraction(1, 7)]], 7)
     for call in (to_int_rows, rank_exact, det_exact, nullspace,
-                 independent_rows):
+                 independent_rows, lambda rows: rank_mod_p(rows, 7),
+                 lambda rows: independent_rows_mod_p(rows, 7)):
         for rows in ([[0.5]], [[1, 0.25], [0, 1]], [[np.float64(2.0)]]):
             with pytest.raises(TypeError):
                 call(rows)
@@ -120,6 +132,39 @@ def test_det_matches_bareiss_and_sympy(mat):
                                 for row in mat]).det()
 
 
+nonzero_entries = st.one_of(
+    st.integers(-2**40, 2**40).filter(bool),
+    st.builds(Fraction, st.integers(1, 99), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(-99, -1), st.integers(1, 30)))
+
+
+@st.composite
+def scaled_permutations(draw):
+    """(sigma, diag), n <= 8: the matrix P D with P[i, sigma[i]] = 1."""
+    n = draw(st.integers(1, 8))
+    sigma = draw(st.permutations(range(n)))
+    diag = draw(st.lists(nonzero_entries, min_size=n, max_size=n))
+    return sigma, diag
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_permutations())
+def test_det_of_a_scaled_permutation_carries_its_sign(case):
+    """det(P D) = sign(sigma) prod(diag), sign by counting inversions: the
+    elimination brings up the rows in the order sigma^-1, so this checks
+    the parity that `_det_mod_p` reads from the row order."""
+    sigma, diag = case
+    n = len(sigma)
+    mat = [[diag[j] if sigma[i] == j else 0 for j in range(n)]
+           for i in range(n)]
+    inversions = sum(a > b for i, a in enumerate(sigma)
+                     for b in sigma[i + 1:])
+    det = det_exact(mat)
+    assert det == (-1) ** inversions * prod(diag)
+    assert det == sympy.Matrix([[sympy.Rational(e) for e in row]
+                                for row in mat]).det()
+
+
 def test_det_edge_cases():
     assert det_exact([[0]]) == 0
     assert det_exact([[5]]) == 5
@@ -133,8 +178,8 @@ def test_det_edge_cases():
 
 
 @pytest.mark.parametrize("value", [
-    CERT_PRIMES[0] - 1, -(CERT_PRIMES[0] - 1),
-    CERT_PRIMES[0] * CERT_PRIMES[1] - 1, Fraction(CERT_PRIMES[0] - 2, 3)])
+    RANK_PRIME - 1, -(RANK_PRIME - 1),
+    RANK_PRIME * _prime_below(RANK_PRIME) - 1, Fraction(RANK_PRIME - 2, 3)])
 def test_det_just_below_the_prime_products(value):
     """|det| = sqrt(h2), just below a product M of det_exact's primes: a
     modulus that only passed the Hadamard bound, not twice it, would read

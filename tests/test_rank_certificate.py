@@ -4,8 +4,8 @@ A deficient rank mod p is proved by lifting the predicted kernel to Q and
 checking it exactly; these tests feed it random low-rank products and
 matrices built so that the first primes of the lift's walk, RANK_PRIME and
 the primes below it, lie about the rank.  Matrices of the same build,
-unlucky for the first primes of the determinant's walk from CERT_PRIMES[0]
-down, check that `det_exact` counts such primes as residue 0.
+unlucky for the first primes of the determinant's walk, the same one,
+check that `det_exact` counts such primes as residue 0.
 """
 
 from fractions import Fraction
@@ -36,8 +36,8 @@ def _matmul(a, b):
 
 def _walk(start, count):
     """`count` primes from `start` down, each the largest below the last:
-    from RANK_PRIME, the primes the kernel lift restarts at, and from
-    CERT_PRIMES[0], those `det_exact` takes."""
+    from RANK_PRIME, the primes the kernel lift restarts at and those
+    `det_exact` takes."""
     primes = [start]
     while len(primes) < count:
         primes.append(_prime_below(primes[-1]))
@@ -174,17 +174,24 @@ def test_determinant_divisible_by_first_primes(unlucky, n, monkeypatch):
     """The first `unlucky` primes of the determinant's walk divide det:
     they see rank below n and count with residue 0, and the later primes
     fix the value."""
-    walk = _walk(CERT_PRIMES[0], unlucky)
+    walk = _walk(RANK_PRIME, unlucky)
     diagonal = ([1] * n + [2, 3, prod(walk)])[-n:]
     mat = _with_invariants(n, n, diagonal, seed=unlucky)
-    assert _linalg.rank_mod_p(mat, CERT_PRIMES[0]) == n - 1
-    taken, echelon = [], _linalg._echelon_mod_p
-    monkeypatch.setattr(_linalg, "_echelon_mod_p", lambda a, primes: (
-        taken.extend(primes.tolist()), echelon(a, primes))[1])
+    assert _linalg.rank_mod_p(mat, RANK_PRIME) == n - 1
+    taken, residues, step = [], [], _linalg._det_mod_p
+
+    def spy(b, p):
+        taken.append(p)
+        residues.append(step(b, p))
+        return residues[-1]
+
+    monkeypatch.setattr(_linalg, "_det_mod_p", spy)
     det = det_exact(mat)
     assert det == prod(diagonal)
     assert det == _bareiss_det(mat) == sympy.Matrix(mat).det()
-    assert taken == _walk(CERT_PRIMES[0], len(taken)) and len(taken) > unlucky
+    assert taken == _walk(RANK_PRIME, len(taken)) and len(taken) > unlucky
+    assert residues == [det % p for p in taken]
+    assert residues[:unlucky] == [0] * unlucky
 
 
 @pytest.mark.parametrize("unlucky", [1, 2, 4, 7])
