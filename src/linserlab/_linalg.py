@@ -379,11 +379,10 @@ def _det_mod_p(b, p):
     if pivots[-1] >= n:
         return 0
     det = prod(g[range(n), [n + i for i in order]].tolist()) % p
-    perm = list(order)
-    for k in range(n):  # sort perm by swaps, each flipping the sign
-        while perm[k] != k:
-            i = perm[k]
-            perm[k], perm[i], det = perm[i], i, -det
+    for k in range(n):  # sort the order by swaps, each flipping the sign
+        while order[k] != k:
+            i = order[k]
+            order[k], order[i], det = order[i], i, -det
     return pow(det, -1, p)
 
 
