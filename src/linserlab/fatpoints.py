@@ -135,6 +135,8 @@ class FatPointSystem:
     fieldspec: FieldSpec = QQ
 
     def __post_init__(self):
+        object.__setattr__(self, "d", index(self.d))
+        object.__setattr__(self, "mults", tuple(map(index, self.mults)))
         if len(self.points) != len(self.mults):
             raise ValueError("one multiplicity per point")
         if any(m < 1 for m in self.mults):
@@ -538,6 +540,8 @@ def _rand_line(rng: random.Random):
 def general_position_lines(k: int, rng: random.Random):
     """k lines, pairwise distinct, no three concurrent
     (`lattice.dependent_triples`)."""
+    if k < 0:
+        raise ValueError("the number of lines must be >= 0")
     while True:
         lines = [_rand_line(rng) for _ in range(k)]
         if (len({normalize_proj(l) for l in lines}) == k
@@ -681,6 +685,7 @@ class PlaneDivisorClass:
     mults: Tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "d", index(self.d))
         object.__setattr__(self, "mults", tuple(map(index, self.mults)))
 
     def self_intersection(self) -> int:

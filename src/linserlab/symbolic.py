@@ -46,12 +46,36 @@ def _divides(d: Exponent, m: Exponent) -> bool:
 
 
 def _minimize(gens: Iterable[Exponent]) -> Tuple[Exponent, ...]:
-    """Antichain of minimal elements under divisibility."""
+    """Antichain of minimal elements under divisibility, sorted.
+
+    Candidates are taken by degree, then lex, and one is kept when no kept
+    generator divides it.  The divisibility test is one big-int
+    subtraction.  Each nonnegative exponent vector packs into one int with
+    a field of w = (largest exponent).bit_length() + 1 bits per variable,
+    and `guard` sets the top bit of every field.  Every field of
+    pack(g) | guard is at least 2**(w-1) and every field of pack(h) is
+    below it, so no field borrows in (pack(g) | guard) - pack(h), and a
+    field keeps its top bit exactly when g_k >= h_k: h divides g iff
+    that difference masked by `guard` equals `guard`.
+    """
     pool = sorted(set(gens), key=lambda g: (sum(g), g))
+    if not pool:
+        return ()
+    w = max(map(max, pool)).bit_length() + 1
+    guard = sum(1 << (w * k + w - 1) for k in range(len(pool[0])))
     kept: List[Exponent] = []
+    packed: List[int] = []
     for g in pool:
-        if not any(_divides(h, g) for h in kept):
+        p = 0
+        for e in g:
+            p = p << w | e
+        top = p | guard
+        for h in packed:
+            if (top - h) & guard == guard:
+                break
+        else:
             kept.append(g)
+            packed.append(p)
     return tuple(sorted(kept))
 
 
@@ -61,7 +85,9 @@ class MonomialIdeal:
 
     Construction canonicalizes: generators are deduplicated, minimized
     under divisibility, and sorted, so equality of ideals is equality of
-    dataclasses.
+    dataclasses.  Minimizing packs each generator into one int with a
+    guard bit on top of every exponent's field, so that each divisibility
+    test is one subtraction and one mask (`_minimize`).
     """
 
     variables: Tuple[str, ...]

@@ -843,6 +843,16 @@ def test_general_position_lines_are_the_frozen_draws(k):
         assert new.getstate() == old.getstate()
 
 
+def test_a_negative_line_count_is_refused():
+    """No draw of -2 lines exists, so the draw loop must not start
+    (`alpha --config pencil_products --param -1` looped forever)."""
+    with pytest.raises(ValueError):
+        general_position_lines(-2, random.Random(0))
+    with pytest.raises(ValueError):
+        make_config("pencil_products", {"k": -1})
+    assert general_position_lines(0, random.Random(0)) == []
+
+
 def test_alpha_special_degree_builds_no_exact_matrix(monkeypatch):
     # the exact matrix of L(6) is never built, no prime but RANK_PRIME is
     # eliminated, and the only block inverted is that of the section's

@@ -55,6 +55,12 @@ def test_library_has_no_floating_point():
 INTEGER_SITES = {
     "PlaneDivisorClass": lambda v: fatpoints.PlaneDivisorClass(
         5, (v, 1)).mults,
+    "PlaneDivisorClass.d": lambda v: fatpoints.PlaneDivisorClass(
+        v, (2, 1)).self_intersection(),
+    "FatPointSystem.d": lambda v: fatpoints.FatPointSystem(
+        v, ((1, 0, 0),), (1,)).d,
+    "FatPointSystem.mults": lambda v: fatpoints.FatPointSystem(
+        3, ((1, 0, 0), (0, 1, 0)), (v, 2)).mults,
     "MonomialIdeal": lambda v: symbolic.ideal([(v, 1)]).gens,
     "contains": lambda v: symbolic.contains(symbolic.ideal([(1, 1)]), (v, 1)),
     "PrimeSupport": lambda v: symbolic.PrimeSupport((v, 0)).variables,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from linserlab.symbolic import (
     ElsChain,
+    _minimize,
     asymptotic_multiplier,
     bight,
     containment_suite,
@@ -67,6 +68,52 @@ def test_construction_errors():
         ideal([], nvars=None)
     with pytest.raises(ValueError):
         ideal([(1,) * 13])
+
+
+def _frozen_minimize(gens):
+    """The pairwise loop that `_minimize` ran before it packed exponent
+    vectors into ints, kept as its oracle."""
+    pool = sorted(set(gens), key=lambda g: (sum(g), g))
+    kept = []
+    for g in pool:
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+            kept.append(g)
+    return tuple(sorted(kept))
+
+
+@st.composite
+def exponent_pools(draw):
+    """Pools in 1-12 variables with exponents 0-3 or up to 2**70, with
+    duplicates and, sometimes, the zero vector; the pool may be empty."""
+    n = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from([st.integers(0, 3),
+                                  st.integers(0, 3) | st.integers(0, 2**70)]))
+    vector = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    pool = draw(st.lists(vector, max_size=40))
+    if pool:
+        pool += draw(st.lists(st.sampled_from(pool), max_size=5))
+    if draw(st.booleans()):
+        pool.append((0,) * n)
+    return draw(st.permutations(pool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_pools())
+def test_minimize_is_the_frozen_pairwise_loop(pool):
+    assert _minimize(pool) == _frozen_minimize(pool)
+
+
+def test_minimize_where_a_borrow_would_cross_a_field():
+    """Largest exponent 2**k or 2**k - 1, at the edge of the field width:
+    every ordered pair of vectors over {0, 1, m - 1, m} is minimized as
+    the loop does, so no field's borrow or carry reaches the next one."""
+    for k in range(71):
+        for m in {2**k, 2**k - 1} - {0}:
+            vectors = list(itertools.product(sorted({0, 1, m - 1, m}),
+                                             repeat=2))
+            for h, g in itertools.product(vectors, repeat=2):
+                assert _minimize([h, g]) == _frozen_minimize([h, g])
+    assert _minimize([]) == ()
 
 
 def test_power_and_products():

@@ -183,6 +183,10 @@ READERS = (
      {"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}),
     (["symbolic", "suite", "--ideal"], [],
      {"vars": ["x", "y", "z"], "gens": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}),
+    (["symbolic", "power", "--ideal"], ["--m", "2"],
+     {"vars": ["x", "y", "z"], "gens": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}),
+    (["symbolic", "multiplier", "--ideal"], ["--t", "5/2"],
+     {"vars": ["x", "y", "z"], "gens": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}),
     (["toric", "subdivide", "--input"], [],
      {"heights": [[[0, 0], 0, 1], [[2, 0], 0, 1], [[0, 2], 0, 1],
                   [[1, 1], 1, 2]]}),
