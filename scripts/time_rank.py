@@ -58,9 +58,13 @@ For the arrangements of ARRANGEMENTS, `arrangements.circuits`,
 `graded_counts(..., 3)` on those circuits and `singular_points` run
 --repeat times each.  One more `graded_counts` call, untimed, records every
 exact rank it asks for: the degree pieces ("piece") and the linear
-syzygies of the quadrics ("syzygy"), each with its shape, its rank, whether
-that rank was deficient mod RANK_PRIME and so paid the kernel lift of
-`deficient_rank`, and the seconds of that lift.
+syzygies of the quadrics ("syzygy"), each with its shape, its rank, its
+proof and the seconds of its kernel lift.  The proof is "hilbert" (the
+rank mod RANK_PRIME meets dim I_k of the Orlik-Terao Hilbert series),
+"full" (short of it, `rank_exact` at full rank mod RANK_PRIME) or "lift"
+(`rank_exact` through the kernel lift of `deficient_rank`).  A syzygy
+rank that `graded_counts` reads from the piece (3, 1) of the same rows is
+"shared", with that piece's proof and no lift of its own.
 
 Prints one JSON document: per degree and prime the matrix shape, the rank,
 and the best and median seconds, and the same of the reduced matrix with
@@ -286,26 +290,36 @@ def _best_median(fn, repeat):
 
 
 def _graded_ranks(arr, circs):
-    """The exact ranks of one `graded_counts(arr, 3, circs)` call, read by
-    wrapping the functions that `arrangements` calls: the ranks after the
-    quadric basis is chosen by `independent_rows` are the syzygy ranks."""
-    ranks, lifts, kind = [], [], "piece"
-    rank_exact, independent_rows = (arrangements.rank_exact,
-                                    arrangements.independent_rows)
+    """The ranks of one `graded_counts(arr, 3, circs)` call, read by
+    wrapping the functions that `arrangements` calls: each rank of
+    `_ideal_rank` with its proof, and the syzygy rank that `graded_counts`
+    reads from the shared piece (3, 1), when it ranks no syzygy rows of
+    its own.  The ranks after the quadric basis is chosen by
+    `independent_rows` are the syzygy ranks."""
+    ranks, exact, lifts, kind, basis = [], [], [], "piece", None
+    ideal_rank, rank_exact, independent_rows = (
+        arrangements._ideal_rank, arrangements.rank_exact,
+        arrangements.independent_rows)
     deficient_rank = _linalg.deficient_rank
 
-    def spy_rank(rows):
+    def spy_ideal(rows, bound):
+        exact.clear()
         lifts.clear()
-        rank = rank_exact(rows)
+        rank = ideal_rank(rows, bound)
+        proof = "lift" if lifts else "full" if exact else "hilbert"
         ranks.append({"kind": kind, "shape": [len(rows), len(rows[0])],
-                      "rank": rank, "deficient": bool(lifts),
+                      "rank": rank, "proof": proof, "shared": False,
                       "lift_s": sum(lifts)})
         return rank
 
+    def spy_rank(rows):
+        exact.append(rows)
+        return rank_exact(rows)
+
     def spy_rows(rows):
-        nonlocal kind
-        kind = "syzygy"
-        return independent_rows(rows)
+        nonlocal kind, basis
+        kind, basis = "syzygy", independent_rows(rows)
+        return basis
 
     def spy_lift(*args, **kwargs):
         t0 = time.perf_counter()
@@ -314,15 +328,22 @@ def _graded_ranks(arr, circs):
         finally:
             lifts.append(time.perf_counter() - t0)
 
-    arrangements.rank_exact, arrangements.independent_rows = (spy_rank,
-                                                              spy_rows)
+    arrangements._ideal_rank, arrangements.rank_exact = spy_ideal, spy_rank
+    arrangements.independent_rows = spy_rows
     _linalg.deficient_rank = spy_lift
     try:
-        arrangements.graded_counts(arr, 3, circs)
+        gc = arrangements.graded_counts(arr, 3, circs)
     finally:
-        arrangements.rank_exact, arrangements.independent_rows = (
-            rank_exact, independent_rows)
+        arrangements._ideal_rank, arrangements.rank_exact = (ideal_rank,
+                                                             rank_exact)
+        arrangements.independent_rows = independent_rows
         _linalg.deficient_rank = deficient_rank
+    if basis is not None and ranks[-1]["kind"] == "piece":
+        rows = len(basis) * len(arr)
+        ranks.append({**ranks[-1], "kind": "syzygy",
+                      "shape": [rows, comb(len(arr) + 2, 3)],
+                      "rank": rows - gc.linear_syzygies, "shared": True,
+                      "lift_s": 0.0})
     return ranks
 
 

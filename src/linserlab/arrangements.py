@@ -3,7 +3,9 @@ circuits with exact dependencies from integer determinants, and the
 low-degree graded structure of the ideal of reciprocal-coordinate
 relations.  A dependency sum c_j alpha_{i_j} = 0 among k forms gives the
 degree-(k-1) relation f = sum_j c_j prod_{l != j} y_{i_l}; the ideal they
-generate is read from exact ranks of coefficient matrices, not Groebner bases.
+generate is read from ranks of coefficient matrices, not Groebner bases.
+A rank mod RANK_PRIME that meets dim I_k, read from the Hilbert series of
+the Orlik-Terao algebra, is proved by that bound; any other is exact.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._linalg import independent_rows, rank_exact
+from ._linalg import (RANK_PRIME, _residues, independent_rows,
+                      rank_exact, rank_profile_mod_p)
 from .fatpoints import (DEFAULT_SEED, PlaneDivisorClass,
                         general_position_lines, normalize_proj)
 from .lattice import canonical, cross, dependent_triples, dot
@@ -177,30 +181,76 @@ def _coeff_row(form: OTForm, shift: Tuple[int, ...],
     return row
 
 
+def _ideal_dim(s: int, b2: int, k: int) -> int:
+    """dim I_k, k >= 1, of the relation ideal of s lines with
+    b2 = sum_p (t_p - 1): C(s + k - 1, k) - dim OT_k, where OT = S/I has
+    Hilbert series pi(t/(1 - t)) with pi = (1, s, b2, b2 - s + 1)."""
+    pi = (1, s, b2, b2 - s + 1)
+    return comb(s + k - 1, k) - sum(pi[i] * comb(k - 1, i - 1)
+                                    for i in (1, 2, 3))
+
+
+def _ideal_rank(rows: List[List[int]], bound: int) -> int:
+    """Exact rank of integer rows that span at most `bound` dimensions:
+    the rank mod RANK_PRIME when it meets the bound (it never exceeds the
+    rank over Q), else `rank_exact`."""
+    rank = len(rank_profile_mod_p(_residues(rows, RANK_PRIME),
+                                  RANK_PRIME)[0])
+    if rank > bound:
+        raise ArithmeticError(f"rank {rank} exceeds its bound {bound}")
+    return rank if rank == bound else rank_exact(rows)
+
+
 def graded_counts(a: LineArrangement, max_deg: int,
                   circs: Optional[Sequence[Circuit]] = None) -> GradedCounts:
     """Minimal generator counts per degree and the number of linear
-    syzygies among the minimal quadrics, all by exact rank computations.
+    syzygies among the minimal quadrics, all by exact ranks.
 
     `circs`, when given, holds the circuits of `a` up to size max_deg + 1
-    at least (as `circuits` lists them); the larger ones are ignored.
+    at least (as `circuits` lists them); the larger ones are ignored.  A
+    coefficient list that is not a dependency of its forms gives a form
+    outside the relation ideal, where the bound below fails, and it
+    raises ValueError.
 
     dim of the degree-k piece is the rank of all monomial shifts of the
     circuit forms into degree k; subtracting the rank of the shifts with a
     nonconstant monomial (the image of degree k-1 under the variables)
     counts minimal generators.  Linear syzygies are the kernel of
     (l_1,..,l_s) -> sum l_i q_i on a basis q of the quadric piece.
+
+    Every such row lies in I_k, the degree-k piece of the relation ideal
+    I, so its rank is at most dim I_k (`_ideal_dim`): by Terao's theorem
+    the Hilbert series of the Orlik-Terao algebra S/I is pi(t/(1 - t)),
+    pi the Poincare polynomial (H. Terao, J. Algebra 250, 2002), whose b2
+    is read from `singular_points` once a piece has rows.  A rank mod
+    RANK_PRIME that meets the bound is the rank over Q, with no lift.
+    The circuits generate I (N. Proudfoot and D. Speyer, Beitr. Algebra
+    Geom. 47, 2006), so at any but an unlucky prime every piece (k, 0)
+    meets it, and so does (k, 1) unless a minimal generator has degree k.
+    A rank short of the bound goes to `rank_exact`: on M8, piece (3, 1),
+    the 56 shifted quadrics, whose rank the linear syzygies share when
+    the basis keeps every quadric.
     """
     if not 1 <= max_deg <= 4:
         raise ValueError("max_deg must be between 1 and 4")
     d = len(a)
     if circs is None:
         circs = circuits(a, min(len(a), max_deg + 1))
+    elif any(sum(x * a.forms[i][k] for x, i in zip(c.coeffs, c.indices))
+             for c in circs for k in range(3)):
+        raise ValueError("a circuit is not a dependency of the forms")
     gens = [_circuit_form(c, d) for c in circs
             if len(c.indices) <= max_deg + 1]
     by_degree: Dict[int, List[OTForm]] = {}
     for f in gens:
         by_degree.setdefault(f.degree, []).append(f)
+    b2 = None  # from singular_points, once a piece has rows
+
+    def bound(k: int) -> int:
+        nonlocal b2
+        if b2 is None:
+            b2 = sum(t - 1 for _, t in singular_points(a))
+        return _ideal_dim(d, b2, k)
 
     def piece_rank(k: int, min_shift: int) -> int:
         index = {m: i for i, m in enumerate(_monomials(d, k))}
@@ -211,13 +261,13 @@ def graded_counts(a: LineArrangement, max_deg: int,
             for shift in _monomials(d, k - e):
                 for f in forms:
                     rows.append(_coeff_row(f, shift, index))
-        if not rows:
-            return 0
-        return rank_exact(rows)
+        return _ideal_rank(rows, bound(k)) if rows else 0
 
-    counts = []
+    counts, shifted = [], {}
     for k in range(1, max_deg + 1):
-        counts.append((k, piece_rank(k, 0) - piece_rank(k, 1)))
+        total = piece_rank(k, 0)
+        shifted[k] = piece_rank(k, 1)
+        counts.append((k, total - shifted[k]))
 
     lin_syz = 0
     quadrics = by_degree.get(2, [])
@@ -225,14 +275,19 @@ def graded_counts(a: LineArrangement, max_deg: int,
         index2 = {m: i for i, m in enumerate(_monomials(d, 2))}
         mat = [_coeff_row(f, (0,) * d, index2) for f in quadrics]
         basis_idx = independent_rows(mat)
-        basis = [quadrics[i] for i in basis_idx]
-        index3 = {m: i for i, m in enumerate(_monomials(d, 3))}
-        rows = []
-        for q in basis:
-            for v in range(d):
-                shift = tuple(1 if k == v else 0 for k in range(d))
-                rows.append(_coeff_row(q, shift, index3))
-        lin_syz = len(rows) - rank_exact(rows)
+        if 3 in shifted and len(basis_idx) == len(quadrics) and min(
+                by_degree) == 2:
+            # piece (3, 1) ranked these rows: each quadric times each variable
+            lin_syz = len(quadrics) * d - shifted[3]
+        else:
+            basis = [quadrics[i] for i in basis_idx]
+            index3 = {m: i for i, m in enumerate(_monomials(d, 3))}
+            rows = []
+            for q in basis:
+                for v in range(d):
+                    shift = tuple(1 if k == v else 0 for k in range(d))
+                    rows.append(_coeff_row(q, shift, index3))
+            lin_syz = len(rows) - _ideal_rank(rows, bound(3))
     return GradedCounts(tuple(counts), lin_syz)
 
 

@@ -343,7 +343,7 @@ def run_symbolic(args) -> int:
 def _arrangement_from_args(args) -> arrangements.LineArrangement:
     if args.m8:
         return arrangements.m8_minus()
-    if args.generic:
+    if args.generic is not None:
         return arrangements.generic_arrangement(args.generic, args.seed)
     if args.arrangement:
         doc = _load(args.arrangement)

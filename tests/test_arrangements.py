@@ -245,3 +245,139 @@ def test_circuits_make_no_rank_call(monkeypatch):
         monkeypatch.setattr(arrangements, name, refuse)
     cs = circuits(m8_minus(), 4)
     assert Counter(len(c.indices) for c in cs) == {3: 7, 4: 35}
+
+
+def _lift_graded_counts(a, max_deg, circs=None):
+    """`graded_counts` as it was before the Hilbert-series bound, every
+    rank by `rank_exact`: the oracle for the ranks the bound proves."""
+    if not 1 <= max_deg <= 4:
+        raise ValueError("max_deg must be between 1 and 4")
+    d = len(a)
+    if circs is None:
+        circs = circuits(a, min(len(a), max_deg + 1))
+    gens = [arrangements._circuit_form(c, d) for c in circs
+            if len(c.indices) <= max_deg + 1]
+    by_degree = {}
+    for f in gens:
+        by_degree.setdefault(f.degree, []).append(f)
+    monomials, coeff_row = arrangements._monomials, arrangements._coeff_row
+
+    def piece_rank(k, min_shift):
+        index = {m: i for i, m in enumerate(monomials(d, k))}
+        rows = []
+        for e, forms in by_degree.items():
+            if e > k or k - e < min_shift:
+                continue
+            for shift in monomials(d, k - e):
+                for f in forms:
+                    rows.append(coeff_row(f, shift, index))
+        if not rows:
+            return 0
+        return rank_exact(rows)
+
+    counts = []
+    for k in range(1, max_deg + 1):
+        counts.append((k, piece_rank(k, 0) - piece_rank(k, 1)))
+
+    lin_syz = 0
+    quadrics = by_degree.get(2, [])
+    if quadrics:
+        index2 = {m: i for i, m in enumerate(monomials(d, 2))}
+        mat = [coeff_row(f, (0,) * d, index2) for f in quadrics]
+        basis = [quadrics[i] for i in _linalg.independent_rows(mat)]
+        index3 = {m: i for i, m in enumerate(monomials(d, 3))}
+        rows = []
+        for q in basis:
+            for v in range(d):
+                shift = tuple(1 if k == v else 0 for k in range(d))
+                rows.append(coeff_row(q, shift, index3))
+        lin_syz = len(rows) - rank_exact(rows)
+    return arrangements.GradedCounts(tuple(counts), lin_syz)
+
+
+@st.composite
+def _concurrent_sets(draw):
+    """2-8 lines: 3-5 of them through one drawn point and the rest small
+    random forms, or all through one point."""
+    small = st.integers(-3, 3)
+    point = draw(st.tuples(small, small, small).filter(any))
+    # two independent forms vanishing at the point span the lines through it
+    u, v = [w for w in (cross(point, e) for e in ((1, 0, 0), (0, 1, 0),
+                                                  (0, 0, 1))) if any(w)][:2]
+    if not any(cross(u, v)):
+        v = cross(point, u)
+    s = draw(st.integers(2, 8))
+    through = s if draw(st.booleans()) else min(s, draw(st.integers(3, 5)))
+    ratios = draw(st.lists(st.tuples(small, small).filter(any),
+                           min_size=through, max_size=through,
+                           unique_by=lambda r: normalize_proj(r + (0,))))
+    forms = {}
+    for lam, mu in ratios:
+        f = tuple(lam * x + mu * y for x, y in zip(u, v))
+        forms.setdefault(normalize_proj(f), f)
+    others = draw(st.lists(st.tuples(small, small, small).filter(any),
+                           max_size=s - through))
+    for f in others:
+        forms.setdefault(normalize_proj(f), f)
+    return LineArrangement(tuple(forms.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_concurrent_sets(), max_deg=st.integers(1, 4))
+def test_graded_counts_match_the_lift_oracle(a, max_deg):
+    assert graded_counts(a, max_deg) == _lift_graded_counts(a, max_deg)
+
+
+@pytest.mark.parametrize("a", [CONCURRENT, m8_minus(),
+                               generic_arrangement(5, seed=11),
+                               LineArrangement(((1, 0, 0), (0, 1, 0),
+                                                (1, 1, 0), (1, -1, 0),
+                                                (0, 0, 1)))])
+@pytest.mark.parametrize("max_deg", [1, 2, 3, 4])
+def test_graded_counts_match_the_lift_oracle_on_fixtures(a, max_deg):
+    assert graded_counts(a, max_deg) == _lift_graded_counts(a, max_deg)
+
+
+def _lifts(monkeypatch):
+    """The shapes of the matrices whose kernels `_linalg` lifts."""
+    shapes, lift = [], _linalg._lift_kernel
+
+    def spy(mat, *args):
+        shapes.append(mat.shape)
+        return lift(mat, *args)
+
+    monkeypatch.setattr(_linalg, "_lift_kernel", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("max_deg", [3, 4])
+def test_the_hilbert_bound_leaves_one_lift(monkeypatch, max_deg):
+    shapes = _lifts(monkeypatch)
+    for s in range(5, 9):
+        graded_counts(generic_arrangement(s, seed=s), max_deg)
+    assert shapes == []
+    # M8: the 7 quadrics times the 8 variables, shared by the piece of
+    # degree 3 and the linear syzygies, fall one short of dim I_3 = 56
+    gc = graded_counts(m8_minus(), max_deg)
+    assert gc.linear_syzygies == 1
+    assert shapes == [(56, 120)]
+
+
+def test_graded_counts_of_one_and_two_lines():
+    one = LineArrangement(((1, 0, 0),))
+    two = LineArrangement(((1, 0, 0), (0, 1, 0)))
+    for a in (one, two):
+        for max_deg in (1, 3, 4):
+            gc = graded_counts(a, max_deg)
+            assert gc.min_gens_by_degree == tuple(
+                (k, 0) for k in range(1, max_deg + 1))
+            assert gc.linear_syzygies == 0
+
+
+def test_graded_counts_refuses_a_false_circuit():
+    a = generic_arrangement(5, seed=11)
+    (first, *rest) = circuits(a, 4)
+    wrong = Circuit(first.indices, (first.coeffs[0] + 1,) + first.coeffs[1:])
+    with pytest.raises(ValueError):
+        graded_counts(a, 3, [wrong] + rest)
+    assert graded_counts(a, 3, [first] + rest) == graded_counts(a, 3)

@@ -572,6 +572,15 @@ def test_ot_commands(tmp_path, capsys):
     assert code == 0 and rep["circuits"] == {"size3": 1, "size4": 0}
 
 
+@pytest.mark.parametrize("action", ["counts", "divisor"])
+@pytest.mark.parametrize("lines", ["0", "-3"])
+def test_ot_names_the_line_count(capsys, action, lines):
+    # --generic 0 once read as a missing option
+    code, rep = run(capsys, "ot", action, "--generic", lines)
+    assert code == 1
+    assert rep["error"] == "need at least 2 lines"
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     out = tmp_path / "kollar.json"
     code, printed = run(capsys, "surface", "kollar", "--n", "2",
