@@ -61,10 +61,11 @@ exact rank it asks for: the degree pieces ("piece") and the linear
 syzygies of the quadrics ("syzygy"), each with its shape, its rank, its
 proof and the seconds of its kernel lift.  The proof is "hilbert" (the
 rank mod RANK_PRIME meets dim I_k of the Orlik-Terao Hilbert series),
-"full" (short of it, `rank_exact` at full rank mod RANK_PRIME) or "lift"
-(`rank_exact` through the kernel lift of `deficient_rank`).  A syzygy
-rank that `graded_counts` reads from the piece (3, 1) of the same rows is
-"shared", with that piece's proof and no lift of its own.
+"full" (short of it, at full rank mod RANK_PRIME) or "lift" (through the
+kernel lift of `deficient_rank`).  The syzygy rank, which `graded_counts`
+reads from the piece (3, 1) of the quadrics times the variables, is
+"shared", with that piece's proof and no lift of its own; its shape is
+that of a basis of the quadrics times the variables.
 
 Prints one JSON document: per degree and prime the matrix shape, the rank,
 and the best and median seconds, and the same of the reduced matrix with
@@ -290,36 +291,23 @@ def _best_median(fn, repeat):
 
 
 def _graded_ranks(arr, circs):
-    """The ranks of one `graded_counts(arr, 3, circs)` call, read by
-    wrapping the functions that `arrangements` calls: each rank of
-    `_ideal_rank` with its proof, and the syzygy rank that `graded_counts`
-    reads from the shared piece (3, 1), when it ranks no syzygy rows of
-    its own.  The ranks after the quadric basis is chosen by
-    `independent_rows` are the syzygy ranks."""
-    ranks, exact, lifts, kind, basis = [], [], [], "piece", None
-    ideal_rank, rank_exact, independent_rows = (
-        arrangements._ideal_rank, arrangements.rank_exact,
-        arrangements.independent_rows)
-    deficient_rank = _linalg.deficient_rank
+    """The ranks of one `graded_counts(arr, 3, circs)` call: each rank of
+    `_ideal_rank`, read by wrapping it and the `deficient_rank` it calls,
+    with its proof, and the syzygy rank that `graded_counts` reads from
+    the last of them, piece (3, 1), when there are quadrics."""
+    ranks, lifts = [], []
+    ideal_rank, deficient_rank = (arrangements._ideal_rank,
+                                  arrangements.deficient_rank)
 
     def spy_ideal(rows, bound):
-        exact.clear()
         lifts.clear()
         rank = ideal_rank(rows, bound)
-        proof = "lift" if lifts else "full" if exact else "hilbert"
-        ranks.append({"kind": kind, "shape": [len(rows), len(rows[0])],
+        proof = ("hilbert" if rank == bound else "lift" if lifts
+                 else "full")
+        ranks.append({"kind": "piece", "shape": [len(rows), len(rows[0])],
                       "rank": rank, "proof": proof, "shared": False,
                       "lift_s": sum(lifts)})
         return rank
-
-    def spy_rank(rows):
-        exact.append(rows)
-        return rank_exact(rows)
-
-    def spy_rows(rows):
-        nonlocal kind, basis
-        kind, basis = "syzygy", independent_rows(rows)
-        return basis
 
     def spy_lift(*args, **kwargs):
         t0 = time.perf_counter()
@@ -328,18 +316,17 @@ def _graded_ranks(arr, circs):
         finally:
             lifts.append(time.perf_counter() - t0)
 
-    arrangements._ideal_rank, arrangements.rank_exact = spy_ideal, spy_rank
-    arrangements.independent_rows = spy_rows
-    _linalg.deficient_rank = spy_lift
+    arrangements._ideal_rank = spy_ideal
+    arrangements.deficient_rank = spy_lift
     try:
         gc = arrangements.graded_counts(arr, 3, circs)
     finally:
-        arrangements._ideal_rank, arrangements.rank_exact = (ideal_rank,
-                                                             rank_exact)
-        arrangements.independent_rows = independent_rows
-        _linalg.deficient_rank = deficient_rank
-    if basis is not None and ranks[-1]["kind"] == "piece":
-        rows = len(basis) * len(arr)
+        arrangements._ideal_rank = ideal_rank
+        arrangements.deficient_rank = deficient_rank
+    quadrics = [r["rank"] for r in ranks
+                if r["shape"][1] == comb(len(arr) + 1, 2)]
+    if quadrics:
+        rows = quadrics[0] * len(arr)
         ranks.append({**ranks[-1], "kind": "syzygy",
                       "shape": [rows, comb(len(arr) + 2, 3)],
                       "rank": rows - gc.linear_syzygies, "shared": True,

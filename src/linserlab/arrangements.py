@@ -5,7 +5,7 @@ relations.  A dependency sum c_j alpha_{i_j} = 0 among k forms gives the
 degree-(k-1) relation f = sum_j c_j prod_{l != j} y_{i_l}; the ideal they
 generate is read from ranks of coefficient matrices, not Groebner bases.
 A rank mod RANK_PRIME that meets dim I_k, read from the Hilbert series of
-the Orlik-Terao algebra, is proved by that bound; any other is exact.
+the Orlik-Terao algebra, is proved by that bound; any other by a lift.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._linalg import (RANK_PRIME, _residues, independent_rows,
-                      rank_exact, rank_profile_mod_p)
+import numpy as np
+
+from ._linalg import (RANK_PRIME, _residues, deficient_rank,
+                      rank_profile_mod_p)
 from .fatpoints import (DEFAULT_SEED, PlaneDivisorClass,
                         general_position_lines, normalize_proj)
 from .lattice import canonical, cross, dependent_triples, dot
@@ -191,14 +193,19 @@ def _ideal_dim(s: int, b2: int, k: int) -> int:
 
 
 def _ideal_rank(rows: List[List[int]], bound: int) -> int:
-    """Exact rank of integer rows that span at most `bound` dimensions:
-    the rank mod RANK_PRIME when it meets the bound (it never exceeds the
-    rank over Q), else `rank_exact`."""
-    rank = len(rank_profile_mod_p(_residues(rows, RANK_PRIME),
-                                  RANK_PRIME)[0])
-    if rank > bound:
-        raise ArithmeticError(f"rank {rank} exceeds its bound {bound}")
-    return rank if rank == bound else rank_exact(rows)
+    """Exact rank of integer rows that span at most `bound` dimensions.
+
+    The rank mod RANK_PRIME never exceeds the rank over Q, so when it
+    meets min(bound, rows, columns) it is proved; otherwise the kernel
+    lift of `deficient_rank` proves it from the same elimination."""
+    full = min(bound, len(rows), len(rows[0]))
+    profile = rank_profile_mod_p(_residues(rows, RANK_PRIME), RANK_PRIME)
+    if len(profile[0]) > bound:
+        raise ArithmeticError(f"rank {len(profile[0])} exceeds its bound "
+                              f"{bound}")
+    if len(profile[0]) == full:
+        return full
+    return deficient_rank(np.array(rows, dtype=object), full, profile)
 
 
 def graded_counts(a: LineArrangement, max_deg: int,
@@ -216,7 +223,10 @@ def graded_counts(a: LineArrangement, max_deg: int,
     circuit forms into degree k; subtracting the rank of the shifts with a
     nonconstant monomial (the image of degree k-1 under the variables)
     counts minimal generators.  Linear syzygies are the kernel of
-    (l_1,..,l_s) -> sum l_i q_i on a basis q of the quadric piece.
+    (l_1,..,l_s) -> sum l_i q_i on a basis q of the quadric piece: every
+    circuit form has degree >= 2, so the image is piece (3, 1), and their
+    number is d dim(piece (2, 0)) - dim(piece (3, 1)).  A degree k with no
+    form of its own has the same rows in (k, 0) and (k, 1), ranked once.
 
     Every such row lies in I_k, the degree-k piece of the relation ideal
     I, so its rank is at most dim I_k (`_ideal_dim`): by Terao's theorem
@@ -227,9 +237,9 @@ def graded_counts(a: LineArrangement, max_deg: int,
     The circuits generate I (N. Proudfoot and D. Speyer, Beitr. Algebra
     Geom. 47, 2006), so at any but an unlucky prime every piece (k, 0)
     meets it, and so does (k, 1) unless a minimal generator has degree k.
-    A rank short of the bound goes to `rank_exact`: on M8, piece (3, 1),
-    the 56 shifted quadrics, whose rank the linear syzygies share when
-    the basis keeps every quadric.
+    A rank short of the bound is proved by the kernel lift of
+    `deficient_rank` from the same elimination: on M8, piece (3, 1), the
+    56 shifted quadrics, one short of dim I_3 by the linear syzygy.
     """
     if not 1 <= max_deg <= 4:
         raise ValueError("max_deg must be between 1 and 4")
@@ -263,31 +273,20 @@ def graded_counts(a: LineArrangement, max_deg: int,
                     rows.append(_coeff_row(f, shift, index))
         return _ideal_rank(rows, bound(k)) if rows else 0
 
-    counts, shifted = [], {}
+    ranks = {}
     for k in range(1, max_deg + 1):
-        total = piece_rank(k, 0)
-        shifted[k] = piece_rank(k, 1)
-        counts.append((k, total - shifted[k]))
+        ranks[k, 0] = piece_rank(k, 0)
+        # with no form of degree k, the shifted rows are all the rows
+        ranks[k, 1] = piece_rank(k, 1) if k in by_degree else ranks[k, 0]
+    counts = [(k, ranks[k, 0] - ranks[k, 1]) for k in range(1, max_deg + 1)]
 
     lin_syz = 0
-    quadrics = by_degree.get(2, [])
-    if quadrics:
-        index2 = {m: i for i, m in enumerate(_monomials(d, 2))}
-        mat = [_coeff_row(f, (0,) * d, index2) for f in quadrics]
-        basis_idx = independent_rows(mat)
-        if 3 in shifted and len(basis_idx) == len(quadrics) and min(
-                by_degree) == 2:
-            # piece (3, 1) ranked these rows: each quadric times each variable
-            lin_syz = len(quadrics) * d - shifted[3]
-        else:
-            basis = [quadrics[i] for i in basis_idx]
-            index3 = {m: i for i, m in enumerate(_monomials(d, 3))}
-            rows = []
-            for q in basis:
-                for v in range(d):
-                    shift = tuple(1 if k == v else 0 for k in range(d))
-                    rows.append(_coeff_row(q, shift, index3))
-            lin_syz = len(rows) - _ideal_rank(rows, bound(3))
+    if 2 in by_degree:
+        # every form has degree >= 2, so piece (3, 1) is each quadric times
+        # each variable, which spans what a basis of the quadrics does
+        if (3, 1) not in ranks:
+            ranks[3, 1] = piece_rank(3, 1)
+        lin_syz = ranks[2, 0] * d - ranks[3, 1]
     return GradedCounts(tuple(counts), lin_syz)
 
 

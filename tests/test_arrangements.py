@@ -241,7 +241,7 @@ def test_circuits_make_no_rank_call(monkeypatch):
 
     for name in ("rank_exact", "nullspace", "rank_profile_mod_p"):
         monkeypatch.setattr(_linalg, name, refuse)
-    for name in ("rank_exact", "independent_rows"):
+    for name in ("rank_profile_mod_p", "deficient_rank"):
         monkeypatch.setattr(arrangements, name, refuse)
     cs = circuits(m8_minus(), 4)
     assert Counter(len(c.indices) for c in cs) == {3: 7, 4: 35}
@@ -361,6 +361,20 @@ def test_the_hilbert_bound_leaves_one_lift(monkeypatch, max_deg):
     gc = graded_counts(m8_minus(), max_deg)
     assert gc.linear_syzygies == 1
     assert shapes == [(56, 120)]
+
+
+def test_a_degree_without_forms_is_ranked_once(monkeypatch):
+    shapes, profile = [], arrangements.rank_profile_mod_p
+
+    def spy(a, p):
+        shapes.append(a.shape)
+        return profile(a, p)
+
+    monkeypatch.setattr(arrangements, "rank_profile_mod_p", spy)
+    gc = graded_counts(generic_arrangement(6, seed=6), 4)
+    assert gc.min_gens_by_degree == ((1, 0), (2, 0), (3, 10), (4, 0))
+    # only the 15 cubics: piece (3, 0), and (4, 0) whose rows are (4, 1)'s
+    assert shapes == [(15, 56), (90, 126)]
 
 
 def test_graded_counts_of_one_and_two_lines():
