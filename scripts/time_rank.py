@@ -151,14 +151,10 @@ def _eliminate(residues, p, repeat):
 def _generic_rows(degrees, repeat):
     rows = []
     for d in degrees:
-        times = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            rep = fatpoints.generic_cohomology(d, CLASSES[d])
-            times.append(time.perf_counter() - t0)
+        best, median, rep = _best_median(
+            lambda: fatpoints.generic_cohomology(d, CLASSES[d]), repeat)
         rows.append({"d": d, "mults": list(CLASSES[d]), "h0": rep.h0,
-                     "best_s": min(times),
-                     "median_s": statistics.median(times)})
+                     "best_s": best, "median_s": median})
     return rows
 
 
@@ -170,27 +166,24 @@ def _det_rows(repeat):
         while len(pts) < comb(m + 1, 2):
             pts.add((rng.randrange(m + 4), rng.randrange(m + 4)))
         mat = interp_matrix(InterpolationProblem(pts, triangle_staircase(m)))
-        times, piece_times = [], []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            det = _linalg.det_exact(mat)
-            times.append(time.perf_counter() - t0)
-        for _ in range(repeat):
-            t0 = time.perf_counter()
+
+        def piece():
             ev = dumnicki._certify_piece(pts, m)
             cert = dumnicki.EmptinessCertificate(
                 (), (dumnicki.Piece(frozenset(pts), m, ev),))
-            ok, _ = dumnicki.verify_certificate(pts, (m,), cert)
-            piece_times.append(time.perf_counter() - t0)
+            return ev, dumnicki.verify_certificate(pts, (m,), cert)[0]
+
+        best, median, det = _best_median(lambda: _linalg.det_exact(mat),
+                                         repeat)
+        piece_best, piece_median, (ev, ok) = _best_median(piece, repeat)
         assert ok == (det != 0)
         rows.append({"m": m, "shape": [len(mat), len(mat[0])],
                      "det_bits": abs(det.numerator).bit_length(),
-                     "best_s": min(times),
-                     "median_s": statistics.median(times),
+                     "best_s": best, "median_s": median,
                      "piece_evidence": ev if isinstance(ev, str)
                      else type(ev).__name__,
-                     "piece_best_s": min(piece_times),
-                     "piece_median_s": statistics.median(piece_times)})
+                     "piece_best_s": piece_best,
+                     "piece_median_s": piece_median})
     return rows
 
 
@@ -200,14 +193,10 @@ def _kernel_rows(repeat):
     for n in CONIC_STEPS:
         d, mults = 4 * n, (2 * n,) * 5
         mat = conditions_matrix(FatPointSystem(d, pts, mults))
-        times = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            rank = _linalg.deficient_rank(mat, min(mat.shape))
-            times.append(time.perf_counter() - t0)
+        best, median, rank = _best_median(
+            lambda: _linalg.deficient_rank(mat, min(mat.shape)), repeat)
         rows.append({"d": d, "mults": list(mults), "shape": list(mat.shape),
-                     "rank": rank, "best_s": min(times),
-                     "median_s": statistics.median(times)})
+                     "rank": rank, "best_s": best, "median_s": median})
     return rows
 
 
@@ -250,16 +239,12 @@ def _cohomology_rows(repeat):
             pts = random_rational_points(len(mults), random.Random(SEED))
         system = FatPointSystem(d, pts, mults)
         residual = fatpoints._peel(system)
-        times = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            rep = fatpoints.cohomology(system)
-            times.append(time.perf_counter() - t0)
+        best, median, rep = _best_median(
+            lambda: fatpoints.cohomology(system), repeat)
         rows.append({"d": d, "mults": list(mults),
                      "residual": [residual.d, list(residual.mults)],
                      "h0": rep.h0, "path": _proof_path(system),
-                     "best_s": min(times),
-                     "median_s": statistics.median(times)})
+                     "best_s": best, "median_s": median})
     return rows
 
 
@@ -273,21 +258,23 @@ def _section_rows(repeat):
         frame = fatpoints._vertex_frame(FatPointSystem(d, pts, (n,) * 9))
         small = fatpoints._vertex_conditions(frame, 3, (1,) * 9)[0]
         args = small.tolist(), small.shape[1]
-        best, median = _best_median(lambda: _linalg.nullspace(*args), repeat)
+        best, median, sections = _best_median(
+            lambda: _linalg.nullspace(*args), repeat)
         rows.append({"d": d, "mults": [n] * 9, "small": [3, [1] * 9],
-                     "shape": list(small.shape),
-                     "sections": len(_linalg.nullspace(*args)),
+                     "shape": list(small.shape), "sections": len(sections),
                      "best_s": best, "median_s": median})
     return rows
 
 
 def _best_median(fn, repeat):
+    """The best and median seconds of `repeat` calls of fn, and what the
+    last call returned."""
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn()
+        result = fn()
         times.append(time.perf_counter() - t0)
-    return min(times), statistics.median(times)
+    return min(times), statistics.median(times), result
 
 
 def _graded_ranks(arr, circs):
@@ -348,8 +335,8 @@ def _arrangement_rows(repeat):
                  lambda: arrangements.graded_counts(arr, 3, circs)),
                 ("singular_points",
                  lambda: arrangements.singular_points(arr))):
-            row[f"{name}_best_s"], row[f"{name}_median_s"] = _best_median(
-                fn, repeat)
+            row[f"{name}_best_s"], row[f"{name}_median_s"], _ = (
+                _best_median(fn, repeat))
         row["ranks"] = _graded_ranks(arr, circs)
         rows.append(row)
     return rows
@@ -363,8 +350,9 @@ def _stages(doc, path, repeat):
     times = {}
 
     def timed(stage, fn):
-        times[stage] = _best_median(fn, repeat)
-        return fn()
+        best, median, result = _best_median(fn, repeat)
+        times[stage] = best, median
+        return result
 
     system = timed("parse", lambda: cli._system_from_json(doc))
     residual = timed("peel", lambda: fatpoints._peel(system))

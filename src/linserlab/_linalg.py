@@ -13,15 +13,15 @@ also names the pivot columns P and the rows R that carry them, and
 B = A[R, P] is then invertible mod p.  The kernel that this profile
 predicts, the solution X of B X = -A[R, F] over the free columns F, is
 lifted p-adically (`_Lift`, after Dixon): B is inverted mod p once
-(`_inverse`, the same loop on [B | I]), each step adds one p-adic digit,
-and rational reconstruction turns the digits into a basis.  A basis that
-keeps the identity on F and that A annihilates exactly over Z proves
-rank <= r.  An unlucky prime can only delay that proof, never fake it:
-past the Hadamard bound of the minors a failing basis proves the rank
-larger than r, and the lift starts again at the next prime below
-(`_prime_below`).  Every exact proof walks that one sequence, RANK_PRIME
-and the primes below it, and `_lift_kernel` hands back the profile of
-the prime whose rank it proved.
+(`_inverse`, two passes of the same loop from [B | I]), each step adds
+one p-adic digit, and rational reconstruction turns the digits into a
+basis.  A basis that keeps the identity on F and that A annihilates
+exactly over Z proves rank <= r.  An unlucky prime can only delay that
+proof, never fake it: past the Hadamard bound of the minors a failing
+basis proves the rank larger than r, and the lift starts again at the
+next prime below (`_prime_below`).  Every exact proof walks that one
+sequence, RANK_PRIME and the primes below it, and `_lift_kernel` hands
+back the profile of the prime whose rank it proved.
 
 `rank_exact` races the kernels of A and of A^T, stepping the one with
 less work done; `nullspace` lifts the kernel of A alone and also asks for
@@ -342,27 +342,16 @@ def _inverse(b, p):
     """C = B^-1 mod p for an int64 array `b` that is invertible mod p, with
     entries in [0, p < P_LIMIT).
 
-    Back substitution clears U above its diagonal in `_beside_identity`'s
-    [U | E], which turns E into U^-1 E = B^-1.  Each step reduces only the
-    row it subtracts, and the rows above take `_lazy(p)` unreduced
-    products before the block is reduced, as in the elimination.
+    `_beside_identity` leaves [U | E] with E B = U unit upper triangular.
+    With J the permutation that reverses the order, J U J is unit lower
+    triangular, so the same loop on [J U J | J E] makes no swap and
+    leaves [I | J U^-1 E], whose rows reversed are U^-1 E = B^-1.
     """
     n = len(b)
-    g = _beside_identity(b, p)[0]
-    lazy, pending = _lazy(p), 0
-    for c in range(n - 1, 0, -1):
-        row = g[c, n:]
-        if pending:
-            row %= p
-        g[:c, n:] -= g[:c, c, None] * row
-        pending += 1
-        if pending == lazy:
-            g[:c, n:] %= p
-            pending = 0
-    inverse = g[:, n:]
-    if pending:
-        inverse %= p
-    return inverse
+    g = _beside_identity(b, p)[0][::-1]
+    g = np.concatenate([g[:, n - 1::-1], g[:, n:]], axis=1)
+    rank_profile_mod_p(g, p)
+    return g[::-1, n:]
 
 
 def _det_mod_p(b, p):
@@ -479,12 +468,14 @@ def _dixon(mat, pivots, rows, p, both):
     """The proved kernel basis of mat and its free columns, or None when p
     was unlucky (rank over Q > len(pivots)).
 
-    B = mat[rows, pivots] is split into limbs and inverted mod p once
-    (`_inverse`).  With `both` the kernel of mat^T, lifted from B^T and
-    C^T, races that of mat: the side with fewer digits times columns
-    after its next step (on a tie, mat) takes it, and the first to verify
-    wins.  Neither fewer columns nor smaller entries reliably tells which
-    side needs fewer digits.
+    B = mat[rows, pivots] is split into limbs and inverted mod p once by
+    `_inverse`, whose rank passes repeat on B the row operations of the
+    pass that found the profile: that pass does not keep them.  With
+    `both` the kernel of mat^T, lifted from B^T and C^T, races that of
+    mat: the side with fewer digits times columns after its next step (on
+    a tie, mat) takes it, and the first to verify wins.  Neither fewer
+    columns nor smaller entries reliably tells which side needs fewer
+    digits.
     """
     b = mat[rows][:, pivots]
     limbs, inverse = _limbs(b), _inverse((b % p).astype(np.int64), p)

@@ -402,11 +402,11 @@ def certificate_to_json(D, mults, cert: EmptinessCertificate) -> dict:
     return {"format": FORMAT, **payload, "digest": _digest(payload)}
 
 
-def _cut_coefficient(pair) -> Fraction:
-    """One [num, den] coefficient of a cut; the denominator must be nonzero."""
+def _json_fraction(pair) -> Fraction:
+    """One [num, den] pair of JSON ints as a Fraction, nonzero denominator."""
     num, den = map(_json_int, pair)
     if den == 0:
-        raise ValueError(f"cut coefficient {pair!r} has a zero denominator")
+        raise ValueError(f"[num, den] {pair!r} has a zero denominator")
     return Fraction(num, den)
 
 
@@ -416,7 +416,7 @@ def cut_from_json(triple) -> CutFunctional:
     Raises ValueError on a zero denominator, a value that is not a JSON
     int, or a wrong number of values.
     """
-    a, b, c = (_cut_coefficient(pair) for pair in triple)
+    a, b, c = (_json_fraction(pair) for pair in triple)
     return CutFunctional(a, b, c)
 
 

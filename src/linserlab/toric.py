@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dumnicki import _json_int
+from .dumnicki import _json_fraction, _json_int
 from .lattice import CutFunctional, halfplane_partition, primitive
 
 
@@ -486,12 +486,12 @@ def subdivision_to_json(sub: Subdivision) -> dict:
 def subdivision_from_json(doc: dict):
     """(points, heights) suitable for re-running lower_hull_subdivision.
 
-    Every point must be a pair, and every coordinate, numerator and
-    denominator a JSON int."""
+    Every point must be a pair, every coordinate, numerator and
+    denominator a JSON int, and every denominator nonzero."""
     heights = {}
     for p, n, d in doc["heights"]:
         point = tuple(map(_json_int, p))
         if len(point) != 2:
             raise ValueError(f"{p!r} is not a point of the plane")
-        heights[point] = Fraction(_json_int(n), _json_int(d))
+        heights[point] = _json_fraction([n, d])
     return list(heights.keys()), heights

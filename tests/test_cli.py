@@ -449,6 +449,16 @@ def test_toric_subdivide(tmp_path, capsys):
         (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_toric_subdivide_rejects_a_zero_height_denominator(tmp_path, capsys):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"heights": [
+        [[0, 0], 1, 0], [[1, 0], 0, 1], [[0, 1], 0, 1]]}))
+    code, rep = run(capsys, "toric", "subdivide", "--input", str(path))
+    assert code == 1
+    assert rep["command"] == "toric"
+    assert rep["error"] == "[num, den] [1, 0] has a zero denominator"
+
+
 def test_surface_reports(capsys):
     code, rep = run(capsys, "surface", "kollar", "--n", "3")
     assert code == 0

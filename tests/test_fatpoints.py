@@ -204,8 +204,8 @@ def _spy_builds_and_primes(monkeypatch):
     (the build of L/g inside `_products_bound` is not listed; an
     unreduced `conditions_matrix` build is recorded as ("unreduced", p)),
     primes of every rank pass and determinant residue, and (prime, shape)
-    of every inversion mod p; the rank pass on [B | I] inside an
-    inversion or a determinant residue is not listed apart."""
+    of every inversion mod p; the two rank passes inside an inversion and
+    the one inside a determinant residue are not listed apart."""
     builds, primes, inverses, inside, bounding = [], [], [], [], []
     build, bound, unreduced, profile, det, inverse = (
         fatpoints._vertex_conditions, fatpoints._products_bound,
@@ -749,9 +749,10 @@ def test_alpha_survives_an_unlucky_probe(monkeypatch):
                  else prof)
     proofs = _spy(monkeypatch, _linalg, "deficient_rank")
     assert alpha(pts, 1) == 4
-    # the probes at 3, 1 and 2, the pass of `cohomology`, the inversion of
-    # the short pivot block and the pass mod the prime below RANK_PRIME
-    assert len(ranks) == 6
+    # the probes at 3, 1 and 2, the pass of `cohomology`, the two passes
+    # that invert the short pivot block and the pass mod the prime below
+    # RANK_PRIME
+    assert len(ranks) == 7
     # three of the points sit at the vertices, which kill x^3, y^3, z^3
     assert [(args[1], rank) for args, rank in proofs] == [(7, 7)]
 

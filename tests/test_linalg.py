@@ -560,8 +560,8 @@ def test_dixon_lift_matches_sympy(mat):
 
 
 def _spy_eliminations(monkeypatch):
-    """(name, prime, shape) of every rank pass and inversion; the rank
-    pass on [B | I] inside an inversion is not listed apart."""
+    """(name, prime, shape) of every rank pass and inversion; the two rank
+    passes inside an inversion are not listed apart."""
     calls, inside = [], []
     rank, inverse = _linalg.rank_profile_mod_p, _linalg._inverse
 
@@ -758,12 +758,17 @@ def test_rank_profile_is_the_frozen_loop(case):
 
 
 @pytest.mark.parametrize("p, n", [(CERT_PRIMES[0], 40), (P30, 40), (7, 40)])
-def test_inverse_at_its_largest_updates(p, n):
+def test_inverse_at_its_largest_updates(p, n, monkeypatch):
     """B is unit upper triangular with B[0, c] = p - 1 and B[c, n - 1] = 1
-    for 0 < c < n - 1, so the rank pass leaves E = I and back substitution
-    subtracts (p - 1)**2 from C[0, n - 1] at every step from n - 2 down:
-    more than int64 holds without the block reduction."""
+    for 0 < c < n - 1, so the first rank pass leaves [B | I].  The second,
+    on [J B J | J], subtracts (p - 1)**2 from what becomes C[0, n - 1] at
+    every step from 1 to n - 2: more than int64 holds without the block
+    reduction, so with `_lazy` disabled the inverse comes out wrong, except
+    mod 7, where 40 such updates fit."""
     b = np.eye(n, dtype=np.int64)
     b[0, 1:] = p - 1
     b[1:n - 1, n - 1] = 1
     assert _is_inverse(_linalg._inverse(b.copy(), p), b.tolist(), p)
+    if p != 7:
+        monkeypatch.setattr(_linalg, "_lazy", lambda p: 10**9)
+        assert not _is_inverse(_linalg._inverse(b.copy(), p), b.tolist(), p)
