@@ -325,7 +325,10 @@ def run_symbolic(args) -> int:
     if args.action == "multiplier":
         # The multiplier is exact, so "stabilized" always holds; the field
         # stays for readers of the envelope.
-        t = Fraction(args.t)
+        try:
+            t = Fraction(args.t)
+        except ZeroDivisionError:
+            raise ValueError(f"t {args.t!r} has a zero denominator") from None
         result = symbolic.asymptotic_multiplier(ideal, t)
         _emit(_envelope(args, t=_frac(t), stabilized=True,
                         multiplier=symbolic.ideal_to_json(result)),

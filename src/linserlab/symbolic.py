@@ -1,9 +1,9 @@
 """Squarefree monomial ideals: symbolic powers, containment testers, and
 Newton-polyhedron multiplier ideals.
 
-Symbolic powers are computed as intersections of powers of the minimal
-primes, which for a squarefree monomial ideal are the coordinate subspaces
-dual to minimal vertex covers of the generator hypergraph.  Multiplier
+Symbolic powers are intersections of powers of the minimal primes, the
+coordinate primes of the minimal vertex covers of the generator hypergraph,
+taken by raising each generator onto one prime after another.  Multiplier
 ideals of monomial ideals follow the Newton-polyhedron membership rule:
 x^a lies in the multiplier ideal at coefficient c exactly when a + (1,..,1)
 is interior to c times the Newton region.
@@ -17,7 +17,6 @@ in any number of variables.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,28 +249,32 @@ def bight(i: MonomialIdeal) -> int:
     return max(len(p.variables) for p in minimal_primes(i))
 
 
-def _prime_power(variables, prime: PrimeSupport, m: int) -> MonomialIdeal:
-    n = len(variables)
-    gens = []
-    for combo in itertools.combinations_with_replacement(prime.variables, m):
-        g = [0] * n
-        for k in combo:
-            g[k] += 1
-        gens.append(tuple(g))
-    return MonomialIdeal(tuple(variables), tuple(gens))
-
-
 def _intersect_prime_powers(i: MonomialIdeal, exponent) -> MonomialIdeal:
-    """The intersection of P^exponent(P) over the minimal primes P of I."""
-    return functools.reduce(intersect, (
-        _prime_power(i.variables, p, exponent(p)) for p in minimal_primes(i)))
+    """The intersection of P^exponent(P) over the minimal primes P of I:
+    each generator g of degree s < e = exponent(P) on P becomes the g * x^b
+    with b on P and |b| = e - s, which generate what its lcms with P^e do."""
+    pool: Tuple[Exponent, ...] = ((0,) * i.nvars,)
+    for p in minimal_primes(i):
+        e, on_p = exponent(p), p.variables
+        raised = []
+        for g in pool:
+            s = sum(map(g.__getitem__, on_p))
+            if s >= e:
+                raised.append(g)
+                continue
+            for combo in itertools.combinations_with_replacement(on_p, e - s):
+                h = list(g)
+                for k in combo:
+                    h[k] += 1
+                raised.append(tuple(h))
+        pool = _minimize(raised)
+    return MonomialIdeal(i.variables, pool)
 
 
 def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
-    """Intersection of the m-th powers of the minimal primes."""
+    """Intersection of the m-th powers of the minimal primes, by raising."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _require_squarefree(i)
     acc = _intersect_prime_powers(i, lambda p: m)
     if m == 1:
         assert acc == i
@@ -428,7 +431,7 @@ def howald_multiplier(i: MonomialIdeal, c) -> MonomialIdeal:
 def asymptotic_multiplier(i: MonomialIdeal, t) -> MonomialIdeal:
     """Asymptotic multiplier ideal J(t) of the symbolic-power system of a
     squarefree I, exactly: the intersection over the minimal primes P of
-    P^max(0, floor(t) + 1 - |P|).
+    P^max(0, floor(t) + 1 - |P|), raised as in `symbolic_power`.
 
     I^(m) is the set of lattice points of mQ, with Q = {a >= 0 : sum over
     k in P of a_k >= 1 for every P} the symbolic polyhedron, so by
@@ -439,7 +442,6 @@ def asymptotic_multiplier(i: MonomialIdeal, t) -> MonomialIdeal:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    _require_squarefree(i)
     k = floor(t) + 1
     return _intersect_prime_powers(
         i, lambda p: max(0, k - len(p.variables)))
@@ -481,8 +483,12 @@ def ideal_to_json(i: MonomialIdeal) -> Dict:
 
 
 def ideal_from_json(data: Dict) -> MonomialIdeal:
-    """The ideal of {"vars": [...], "gens": [[e, ...], ...]}; every
-    exponent must be a JSON int."""
-    return MonomialIdeal(tuple(data["vars"]),
+    """The ideal of {"vars": [...], "gens": [[e, ...], ...]}; the vars
+    must be a list of distinct strings and every exponent a JSON int."""
+    names = data["vars"]
+    if not (type(names) is list and all(type(v) is str for v in names)
+            and len(set(names)) == len(names)):
+        raise ValueError("vars must be a list of distinct strings")
+    return MonomialIdeal(tuple(names),
                          tuple(tuple(map(_json_int, g))
                                for g in data["gens"]))

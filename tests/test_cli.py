@@ -561,6 +561,49 @@ def test_symbolic_suite_in_four_variables(tmp_path, capsys):
     assert "chain_unavailable" not in rep
 
 
+@pytest.mark.parametrize("variables", [
+    "xy", {"a": 1, "b": 2}, [1, 2], [[1], [2]], ["x", "x"]])
+def test_symbolic_vars_must_be_distinct_strings(tmp_path, capsys, variables):
+    # before, each was read as some ring: a string or a dict by its
+    # letters or keys, numbers and lists as they were, "x" twice as two
+    # variables named x
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": variables, "gens": [[1, 1]]}))
+    code, rep = run(capsys, "symbolic", "power", "--ideal", str(path),
+                    "--m", "2")
+    assert code == 1
+    assert rep["command"] == "symbolic"
+    assert "vars" in rep["error"]
+
+
+def test_symbolic_multiplier_names_a_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "gens": [[1, 1]]}))
+    code, rep = run(capsys, "symbolic", "multiplier", "--ideal", str(path),
+                    "--t", "1/0")
+    assert code == 1
+    assert rep["error"] == "t '1/0' has a zero denominator"
+
+
+@pytest.mark.parametrize("gens, r", [
+    ([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
+      [1, 0, 0, 0, 1]], 1),
+    ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], 2),
+    ([[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]], 2)])
+def test_symbolic_suite_beyond_three_variables(tmp_path, capsys, gens, r):
+    """The 5-cycle at r = 1, the 4-path and three faces of a tetrahedron
+    at r = 2: every containment and the whole ELS chain hold."""
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": list("abcde"[:len(gens[0])]),
+                                "gens": gens}))
+    code, rep = run(capsys, "symbolic", "suite", "--ideal", str(path),
+                    "--r", str(r))
+    assert code == 0
+    assert all(rep[k] for k in ("els", "harbourne", "hh1", "hh2", "hh3",
+                                "hh4"))
+    assert rep["chain"] == {"left": True, "middle": True, "right": True}
+
+
 def test_ot_commands(tmp_path, capsys):
     code, rep = run(capsys, "ot", "counts", "--m8")
     assert code == 0

@@ -1,5 +1,6 @@
 """Squarefree monomial ideals, symbolic powers, Newton-region multipliers."""
 
+import functools
 import itertools
 from fractions import Fraction
 from math import floor
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linserlab import symbolic
 from linserlab.symbolic import (
     ElsChain,
+    MonomialIdeal,
     _minimize,
     asymptotic_multiplier,
     bight,
@@ -333,3 +336,73 @@ def test_ideal_json_round_trip():
     assert doc == {"vars": ["x", "y", "z"],
                    "gens": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
     assert ideal_from_json(doc) == EDGES
+
+
+def _frozen_prime_power(variables, prime, m):
+    n = len(variables)
+    gens = []
+    for combo in itertools.combinations_with_replacement(prime.variables, m):
+        g = [0] * n
+        for k in combo:
+            g[k] += 1
+        gens.append(tuple(g))
+    return MonomialIdeal(tuple(variables), tuple(gens))
+
+
+def _frozen_intersect_prime_powers(i, exponent):
+    """Every P^exponent(P) built and intersected by pairwise lcms, as
+    `_intersect_prime_powers` did before it raised generators onto each
+    prime, kept as its oracle."""
+    return functools.reduce(intersect, (
+        _frozen_prime_power(i.variables, p, exponent(p))
+        for p in minimal_primes(i)))
+
+
+def _frozen_multiplier(i, t):
+    k = floor(t) + 1
+    return _frozen_intersect_prime_powers(
+        i, lambda p: max(0, k - len(p.variables)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(i=squarefree_ideals(max_vars=6, max_gens=6, min_vars=1),
+       m=st.integers(min_value=1, max_value=5), t=st.sampled_from(_T))
+def test_raising_is_the_frozen_intersection(i, m, t):
+    assert symbolic_power(i, m) == _frozen_intersect_prime_powers(
+        i, lambda p: m)
+    assert asymptotic_multiplier(i, t) == _frozen_multiplier(i, t)
+
+
+BENCHMARK_IDEALS = {  # the ideals the benchmark's algebra workload reads
+    "tri": EDGES,
+    "p3": ideal([(1, 1, 0), (0, 1, 1)]),
+    "xy_z": ideal([(1, 1, 0), (0, 0, 1)]),
+    "c4": BEYOND_THREE["C4"],
+    "p4": BEYOND_THREE["P4"],
+    "t4": BEYOND_THREE["T4"],
+    "c5": BEYOND_THREE["C5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_IDEALS))
+def test_raising_is_the_frozen_intersection_on_fixtures(name):
+    i = BENCHMARK_IDEALS[name]
+    for m in range(1, 7):
+        assert symbolic_power(i, m) == _frozen_intersect_prime_powers(
+            i, lambda p: m)
+    for t in _T + [Fraction(7, 2), Fraction(6)]:
+        assert asymptotic_multiplier(i, t) == _frozen_multiplier(i, t)
+
+
+def test_raising_builds_no_pairwise_intersection(monkeypatch):
+    calls = []
+    monkeypatch.setattr(symbolic, "intersect",
+                        lambda *a: calls.append(a) or intersect(*a))
+    c5 = BEYOND_THREE["C5"]
+    symbolic_power(c5, 3)
+    symbolic_power(EDGES, 2)
+    asymptotic_multiplier(c5, 5)
+    asymptotic_multiplier(EDGES, Fraction(5, 2))
+    containment_suite(EDGES, 2)
+    els_chain_check(c5, 1)
+    assert calls == []
