@@ -286,12 +286,12 @@ def _graded_ranks(arr, circs):
     ideal_rank, deficient_rank = (arrangements._ideal_rank,
                                   arrangements.deficient_rank)
 
-    def spy_ideal(rows, bound):
+    def spy_ideal(shape, entries, bound):
         lifts.clear()
-        rank = ideal_rank(rows, bound)
+        rank = ideal_rank(shape, entries, bound)
         proof = ("hilbert" if rank == bound else "lift" if lifts
                  else "full")
-        ranks.append({"kind": "piece", "shape": [len(rows), len(rows[0])],
+        ranks.append({"kind": "piece", "shape": list(shape),
                       "rank": rank, "proof": proof, "shared": False,
                       "lift_s": sum(lifts)})
         return rank

@@ -4,8 +4,9 @@ low-degree graded structure of the ideal of reciprocal-coordinate
 relations.  A dependency sum c_j alpha_{i_j} = 0 among k forms gives the
 degree-(k-1) relation f = sum_j c_j prod_{l != j} y_{i_l}; the ideal they
 generate is read from ranks of coefficient matrices, not Groebner bases.
-A rank mod RANK_PRIME that meets dim I_k, read from the Hilbert series of
-the Orlik-Terao algebra, is proved by that bound; any other by a lift.
+The circuits read one table of triple determinants; the matrices are
+sparse.  A rank mod RANK_PRIME that meets dim I_k, read from the Hilbert
+series of the Orlik-Terao algebra, is proved by it; any other by a lift.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import (RANK_PRIME, _residues, deficient_rank,
-                      rank_profile_mod_p)
+from ._linalg import RANK_PRIME, deficient_rank, rank_profile_mod_p
 from .fatpoints import (DEFAULT_SEED, PlaneDivisorClass,
                         general_position_lines, normalize_proj)
-from .lattice import canonical, cross, dependent_triples, dot
+from .lattice import canonical, cross, dot
 
 
 @dataclass(frozen=True)
@@ -91,32 +92,36 @@ class Circuit:
 
 def circuits(a: LineArrangement, max_size: int) -> List[Circuit]:
     """Minimal dependent subsets of size <= max_size in `combinations`
-    order, size 3 first: the triples inside the concurrent sets of
-    `lattice.dependent_triples`, then the 4-sets holding none (any four
-    forms are dependent; no two are proportional).  A dependency is
-    sum_l (-1)^l det(the other three) f_l = 0 (Cramer), a triple taking the
-    normal of its plane as fourth form: no prime enters the result."""
+    order, size 3 first: the triples of concurrent lines, then the 4-sets
+    holding none (any four forms are dependent; no two are proportional).
+    A dependency is sum_l (-1)^l det(the other three) f_l = 0 (Cramer), a
+    triple taking the normal of its plane as fourth form: no prime enters
+    the result.  Each triple's determinant is computed once: the exact zeros
+    are the dependent triples, and a 4-set reads its minors from the table."""
     if max_size > len(a):
         raise ValueError("max_size exceeds the number of lines")
     f = a.forms
-    triples = {t for on in dependent_triples(f)
-               for t in itertools.combinations(on, 3)}
-    subs = sorted(triples) if max_size >= 3 else []
+    det = {} if max_size < 3 else {
+        t: dot(f[t[0]], cross(f[t[1]], f[t[2]]))
+        for t in itertools.combinations(range(len(f)), 3)}
+    deps = []
+    for t, minor in det.items():
+        if minor == 0:
+            u, v, w = (f[i] for i in t)
+            n = cross(u, v)
+            deps.append((t, (dot(v, cross(w, n)), -dot(u, cross(w, n)),
+                             dot(u, cross(v, n)))))
     if max_size >= 4:
-        subs += [q for q in itertools.combinations(range(len(f)), 4)
-                 if triples.isdisjoint(itertools.combinations(q, 3))]
+        for q in itertools.combinations(range(len(f)), 4):
+            i, j, k, l = q
+            dep = (det[j, k, l], -det[i, k, l], det[i, j, l], -det[i, j, k])
+            if all(dep):
+                deps.append((q, dep))
     out: List[Circuit] = []
-    for sub in subs:
-        v = [f[i] for i in sub]
-        if len(v) == 3:
-            v.append(cross(v[0], v[1]))
-        dep = []
-        for l in range(len(sub)):
-            u, w, x = v[:l] + v[l + 1:]
-            dep.append((-1) ** l * dot(u, cross(w, x)))
+    for sub, dep in deps:
         coeffs = canonical(dep)
         for k in range(3):
-            assert sum(c * u[k] for c, u in zip(coeffs, v)) == 0
+            assert sum(c * f[i][k] for c, i in zip(coeffs, sub)) == 0
         out.append(Circuit(sub, coeffs))
     return out
 
@@ -174,15 +179,6 @@ def _monomials(nvars: int, deg: int) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-def _coeff_row(form: OTForm, shift: Tuple[int, ...],
-               index: Dict[Tuple[int, ...], int]) -> List[int]:
-    row = [0] * len(index)
-    for exp, c in form.terms:
-        key = tuple(e + s for e, s in zip(exp, shift))
-        row[index[key]] = c
-    return row
-
-
 def _ideal_dim(s: int, b2: int, k: int) -> int:
     """dim I_k, k >= 1, of the relation ideal of s lines with
     b2 = sum_p (t_p - 1): C(s + k - 1, k) - dim OT_k, where OT = S/I has
@@ -192,20 +188,28 @@ def _ideal_dim(s: int, b2: int, k: int) -> int:
                                     for i in (1, 2, 3))
 
 
-def _ideal_rank(rows: List[List[int]], bound: int) -> int:
-    """Exact rank of integer rows that span at most `bound` dimensions.
+def _ideal_rank(shape: Tuple[int, int],
+                entries: List[Tuple[int, int, int]], bound: int) -> int:
+    """Exact rank of the integer matrix of `shape` whose nonzero entries are
+    the (row, column, coefficient) triplets, spanning <= `bound` dimensions.
 
     The rank mod RANK_PRIME never exceeds the rank over Q, so when it
     meets min(bound, rows, columns) it is proved; otherwise the kernel
-    lift of `deficient_rank` proves it from the same elimination."""
-    full = min(bound, len(rows), len(rows[0]))
-    profile = rank_profile_mod_p(_residues(rows, RANK_PRIME), RANK_PRIME)
+    lift of `deficient_rank` proves it from the same elimination, on the
+    exact matrix, built only then."""
+    rows, cols, coeffs = zip(*entries)
+    full = min(bound, *shape)
+    residues = np.zeros(shape, dtype=np.int64)
+    residues[rows, cols] = [c % RANK_PRIME for c in coeffs]
+    profile = rank_profile_mod_p(residues, RANK_PRIME)
     if len(profile[0]) > bound:
         raise ArithmeticError(f"rank {len(profile[0])} exceeds its bound "
                               f"{bound}")
     if len(profile[0]) == full:
         return full
-    return deficient_rank(np.array(rows, dtype=object), full, profile)
+    mat = np.zeros(shape, dtype=object)
+    mat[rows, cols] = np.array(coeffs, dtype=object)
+    return deficient_rank(mat, full, profile)
 
 
 def graded_counts(a: LineArrangement, max_deg: int,
@@ -219,11 +223,11 @@ def graded_counts(a: LineArrangement, max_deg: int,
     outside the relation ideal, where the bound below fails, and it
     raises ValueError.
 
-    dim of the degree-k piece is the rank of all monomial shifts of the
-    circuit forms into degree k; subtracting the rank of the shifts with a
-    nonconstant monomial (the image of degree k-1 under the variables)
-    counts minimal generators.  Linear syzygies are the kernel of
-    (l_1,..,l_s) -> sum l_i q_i on a basis q of the quadric piece: every
+    dim of the degree-k piece is the rank of the sparse rows of all monomial
+    shifts of the circuit forms into degree k; subtracting the rank of the
+    shifts with a nonconstant monomial (the image of degree k-1 under the
+    variables) counts minimal generators.  Linear syzygies are the kernel
+    of (l_1,..,l_s) -> sum l_i q_i on a basis q of the quadric piece: every
     circuit form has degree >= 2, so the image is piece (3, 1), and their
     number is d dim(piece (2, 0)) - dim(piece (3, 1)).  A degree k with no
     form of its own has the same rows in (k, 0) and (k, 1), ranked once.
@@ -263,15 +267,19 @@ def graded_counts(a: LineArrangement, max_deg: int,
         return _ideal_dim(d, b2, k)
 
     def piece_rank(k: int, min_shift: int) -> int:
+        # one row per shifted form, shift-major, one entry per term
         index = {m: i for i, m in enumerate(_monomials(d, k))}
-        rows = []
+        entries, nrows = [], 0
         for e, forms in by_degree.items():
             if e > k or k - e < min_shift:
                 continue
             for shift in _monomials(d, k - e):
                 for f in forms:
-                    rows.append(_coeff_row(f, shift, index))
-        return _ideal_rank(rows, bound(k)) if rows else 0
+                    entries += [(nrows, index[tuple(map(add, exp, shift))], c)
+                                for exp, c in f.terms]
+                    nrows += 1
+        return (_ideal_rank((nrows, len(index)), entries, bound(k))
+                if nrows else 0)
 
     ranks = {}
     for k in range(1, max_deg + 1):

@@ -3,10 +3,11 @@ Newton-polyhedron multiplier ideals.
 
 Symbolic powers are intersections of powers of the minimal primes, the
 coordinate primes of the minimal vertex covers of the generator hypergraph,
-taken by raising each generator onto one prime after another.  Multiplier
-ideals of monomial ideals follow the Newton-polyhedron membership rule:
-x^a lies in the multiplier ideal at coefficient c exactly when a + (1,..,1)
-is interior to c times the Newton region.
+taken by raising each generator onto one prime after another; ideals built
+from valid ideals are only minimized (`MonomialIdeal._from_valid`).
+Multiplier ideals of monomial ideals follow the Newton-polyhedron
+membership rule: x^a lies in the multiplier ideal at coefficient c exactly
+when a + (1,..,1) is interior to c times the Newton region.
 
 The asymptotic multiplier ideal J(t) of the symbolic powers of a
 squarefree I needs no Newton region: the symbolic polyhedron
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from operator import index
+from operator import add, index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dumnicki import _json_int
@@ -78,6 +79,14 @@ def _minimize(gens: Iterable[Exponent]) -> Tuple[Exponent, ...]:
     return tuple(sorted(kept))
 
 
+def _checked_variables(variables) -> Tuple[str, ...]:
+    variables = tuple(variables)
+    if not (all(isinstance(v, str) for v in variables)
+            and 1 <= len(set(variables)) == len(variables) <= MAX_VARS):
+        raise ValueError(f"variables must be 1 to {MAX_VARS} distinct strings")
+    return variables
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Minimal monomial generators over named variables.
@@ -87,15 +96,15 @@ class MonomialIdeal:
     dataclasses.  Minimizing packs each generator into one int with a
     guard bit on top of every exponent's field, so that each divisibility
     test is one subtraction and one mask (`_minimize`).
+    The constructor validates; `_from_valid`, for generators built from
+    valid ideals over the same variables, only minimizes.
     """
 
     variables: Tuple[str, ...]
     gens: Tuple[Exponent, ...]
 
     def __post_init__(self):
-        variables = tuple(self.variables)
-        if not 1 <= len(variables) <= MAX_VARS:
-            raise ValueError(f"need between 1 and {MAX_VARS} variables")
+        variables = _checked_variables(self.variables)
         gens = []
         for g in self.gens:
             g = tuple(map(index, g))
@@ -106,6 +115,12 @@ class MonomialIdeal:
             gens.append(g)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "gens", _minimize(gens))
+
+    @classmethod
+    def _from_valid(cls, variables, gens) -> MonomialIdeal:
+        i = object.__new__(cls)
+        i.__dict__.update(variables=variables, gens=_minimize(gens))
+        return i
 
     @property
     def nvars(self) -> int:
@@ -147,7 +162,8 @@ def ideal(gens: Iterable[Exponent], variables=None,
 
 
 def unit_ideal(variables) -> MonomialIdeal:
-    return MonomialIdeal(tuple(variables), ((0,) * len(variables),))
+    variables = _checked_variables(variables)
+    return MonomialIdeal._from_valid(variables, ((0,) * len(variables),))
 
 
 def _same_ring(i: MonomialIdeal, j: MonomialIdeal):
@@ -161,25 +177,22 @@ def power(i: MonomialIdeal, k: int) -> MonomialIdeal:
         raise ValueError("k must be >= 0")
     if k == 0:
         return unit_ideal(i.variables)
-    out = []
-    for combo in itertools.combinations_with_replacement(i.gens, k):
-        out.append(tuple(map(sum, zip(*combo))))
-    return MonomialIdeal(i.variables, tuple(out))
+    return MonomialIdeal._from_valid(i.variables, [
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(i.gens, k)])
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """Pairwise least common multiples, minimized."""
     _same_ring(i, j)
-    out = [tuple(max(a, b) for a, b in zip(g, h))
-           for g in i.gens for h in j.gens]
-    return MonomialIdeal(i.variables, tuple(out))
+    return MonomialIdeal._from_valid(i.variables, [
+        tuple(map(max, g, h)) for g in i.gens for h in j.gens])
 
 
 def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _same_ring(i, j)
-    out = [tuple(a + b for a, b in zip(g, h))
-           for g in i.gens for h in j.gens]
-    return MonomialIdeal(i.variables, tuple(out))
+    return MonomialIdeal._from_valid(i.variables, [
+        tuple(map(add, g, h)) for g in i.gens for h in j.gens])
 
 
 def contains(i: MonomialIdeal, m: Exponent) -> bool:
@@ -195,10 +208,10 @@ def subset(j: MonomialIdeal, i: MonomialIdeal) -> bool:
 
 
 def maximal_ideal(variables) -> MonomialIdeal:
+    variables = _checked_variables(variables)
     n = len(variables)
-    gens = tuple(tuple(1 if k == idx else 0 for k in range(n))
-                 for idx in range(n))
-    return MonomialIdeal(tuple(variables), gens)
+    return MonomialIdeal._from_valid(variables, [
+        tuple(1 if k == idx else 0 for k in range(n)) for idx in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +265,14 @@ def bight(i: MonomialIdeal) -> int:
 def _intersect_prime_powers(i: MonomialIdeal, exponent) -> MonomialIdeal:
     """The intersection of P^exponent(P) over the minimal primes P of I:
     each generator g of degree s < e = exponent(P) on P becomes the g * x^b
-    with b on P and |b| = e - s, which generate what its lcms with P^e do."""
-    pool: Tuple[Exponent, ...] = ((0,) * i.nvars,)
+    with b on P and |b| = e - s, which generate what its lcms with P^e do.
+    The pool is minimized before each raise (a raise of a multiple of h is
+    a multiple of a raise of h), and the last one by `_from_valid`."""
+    pool: List[Exponent] = [(0,) * i.nvars]
     for p in minimal_primes(i):
         e, on_p = exponent(p), p.variables
         raised = []
-        for g in pool:
+        for g in _minimize(pool):
             s = sum(map(g.__getitem__, on_p))
             if s >= e:
                 raised.append(g)
@@ -267,8 +282,8 @@ def _intersect_prime_powers(i: MonomialIdeal, exponent) -> MonomialIdeal:
                 for k in combo:
                     h[k] += 1
                 raised.append(tuple(h))
-        pool = _minimize(raised)
-    return MonomialIdeal(i.variables, pool)
+        pool = raised
+    return MonomialIdeal._from_valid(i.variables, pool)
 
 
 def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
@@ -301,30 +316,25 @@ def containment_suite(i: MonomialIdeal, r: int) -> ContainmentSuite:
     els: I^(re) <= I^r.  harbourne: I^(re-(e-1)) <= I^r.  hh1..hh4 add the
     maximal-ideal factors m^(rn-r), m^(rn-r-(n-1)), m^(re-r), and
     m^(re-r-(e-1)), each tested at the smallest admissible symbolic
-    exponent, with negative m-exponents clamped to zero.
+    exponent, with negative m-exponents clamped to zero.  Each symbolic
+    power is computed once per distinct exponent: els and hh3 share I^(re),
+    harbourne and hh4 share I^(re-(e-1)).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     _require_squarefree(i)
-    e = bight(i)
-    n = i.nvars
+    e, n = bight(i), i.nvars
     ir = power(i, r)
     mm = maximal_ideal(i.variables)
-
-    def mixed(sym_m: int, m_exp: int) -> bool:
-        target = product(power(mm, max(0, m_exp)), ir)
-        return subset(symbolic_power(i, sym_m), target)
-
-    els = subset(symbolic_power(i, r * e), ir)
-    harb = subset(symbolic_power(i, max(1, r * e - (e - 1))), ir)
-    return ContainmentSuite(
-        els,
-        harb,
-        mixed(r * n, r * n - r),
-        mixed(max(1, r * n - (n - 1)), r * n - r - (n - 1)),
-        mixed(r * e, r * e - r),
-        mixed(max(1, r * e - (e - 1)), r * e - r - (e - 1)),
-    )
+    h = max(1, r * e - (e - 1))
+    # (symbolic exponent, m-exponent) of els, harbourne, hh1, ..., hh4
+    tests = ((r * e, 0), (h, 0), (r * n, r * n - r),
+             (max(1, r * n - (n - 1)), r * n - r - (n - 1)),
+             (r * e, r * e - r), (h, r * e - r - (e - 1)))
+    powers = {m: symbolic_power(i, m) for m in {m for m, _ in tests}}
+    return ContainmentSuite(*(
+        subset(powers[m], product(power(mm, k), ir) if k > 0 else ir)
+        for m, k in tests))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +435,7 @@ def howald_multiplier(i: MonomialIdeal, c) -> MonomialIdeal:
     if not hits:
         raise ArithmeticError("multiplier ideal is zero on the search box; "
                               "this cannot happen for c > 0 at desk scale")
-    return MonomialIdeal(i.variables, tuple(hits))
+    return MonomialIdeal._from_valid(i.variables, hits)
 
 
 def asymptotic_multiplier(i: MonomialIdeal, t) -> MonomialIdeal:
@@ -484,11 +494,13 @@ def ideal_to_json(i: MonomialIdeal) -> Dict:
 
 def ideal_from_json(data: Dict) -> MonomialIdeal:
     """The ideal of {"vars": [...], "gens": [[e, ...], ...]}; the vars
-    must be a list of distinct strings and every exponent a JSON int."""
-    names = data["vars"]
+    must be a list of distinct strings, the gens a list of lists, and
+    every exponent a JSON int."""
+    names, gens = data["vars"], data["gens"]
     if not (type(names) is list and all(type(v) is str for v in names)
             and len(set(names)) == len(names)):
         raise ValueError("vars must be a list of distinct strings")
+    if not (type(gens) is list and all(type(g) is list for g in gens)):
+        raise ValueError("gens must be a list of lists of integers")
     return MonomialIdeal(tuple(names),
-                         tuple(tuple(map(_json_int, g))
-                               for g in data["gens"]))
+                         tuple(tuple(map(_json_int, g)) for g in gens))

@@ -22,7 +22,7 @@ from linserlab.arrangements import (
     singular_points,
 )
 from linserlab.fatpoints import PlaneDivisorClass, normalize_proj
-from linserlab.lattice import canonical, cross
+from linserlab.lattice import canonical, cross, dependent_triples, dot
 
 SEEDS = (11, 23, 77)
 
@@ -260,7 +260,15 @@ def _lift_graded_counts(a, max_deg, circs=None):
     by_degree = {}
     for f in gens:
         by_degree.setdefault(f.degree, []).append(f)
-    monomials, coeff_row = arrangements._monomials, arrangements._coeff_row
+    monomials = arrangements._monomials
+
+    def coeff_row(form, shift, index):
+        # the dense row builder of `graded_counts` before its sparse pieces
+        row = [0] * len(index)
+        for exp, c in form.terms:
+            key = tuple(e + s for e, s in zip(exp, shift))
+            row[index[key]] = c
+        return row
 
     def piece_rank(k, min_shift):
         index = {m: i for i, m in enumerate(monomials(d, k))}
@@ -320,6 +328,57 @@ def _concurrent_sets(draw):
     for f in others:
         forms.setdefault(normalize_proj(f), f)
     return LineArrangement(tuple(forms.values()))
+
+
+def _frozen_circuits(a, max_size):
+    """`circuits` as it was before its table of triple determinants: the
+    concurrent triples from `dependent_triples`, four fresh determinants
+    per 4-set."""
+    if max_size > len(a):
+        raise ValueError("max_size exceeds the number of lines")
+    f = a.forms
+    triples = {t for on in dependent_triples(f)
+               for t in itertools.combinations(on, 3)}
+    subs = sorted(triples) if max_size >= 3 else []
+    if max_size >= 4:
+        subs += [q for q in itertools.combinations(range(len(f)), 4)
+                 if triples.isdisjoint(itertools.combinations(q, 3))]
+    out = []
+    for sub in subs:
+        v = [f[i] for i in sub]
+        if len(v) == 3:
+            v.append(cross(v[0], v[1]))
+        dep = []
+        for l in range(len(sub)):
+            u, w, x = v[:l] + v[l + 1:]
+            dep.append((-1) ** l * dot(u, cross(w, x)))
+        coeffs = canonical(dep)
+        for k in range(3):
+            assert sum(c * u[k] for c, u in zip(coeffs, v)) == 0
+        out.append(Circuit(sub, coeffs))
+    return out
+
+
+@st.composite
+def _wide_forms(draw):
+    """4-8 pairwise non-proportional forms with 30-bit entries."""
+    entry = st.integers(-2**30, 2**30)
+    forms = {}
+    for f in draw(st.lists(st.tuples(entry, entry, entry).filter(any),
+                           min_size=4, max_size=8)):
+        forms.setdefault(normalize_proj(f), f)
+    return LineArrangement(tuple(forms.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_concurrent_sets() | _wide_forms())
+def test_circuits_match_the_frozen_circuits(a):
+    for max_size in (3, 4):
+        if max_size > len(a):
+            with pytest.raises(ValueError):
+                circuits(a, max_size)
+            continue
+        assert circuits(a, max_size) == _frozen_circuits(a, max_size)
 
 
 @settings(max_examples=100, deadline=None)

@@ -576,6 +576,19 @@ def test_symbolic_vars_must_be_distinct_strings(tmp_path, capsys, variables):
     assert "vars" in rep["error"]
 
 
+@pytest.mark.parametrize("gens", [5, [1, 1], "xy", {"a": [1, 1]},
+                                  [[1, 1], 2]])
+def test_symbolic_gens_must_be_a_list_of_lists(tmp_path, capsys, gens):
+    # before, 5 exited 1 with the bare "'int' object is not iterable"
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "gens": gens}))
+    code, rep = run(capsys, "symbolic", "power", "--ideal", str(path),
+                    "--m", "2")
+    assert code == 1
+    assert rep["command"] == "symbolic"
+    assert "gens" in rep["error"]
+
+
 def test_symbolic_multiplier_names_a_zero_denominator(tmp_path, capsys):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps({"vars": ["x", "y"], "gens": [[1, 1]]}))

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 from math import floor
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linserlab import symbolic
+from linserlab import cli, symbolic
 from linserlab.symbolic import (
     ElsChain,
     MonomialIdeal,
@@ -71,6 +72,22 @@ def test_construction_errors():
         ideal([], nvars=None)
     with pytest.raises(ValueError):
         ideal([(1,) * 13])
+
+
+@pytest.mark.parametrize("variables", [
+    ("x", "x"), (1, 2), (), tuple(f"x{k}" for k in range(13))])
+def test_construction_refuses_bad_variables(variables):
+    # before, ("x", "x") printed (x*x), and (1, 2) built an ideal whose
+    # str() raised TypeError
+    gens = ((1,) * len(variables),)
+    with pytest.raises(ValueError):
+        MonomialIdeal(variables, gens)
+    with pytest.raises(ValueError):
+        ideal(gens, variables=variables)
+    with pytest.raises(ValueError):
+        unit_ideal(variables)
+    with pytest.raises(ValueError):
+        maximal_ideal(variables)
 
 
 def _frozen_minimize(gens):
@@ -193,6 +210,42 @@ def test_containment_suite_edge_ideal(r):
     assert isinstance(suite.hh1, bool) and isinstance(suite.hh4, bool)
     with pytest.raises(ValueError):
         containment_suite(EDGES, 0)
+
+
+@pytest.mark.parametrize("i, r", [(EDGES, 1), (EDGES, 2),
+                                  (ideal([(1, 1, 0), (0, 1, 1)]), 3),
+                                  (ideal([(1, 1, 0, 0), (0, 1, 1, 0),
+                                          (0, 0, 1, 1)]), 2)])
+def test_containment_suite_computes_each_symbolic_power_once(monkeypatch,
+                                                             i, r):
+    calls = []
+    monkeypatch.setattr(symbolic, "symbolic_power",
+                        lambda j, m: calls.append(m) or symbolic_power(j, m))
+    containment_suite(i, r)
+    e, n = bight(i), i.nvars
+    assert sorted(calls) == sorted({r * e, max(1, r * e - (e - 1)),
+                                    r * n, max(1, r * n - (n - 1))})
+
+
+@pytest.mark.parametrize("argv", [["power", "--m", "3"],
+                                  ["power", "--m", "2", "--ordinary"],
+                                  ["suite", "--r", "2"]])
+def test_the_cli_validates_only_the_json_ideal(monkeypatch, capsys,
+                                               tmp_path, argv):
+    """Every other ideal of the call is built from valid ideals, by
+    `MonomialIdeal._from_valid`, which validates nothing."""
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(ideal_to_json(BEYOND_THREE["C4"])))
+    validated, post_init = [], MonomialIdeal.__post_init__
+
+    def spy(self):
+        validated.append(self.variables)
+        post_init(self)
+
+    monkeypatch.setattr(MonomialIdeal, "__post_init__", spy)
+    code = cli.main(["symbolic", argv[0], "--ideal", str(path)] + argv[1:])
+    assert code == 0, capsys.readouterr().out
+    assert validated == [BEYOND_THREE["C4"].variables]
 
 
 def test_newton_region_membership():
