@@ -388,8 +388,8 @@ def run_ot(args) -> int:
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
-    """The parser, built once per process; `main` finds the handler of a
-    command by its name, so a patched `run_<command>` is the one called."""
+    """The parser, built once, with each subcommand's parser in `commands`;
+    `main` finds `run_<command>` by name, so a patched one is called."""
     top = _Parser(prog="linserlab",
                   description="exact linear-series calculations "
                               "with machine-checkable certificates")
@@ -473,13 +473,25 @@ def build_parser() -> _Parser:
     p.add_argument("--maxdeg", type=int, default=3)
     common(p)
 
+    top.commands = subs.choices
     return top
 
 
 def main(argv=None) -> int:
+    """Run one command line (`sys.argv[1:]` when argv is None) and return
+    its exit code.  After a command name only that command's parser reads
+    argv, once; leftover tokens get the full parse's top-level error."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(
+                argv[1:], argparse.Namespace(cmd=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
-
-from ._linalg import RANK_PRIME
 
 LatticePoint = Tuple[int, int]
 MonomialSet = FrozenSet[LatticePoint]
@@ -166,25 +165,24 @@ def dot(u, v) -> int:
 def dependent_triples(vs):
     """The planes through the origin that hold three or more of the pairwise
     non-proportional integer 3-vectors `vs` (lines through points, or points
-    on lines), each as the sorted tuple of its vectors' indices.  One numpy
-    pass reads every det(v_i, v_j, v_k) mod RANK_PRIME; an exact zero is a
-    zero mod p too, and each modular zero is confirmed in integers."""
-    if len(vs) < 3:
-        return []
-    p = RANK_PRIME
-    a = np.array([[c % p for c in v] for v in vs], dtype=np.int64)
-    b, c = a[:, [1, 2, 0]], a[:, [2, 0, 1]]
-    planes = (b[:, None] * c[None] - c[:, None] * b[None]) % p  # v_i x v_j
-    zero = (planes @ a.T) % p == 0
-    hits = np.triu(np.count_nonzero(zero, axis=2) > 2, 1)
-    out = set()
-    for i, j in zip(*np.nonzero(hits)):
-        normal = cross(vs[i], vs[j])
-        on = tuple(k for k in np.flatnonzero(zero[i, j]).tolist()
-                   if dot(normal, vs[k]) == 0)
-        if len(on) > 2:
-            out.add(on)
-    return sorted(out)
+    on lines), each as the sorted tuple of its vectors' indices, in sorted
+    order, in exact integers.  Each pair (i, j) on no plane found so far
+    gives the normal w = v_i x v_j, and its plane holds the k > j that w
+    annihilates: a plane's two smallest indices are the first pair to reach
+    it, which marks all its pairs, so each plane is found once and whole.
+    At most n^3 / 6 dot products for n vectors."""
+    planes, marked = [], set()
+    for i in range(len(vs) - 2):
+        for j in range(i + 1, len(vs) - 1):
+            if (i, j) in marked:
+                continue
+            w = cross(vs[i], vs[j])
+            on = [k for k in range(j + 1, len(vs)) if dot(w, vs[k]) == 0]
+            if on:
+                plane = (i, j, *on)
+                planes.append(plane)
+                marked.update(combinations(plane, 2))
+    return planes
 
 
 def primitive(v) -> Tuple[int, ...]:

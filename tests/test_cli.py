@@ -1,6 +1,12 @@
 """Exit-code contract and JSON reports of the command-line front end."""
 
+import argparse
+import contextlib
+import io
 import json
+import os
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -9,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from linserlab import cli, fatpoints, surfaces
 from linserlab.cli import main
 from linserlab.fatpoints import normalize_proj
+from test_totality import argument_lists
 
 
 def run(capsys, *argv):
@@ -665,6 +672,90 @@ def test_usage_errors(capsys):
         assert rep["command"] == command and message in rep["error"]
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def _frozen_main(argv):
+    """`main` as it was: the top-level parser parses all of argv, and its
+    subcommand action parses the rest again.  The oracle of the one-parse
+    dispatch."""
+    parser = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    except cli._UsageError as exc:
+        prog, message = exc.args
+        command = prog.split()[1] if " " in prog else None
+        return cli._error(argparse.Namespace(cmd=command), prog, message)
+    try:
+        return getattr(cli, f"run_{args.cmd}")(args)
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError,
+            json.JSONDecodeError, RecursionError) as exc:
+        return cli._error(args, parser.prog, str(exc))
+    except MemoryError as exc:
+        return cli._error(args, parser.prog, str(exc) or "out of memory")
+
+
+def _captured(fn, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fn(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _same_as_the_full_parse(argv):
+    # (exit code, stdout, stderr) byte for byte, with `empty`'s certificate
+    # written to one scratch path for both
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[:1] == ["empty"]:
+            argv = argv + ["--certificate", os.path.join(tmp, "cert.json")]
+        assert _captured(main, argv) == _captured(_frozen_main, argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argument_lists())
+def test_main_matches_the_full_parse_on_argument_lists(argv):
+    _same_as_the_full_parse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--bogus"], ["surface", "nef", "--a1", "1", "--bogus"],
+    ["cohomology", "--degree", "2", "--mults", "1", "stray"],
+    ["toric", "fan", "--input", "x.json", "extra", "--more"],
+    ["cohomology", "--", "--degree", "2"], ["--", "cohomology"],
+    ["surface", "nef", "--"], ["cohomology", "-h"], ["cohomology", "--he"],
+    ["ot", "counts", "--help"], ["frobnicate"], ["frobnicate", "--bogus"],
+    ["cohom"], [], ["--help"], ["-h"], ["--bogus", "cohomology"], ["toric"],
+    ["cohomology", "--degree"], ["surface", "nef", "--a1=x"],
+    ["surface", "nef", "--a1=2", "--seed", "4"], ["cohomology", "cohomology"],
+])
+def test_main_matches_the_full_parse_on_edge_cases(argv):
+    _same_as_the_full_parse(argv)
+
+
+def test_leftover_tokens_are_the_top_level_error():
+    code, out, err = _captured(main, ["cohomology", "--bogus"])
+    assert code == 1
+    assert err == "linserlab: error: unrecognized arguments: --bogus\n"
+    assert json.loads(out)["command"] is None
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["surface", "nef", "--a1", "1", "--a2", "1", "--b", "1"], 0),
+    (["cohomology", "--bogus"], 1)])
+def test_the_console_script_parses_once(monkeypatch, capsys, argv, code):
+    # the `linserlab` script calls main() with no argv: sys.argv[1:] takes
+    # the same one-parse path, and the top-level parser reads none of it
+    def full_parse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command line")
+
+    monkeypatch.setattr(sys, "argv", ["linserlab"] + argv)
+    parser = cli.build_parser()
+    monkeypatch.setattr(parser, "parse_args", full_parse)
+    monkeypatch.setattr(parser, "parse_known_args", full_parse)
+    assert main() == code
+    assert json.loads(capsys.readouterr().out)["command"] == (
+        "surface" if code == 0 else None)
 
 
 def test_fixed_line_system_normalizes_each_point_once(tmp_path, capsys,

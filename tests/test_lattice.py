@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linserlab._linalg import CERT_PRIMES, RANK_PRIME
-from linserlab.fatpoints import normalize_proj
+from linserlab import fatpoints
+from linserlab.fatpoints import (general_position_lines, make_config,
+                                 normalize_proj)
 from linserlab.lattice import (CutFunctional, _falling_table, canonical,
                                collision_staircase, cross,
                                dependent_triples, dot, halfplane_partition,
@@ -246,6 +249,70 @@ def test_dependent_triples_match_the_triple_loop(data):
     pts = data.draw(st.lists(st.tuples(coord, coord, coord).filter(any),
                              max_size=9, unique_by=normalize_proj))
     assert dependent_triples(pts) == _collinear_oracle(pts)
+
+
+def _frozen_dependent_triples(vs):
+    """`dependent_triples` as it was: one numpy pass reads every
+    det(v_i, v_j, v_k) mod RANK_PRIME, and each modular zero is confirmed
+    in integers.  The oracle of the exact pair loop."""
+    if len(vs) < 3:
+        return []
+    p = RANK_PRIME
+    a = np.array([[c % p for c in v] for v in vs], dtype=np.int64)
+    b, c = a[:, [1, 2, 0]], a[:, [2, 0, 1]]
+    planes = (b[:, None] * c[None] - c[:, None] * b[None]) % p  # v_i x v_j
+    zero = (planes @ a.T) % p == 0
+    hits = np.triu(np.count_nonzero(zero, axis=2) > 2, 1)
+    out = set()
+    for i, j in zip(*np.nonzero(hits)):
+        normal = cross(vs[i], vs[j])
+        on = tuple(k for k in np.flatnonzero(zero[i, j]).tolist()
+                   if dot(normal, vs[k]) == 0)
+        if len(on) > 2:
+            out.add(on)
+    return sorted(out)
+
+
+def _config_points(kind, size, seed):
+    param = {"star": "s", "pencil_products": "k"}.get(kind, "r")
+    return list(make_config(kind, {param: size}, seed=seed).points)
+
+
+_GRID = st.integers(-3, 3)
+_HOSTILE = st.integers(-10**12, 10**12) | st.sampled_from(
+    [RANK_PRIME, -RANK_PRIME, 10**12, -10**12, 2 * RANK_PRIME + 1])
+_VECTOR_SETS = st.one_of(
+    # random rational points
+    st.tuples(st.just("random"), st.integers(0, 15), st.integers(0, 99)),
+    # the configurations of `make_config`, lines through many points
+    st.tuples(st.just("star"), st.integers(2, 6), st.integers(0, 99)),
+    st.tuples(st.just("pencil_products"), st.integers(1, 4),
+              st.integers(0, 99)),
+    st.tuples(st.just("collinear"), st.integers(1, 12), st.integers(0, 99)),
+).map(lambda t: _config_points(*t)) | st.one_of(
+    # a grid with many collinear points; hostile coordinates; line sets as
+    # `general_position_lines` draws them
+    st.lists(st.tuples(_GRID, _GRID, st.integers(0, 2)).filter(any),
+             max_size=16, unique_by=normalize_proj),
+    st.lists(st.tuples(_HOSTILE, _HOSTILE, _HOSTILE).filter(any),
+             max_size=8, unique_by=normalize_proj),
+    st.lists(st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
+             max_size=9, unique_by=normalize_proj))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VECTOR_SETS)
+def test_dependent_triples_match_the_frozen_modular_screen(vs):
+    assert dependent_triples(vs) == _frozen_dependent_triples(vs)
+
+
+def test_general_position_lines_draw_the_frozen_lines(monkeypatch):
+    drawn = [general_position_lines(s, random.Random(seed))
+             for s in range(2, 9) for seed in range(51)]
+    monkeypatch.setattr(fatpoints, "dependent_triples",
+                        _frozen_dependent_triples)
+    assert drawn == [general_position_lines(s, random.Random(seed))
+                     for s in range(2, 9) for seed in range(51)]
 
 
 def _frozen_falling_table(vals, orders, p=None):
