@@ -23,11 +23,13 @@ next prime below (`_prime_below`).  Every exact proof walks that one
 sequence, RANK_PRIME and the primes below it, and `_lift_kernel` hands
 back the profile of the prime whose rank it proved.
 
-`rank_exact` races the kernels of A and of A^T, stepping the one with
-less work done; `nullspace` lifts the kernel of A alone and also asks for
-the rational pivots, the profile of the reduced echelon form;
-`independent_rows` returns the pivots of A^T in the proved profile: rows
-independent mod p, as many as the rank over Q.  `det_exact` takes the
+`independent_rows` lifts the kernels of A^T and of A together, stepping
+the one with less work done, and returns the pivots of A^T in the proved
+profile: rows independent mod p, as many as the rank over Q.  `rank_exact`
+is the size of that proved selection, and `rank_mod_p` the size of the
+selection mod p, since A and A^T have the same rank.  `nullspace` lifts
+the kernel of A alone and also asks for the rational pivots, the profile
+of the reduced echelon form.  `det_exact` takes the
 determinant from its residues on the same walk, each from the pass on
 [B | I] (`_det_mod_p`), until the primes pass twice the Hadamard bound.
 No certificate uses `det_exact`: a square piece is proved by its rank.
@@ -39,7 +41,7 @@ pivot column and the pivot row at each step (Dumas, Giorgi and Pernet,
 ACM TOMS 35(3), 2008).  The same bound keeps the lift in int64: its
 digits lie below RANK_PRIME, and the exact B is split into 26-bit limbs.
 
-The halves of `rank_exact` can be called on their own:
+The halves of that proof can be called on their own:
 `rank_profile_mod_p` eliminates an int64 array of residues, and
 `deficient_rank` proves a rank that is deficient mod RANK_PRIME from that
 profile.  `fatpoints.cohomology` builds its residues mod RANK_PRIME
@@ -79,12 +81,12 @@ def _scaled_rows(rows):
     out, scale = [], 1
     for row in rows:
         try:
-            mult = lcm(*(e.denominator for e in row))
+            mult = lcm(*[e.denominator for e in row])
         except AttributeError:
             raise TypeError(f"row {row!r} has an entry that is not an "
                             f"integer or a Fraction") from None
         if mult == 1:
-            out.append([int(e) for e in row])
+            out.append(list(map(int, row)))
         else:
             out.append([int(e * mult) for e in row])
             scale *= mult
@@ -101,24 +103,9 @@ def to_int_rows(rows):
 
 
 def rank_mod_p(rows, p):
-    """Rank over GF(p), p < P_LIMIT, of rows read by `_mod_p_rows`."""
-    a = _mod_p_rows(rows, p)
-    return 0 if a is None else len(rank_profile_mod_p(a, p)[0])
-
-
-def _mod_p_rows(rows, p):
-    """The int64 residues mod p of the rows, each scaled to integers by
-    `_scaled_rows`, or None for no rows or no columns.  The scales are
-    units mod p, which keeps the rank and the independent rows; a float
-    raises TypeError and a denominator that p divides ValueError."""
-    if not 2 <= p < P_LIMIT:
-        raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
-    if not rows or not rows[0]:
-        return None
-    ints, scale = _scaled_rows(rows)
-    if scale % p == 0:
-        raise ValueError(f"a denominator is divisible by {p}")
-    return _residues(ints, p)
+    """Rank over GF(p), p < P_LIMIT: the number of rows that
+    `independent_rows_mod_p` selects."""
+    return len(independent_rows_mod_p(rows, p))
 
 
 def _residues(rows, p):
@@ -194,20 +181,9 @@ def _lazy(p):
 
 
 def rank_exact(rows):
-    """Exact rank over Q.
-
-    Full rank mod RANK_PRIME settles it (a nonzero minor mod p is nonzero
-    in Z); a deficient rank goes to `deficient_rank` with the profile of
-    that one elimination.  An unlucky RANK_PRIME only costs time.
-    """
-    rows = [row for row in to_int_rows(rows) if any(row)]
-    if not rows:
-        return 0
-    full = min(len(rows), len(rows[0]))
-    profile = rank_profile_mod_p(_residues(rows, RANK_PRIME), RANK_PRIME)
-    if len(profile[0]) == full:
-        return full
-    return deficient_rank(np.array(rows, dtype=object), full, profile)
+    """Exact rank over Q: the size of the row selection that
+    `independent_rows` proves, since A and A^T have the same rank."""
+    return len(independent_rows(rows))
 
 
 def deficient_rank(mat, full, profile=None):
@@ -583,30 +559,43 @@ def independent_rows_mod_p(rows, p):
     Row i is taken when it is independent of the rows before it: these are
     the pivot columns of the echelon form of the transpose.  Sound for
     exact certificates: rows independent mod p are independent over Q.
+    The row scales of `_scaled_rows` are units mod p; a float raises
+    TypeError and a denominator that p divides ValueError.
     """
-    a = _mod_p_rows(rows, p)
-    if a is None:
+    if not 2 <= p < P_LIMIT:
+        raise ValueError(f"residues need 2 <= p < 2**31, got {p}")
+    if not rows or not rows[0]:
         return []
-    return rank_profile_mod_p(np.ascontiguousarray(a.T), p)[0]
+    ints, scale = _scaled_rows(rows)
+    if scale % p == 0:
+        raise ValueError(f"a denominator is divisible by {p}")
+    return rank_profile_mod_p(np.ascontiguousarray(_residues(ints, p).T),
+                              p)[0]
 
 
 def independent_rows(rows):
     """Indices of a maximal set of rows independent over Q.
 
     The greedy selection mod RANK_PRIME, the pivot columns of the
-    transpose, is accepted at min(nonzero rows, nonzero columns).  A
-    shorter one hands its profile to `_lift_kernel` on the exact
-    transpose, and the pivots of the profile it proved are returned:
-    columns of A^T independent mod a prime, so rows of A independent over
-    Q, and as many as the rank.  Used to pick a square nonsingular
-    submatrix witness.
+    transpose, is accepted when it takes every row or reaches
+    min(nonzero rows, nonzero columns), which bounds the rank.  A shorter
+    one hands its profile to `_lift_kernel` on the exact transpose, and the
+    pivots of the profile it proved are returned: columns of A^T
+    independent mod a prime, so rows of A independent over Q, and as many
+    as the rank.  Used to pick a square nonsingular submatrix witness, and
+    by `rank_exact`.  The nonzero columns are counted on the residues; a
+    column that is zero mod RANK_PRIME is looked up in the integers.
     """
     if not rows or not rows[0]:
         return []
     ints = to_int_rows(rows)
-    full = min(sum(map(any, ints)), sum(map(any, zip(*ints))))
-    profile = rank_profile_mod_p(
-        np.ascontiguousarray(_residues(ints, RANK_PRIME).T), RANK_PRIME)
+    a = _residues(ints, RANK_PRIME)
+    profile = rank_profile_mod_p(np.ascontiguousarray(a.T), RANK_PRIME)
+    if len(profile[0]) == len(ints):
+        return profile[0]
+    zero = np.flatnonzero(~a.any(axis=0)).tolist()
+    full = min(sum(map(any, ints)), len(ints[0]) - sum(
+        not any(row[j] for row in ints) for j in zero))
     if len(profile[0]) < full:
         profile = _lift_kernel(np.array(ints, dtype=object).T, full, profile,
                                False)[3]

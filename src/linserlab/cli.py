@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from . import arrangements, dumnicki, fatpoints, surfaces, symbolic, toric
-from .lattice import triangle_set
+from .lattice import json_int, json_ints, triangle_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,28 +75,13 @@ def _envelope(args, **fields) -> dict:
 # subcommand handlers
 
 
-def _ints(values) -> tuple:
-    """A list of JSON ints from an input file; a float, bool or string is
-    a ValueError rather than an integer."""
-    return tuple(map(dumnicki._json_int, values))
-
-
-def _point(values, dim: int) -> tuple:
-    """`dim` JSON ints: a lattice point, a ray or a line."""
-    point = _ints(values)
-    if len(point) != dim:
-        raise ValueError(f"{values!r} is not a list of {dim} integers")
-    return point
-
-
 def _coords(point) -> tuple:
     """The integer coordinates of a point given as three [num, den]
     pairs: each pair times the lcm of the denominators."""
-    pairs = [_point(c, 2) for c in point]
+    pairs = [json_ints(c, 2) for c in point]
     for num, den in pairs:
         if den == 0:
-            raise ValueError(f"point coordinate {[num, den]!r} has a zero"
-                             f" denominator")
+            raise ValueError(f"[num, den] {[num, den]} has a zero denominator")
     scale = lcm(*(den for _, den in pairs))
     return tuple(num * (scale // den) for num, den in pairs)
 
@@ -108,8 +93,8 @@ def _system_from_json(doc: dict) -> fatpoints.FatPointSystem:
     normalization in `FatPointSystem` takes its integer path and no
     Fraction is made; a zero denominator is a ValueError."""
     pts = tuple(_coords(p) for p in doc["points"])
-    return fatpoints.FatPointSystem(dumnicki._json_int(doc["degree"]), pts,
-                                    _ints(doc["mults"]))
+    return fatpoints.FatPointSystem(json_int(doc["degree"]), pts,
+                                    json_ints(doc["mults"]))
 
 
 def _report_fields(rep: fatpoints.SystemReport) -> dict:
@@ -175,10 +160,10 @@ def run_empty(args) -> int:
     elif args.problem:
         doc = _load(args.problem)
         if "degree" in doc:
-            D = triangle_set(dumnicki._json_int(doc["degree"]))
+            D = triangle_set(json_int(doc["degree"]))
         else:
             D = dumnicki.points_from_json(doc["points"])
-        mults = _ints(doc["mults"])
+        mults = json_ints(doc["mults"])
         if "cuts" in doc:
             cuts = tuple(dumnicki.cut_from_json(t) for t in doc["cuts"])
         else:
@@ -240,10 +225,10 @@ def run_toric(args) -> int:
         doc = _load(args.input)
         if "chain" in doc:
             poly = toric.UnboundedPolygon(
-                tuple(_point(p, 2) for p in doc["chain"]),
-                _point(doc["ray"], 2))
+                tuple(json_ints(p, 2) for p in doc["chain"]),
+                json_ints(doc["ray"], 2))
         else:
-            poly = [_point(p, 2) for p in doc["vertices"]]
+            poly = [json_ints(p, 2) for p in doc["vertices"]]
         cones = toric.normal_fan(poly)
         _emit(_envelope(args, cones=[[list(g) for g in c.generators]
                                      for c in cones]), args.output)
@@ -351,7 +336,7 @@ def _arrangement_from_args(args) -> arrangements.LineArrangement:
     if args.arrangement:
         doc = _load(args.arrangement)
         return arrangements.LineArrangement(
-            tuple(_point(f, 3) for f in doc["lines"]))
+            tuple(json_ints(f, 3) for f in doc["lines"]))
     raise ValueError("need --arrangement, --m8 or --generic")
 
 

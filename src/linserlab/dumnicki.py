@@ -24,7 +24,8 @@ except ImportError:  # not built, or renamed (Python >= 3.12)
 from . import _linalg
 from .lattice import (CutFunctional, collision_staircase,
                       halfplane_partition, is_staircase, jet_conditions,
-                      triangle_set, triangle_staircase)
+                      json_fraction, json_int, json_ints, triangle_set,
+                      triangle_staircase)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +340,6 @@ def verify_certificate(D, mults: Sequence[int],
 FORMAT = 2
 
 
-def _frac_pair(x) -> List[int]:
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
-
-
 def _evidence_to_json(ev: PieceEvidence) -> dict:
     if isinstance(ev, LineAssignment):
         return {"type": "line_assignment", "direction": ev.direction,
@@ -354,23 +350,13 @@ def _evidence_to_json(ev: PieceEvidence) -> dict:
     raise TypeError(f"unknown evidence {ev!r}")
 
 
-def _json_int(x) -> int:
-    """An integer read from a document: a JSON int, where `int()` would
-    also take a float, a bool or a string (and overflow on Infinity)."""
-    if type(x) is not int:
-        raise ValueError(f"{x!r} is not an integer")
-    return x
-
-
 def _evidence_from_json(doc: dict) -> PieceEvidence:
     t = doc["type"]
     if t == "line_assignment":
-        return LineAssignment(doc["direction"],
-                              tuple((_json_int(c), _json_int(k))
-                                    for c, k in doc["assignment"]))
+        return LineAssignment(doc["direction"], tuple(
+            (json_int(c), json_int(k)) for c, k in doc["assignment"]))
     if t == "full_rank":
-        return FullRank(_json_int(doc["rank"]),
-                        tuple(map(_json_int, doc["rows"])))
+        return FullRank(json_int(doc["rank"]), json_ints(doc["rows"]))
     raise ValueError(f"unknown evidence type {t!r}")
 
 
@@ -380,7 +366,8 @@ def _payload(D, mults, cert: EmptinessCertificate) -> dict:
             "points": [list(p) for p in sorted(D)],
             "mults": list(mults),
         },
-        "cuts": [[_frac_pair(x) for x in c.as_triple()] for c in cert.cuts],
+        "cuts": [[[x.numerator, x.denominator] for x in c.as_triple()]
+                 for c in cert.cuts],
         "pieces": [
             {
                 "points": [list(p) for p in sorted(piece.points)],
@@ -402,21 +389,13 @@ def certificate_to_json(D, mults, cert: EmptinessCertificate) -> dict:
     return {"format": FORMAT, **payload, "digest": _digest(payload)}
 
 
-def _json_fraction(pair) -> Fraction:
-    """One [num, den] pair of JSON ints as a Fraction, nonzero denominator."""
-    num, den = map(_json_int, pair)
-    if den == 0:
-        raise ValueError(f"[num, den] {pair!r} has a zero denominator")
-    return Fraction(num, den)
-
-
 def cut_from_json(triple) -> CutFunctional:
     """A cut [[num, den], [num, den], [num, den]] as certificates store it.
 
     Raises ValueError on a zero denominator, a value that is not a JSON
     int, or a wrong number of values.
     """
-    a, b, c = (_json_fraction(pair) for pair in triple)
+    a, b, c = (json_fraction(pair) for pair in triple)
     return CutFunctional(a, b, c)
 
 
@@ -441,10 +420,10 @@ def certificate_from_json(doc: dict):
     """(D, mults, certificate) from a JSON document; digest not checked."""
     seen = {}  # one tuple per point, shared by D and the pieces: less memory
     D = points_from_json(doc["problem"]["points"], seen)
-    mults = tuple(map(_json_int, doc["problem"]["mults"]))
+    mults = json_ints(doc["problem"]["mults"])
     cuts = tuple(cut_from_json(triple) for triple in doc["cuts"])
     pieces = tuple(
-        Piece(points_from_json(pd["points"], seen), _json_int(pd["mult"]),
+        Piece(points_from_json(pd["points"], seen), json_int(pd["mult"]),
               _evidence_from_json(pd["evidence"]))
         for pd in doc["pieces"]
     )
@@ -465,7 +444,7 @@ def verify_certificate_json(doc: dict):
     if not isinstance(doc, dict):
         return malformed
     try:
-        if "format" not in doc or _json_int(doc["format"]) != FORMAT:
+        if "format" not in doc or json_int(doc["format"]) != FORMAT:
             return False, {"piece": None,
                            "reason": "unsupported certificate format"}
         digest_ok = _digest({k: doc[k] for k in ("problem", "cuts",

@@ -6,6 +6,10 @@ point is a sign of a*x + b*y + c in plain ints; its rational coefficients,
 and the [num, den] pairs certificates store, are derived from that form.
 Thresholds sit at half-integers so a cut can never vanish on a lattice
 point, which the partition-based emptiness proofs rely on.
+
+Every module reads document values through `json_int`, `json_ints` and
+`json_fraction`: a float, a bool or a string where an int belongs is a
+ValueError, so the verifier and every CLI reader refuse the same values.
 """
 
 from __future__ import annotations
@@ -51,6 +55,34 @@ class CutFunctional:
 
     def as_triple(self) -> Tuple[Fraction, Fraction, Fraction]:
         return tuple(Fraction(v, self.den) for v in self.num)
+
+
+def json_int(x) -> int:
+    """An integer read from a document: a JSON int, where `int()` would
+    also take a float, a bool or a string (and overflow on Infinity)."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def json_ints(values, dim=None) -> Tuple[int, ...]:
+    """A JSON list (or a tuple) of ints, exactly `dim` of them when `dim`
+    is given, as a tuple; anything else is a ValueError."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{values!r} is not a list of integers")
+    if not {int}.issuperset(map(type, values)):  # name the first non-int
+        json_int(next(x for x in values if type(x) is not int))
+    if dim is not None and len(values) != dim:
+        raise ValueError(f"{values!r} is not a list of {dim} integers")
+    return tuple(values)
+
+
+def json_fraction(pair) -> Fraction:
+    """One [num, den] pair of JSON ints as a Fraction, nonzero denominator."""
+    num, den = map(json_int, pair)
+    if den == 0:
+        raise ValueError(f"[num, den] {pair!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def integer_threshold(a, b, t) -> CutFunctional:

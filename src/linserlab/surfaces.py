@@ -9,7 +9,6 @@ configurations (finite projective planes, general lines, collinear points).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -17,8 +16,8 @@ from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import is_prime
-from .fatpoints import DEFAULT_SEED, general_position_lines, normalize_proj
-from .lattice import cross, dot
+from .fatpoints import DEFAULT_SEED, make_config
+from .lattice import dot
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +273,10 @@ def build_incidence(kind: str, params: dict) -> IncidenceConfig:
         s = params["s"]
         if s < 2:
             raise ValueError("need at least 2 lines")
-        seed = params.get("seed", DEFAULT_SEED)
-        rng = random.Random((seed, "general_lines", s).__repr__())
-        lines = tuple(normalize_proj(l)
-                      for l in general_position_lines(s, rng))
-        pts = set()
-        for i in range(s):
-            for j in range(i + 1, s):
-                pts.add(normalize_proj(cross(lines[i], lines[j])))
-        points = tuple(sorted(pts))
-        return IncidenceConfig(kind, points, lines,
-                               _incidence_from_coords(points, lines))
+        # s lines in general position and their pairwise intersections
+        star = make_config("star", {"s": s}, params.get("seed", DEFAULT_SEED))
+        return IncidenceConfig(kind, star.points, star.lines,
+                               _incidence_from_coords(star.points, star.lines))
     if kind == "projective_plane":
         q = params["q"]
         if not is_prime(q):

@@ -25,8 +25,7 @@ from math import ceil, floor
 from operator import add, index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .dumnicki import _json_int
-from .lattice import cross, primitive
+from .lattice import cross, json_ints, primitive
 
 Exponent = Tuple[int, ...]
 
@@ -502,5 +501,4 @@ def ideal_from_json(data: Dict) -> MonomialIdeal:
         raise ValueError("vars must be a list of distinct strings")
     if not (type(gens) is list and all(type(g) is list for g in gens)):
         raise ValueError("gens must be a list of lists of integers")
-    return MonomialIdeal(tuple(names),
-                         tuple(tuple(map(_json_int, g)) for g in gens))
+    return MonomialIdeal(tuple(names), tuple(map(json_ints, gens)))

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dumnicki import _json_fraction, _json_int
-from .lattice import CutFunctional, halfplane_partition, primitive
+from .lattice import (CutFunctional, halfplane_partition, json_fraction,
+                      json_ints, primitive)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +486,12 @@ def subdivision_to_json(sub: Subdivision) -> dict:
 def subdivision_from_json(doc: dict):
     """(points, heights) suitable for re-running lower_hull_subdivision.
 
-    Every point must be a pair, every coordinate, numerator and
-    denominator a JSON int, and every denominator nonzero."""
+    Every point must be a pair listed once, every coordinate, numerator
+    and denominator a JSON int, and every denominator nonzero."""
     heights = {}
     for p, n, d in doc["heights"]:
-        point = tuple(map(_json_int, p))
-        if len(point) != 2:
-            raise ValueError(f"{p!r} is not a point of the plane")
-        heights[point] = _json_fraction([n, d])
-    return list(heights.keys()), heights
+        point = json_ints(p, 2)
+        if point in heights:
+            raise ValueError(f"point {list(point)} is listed twice")
+        heights[point] = json_fraction([n, d])
+    return list(heights), heights

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from linserlab import cli, fatpoints, surfaces
 from linserlab.cli import main
 from linserlab.fatpoints import normalize_proj
+from linserlab.lattice import json_ints
 from test_totality import argument_lists
 
 
@@ -140,7 +141,7 @@ def test_verify_deeply_nested_file(tmp_path, capsys):
     assert rep["command"] == "verify" and "recursion" in rep["error"]
 
 
-@pytest.mark.parametrize("value", [float("inf"), 1.5, True])
+@pytest.mark.parametrize("value", [float("inf"), 1.5, True, 1.0, "1"])
 def test_verify_non_integer_multiplicity(tmp_path, capsys, value):
     """Python's json reads Infinity, where int() overflowed (exit 1);
     1.5 and true were read as 1."""
@@ -296,7 +297,7 @@ def test_empty_refuses_a_multiplicity_below_one(tmp_path, capsys, doc):
 def _frozen_system_points(doc):
     """The points of a --system document as `_system_from_json` read them
     before, through Fractions: the oracle of its integer path."""
-    return tuple(normalize_proj([Fraction(*cli._point(c, 2)) for c in p])
+    return tuple(normalize_proj([Fraction(*json_ints(c, 2)) for c in p])
                  for p in doc["points"])
 
 
@@ -357,6 +358,29 @@ FLOAT_INPUTS = [
      {"heights": [[[0, 0], 0, 1], [[1.0, 0], 0, 1], [[0, 1], 1, 1]]}),
     (["toric", "subdivide", "--input"],
      {"heights": [[[0, 0], 0, 1], [[1, 0], 0, 1], [[0, 1], 1, "2"]]}),
+    # true, 1.0 and "1" at an integer position of every reader
+    (["cohomology", "--system"],
+     {"degree": 1, "mults": ["1"], "points": [[[1, 1], [0, 1], [1, 1]]]}),
+    (["empty", "--problem"], {"degree": True, "mults": [2] * 5}),
+    (["empty", "--problem"], {"degree": 4, "mults": [2, 2, 2, 2, 1.0]}),
+    (["empty", "--problem"], {"points": [[0, 0], [True, 1]], "mults": [1]}),
+    (["empty", "--problem"],
+     {"degree": 1, "mults": [1, 1, 1], "cuts": [[[1.0, 1], [0, 1], [-1, 2]]]}),
+    (["toric", "fan", "--input"], {"vertices": [[0, 0], [True, 0], [0, 1]]}),
+    (["toric", "fan", "--input"],
+     {"chain": [[0, 0], [1, "-1"], [2, -1], [3, 0]], "ray": [0, 1]}),
+    (["toric", "subdivide", "--input"],
+     {"heights": [[[0, 0], 0, 1], [[1, 0], 0, True], [[0, 1], 1, 1]]}),
+    (["ot", "counts", "--arrangement"],
+     {"lines": [[1, 0, 0], [0, True, 0], [1, 1, 1]]}),
+    (["ot", "counts", "--arrangement"],
+     {"lines": [[1, 0, 0], [0, 1, 0], [1.0, 1, 1]]}),
+    (["ot", "counts", "--arrangement"],
+     {"lines": [[1, 0, 0], [0, 1, 0], [1, "1", 1]]}),
+    (["symbolic", "suite", "--ideal"],
+     {"vars": ["x", "y", "z"], "gens": [[1, 1, 0], [1.0, 0, 1], [0, 1, 1]]}),
+    (["symbolic", "suite", "--ideal"],
+     {"vars": ["x", "y", "z"], "gens": [[1, 1, 0], [1, 0, 1], [0, "1", 1]]}),
 ]
 
 
@@ -464,6 +488,17 @@ def test_toric_subdivide_rejects_a_zero_height_denominator(tmp_path, capsys):
     assert code == 1
     assert rep["command"] == "toric"
     assert rep["error"] == "[num, den] [1, 0] has a zero denominator"
+
+
+def test_toric_subdivide_rejects_a_repeated_point(tmp_path, capsys):
+    # the last height listed for (0, 0) won, silently
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"heights": [
+        [[0, 0], 0, 1], [[1, 0], 0, 1], [[0, 1], 0, 1], [[0, 0], 5, 1]]}))
+    code, rep = run(capsys, "toric", "subdivide", "--input", str(path))
+    assert code == 1
+    assert rep["command"] == "toric"
+    assert rep["error"] == "point [0, 0] is listed twice"
 
 
 def test_surface_reports(capsys):

@@ -505,6 +505,8 @@ INTEGER_SLOTS = [
     (full_rank_doc, ("format",)),
     (full_rank_doc, ("pieces", 0, "evidence", "rank")),
     (full_rank_doc, ("pieces", 0, "evidence", "rows", 0)),
+    (paper_doc, ("problem", "points", 0, 0)),
+    (paper_doc, ("pieces", 0, "points", 0, 1)),
 ]
 
 
