@@ -57,15 +57,16 @@ conic no point, and the fixed line is full rank after it.
 For the arrangements of ARRANGEMENTS, `arrangements.circuits`,
 `graded_counts(..., 3)` on those circuits and `singular_points` run
 --repeat times each.  One more `graded_counts` call, untimed, records every
-exact rank it asks for: the degree pieces ("piece") and the linear
-syzygies of the quadrics ("syzygy"), each with its shape, its rank, its
-proof and the seconds of its kernel lift.  The proof is "hilbert" (the
+elimination it makes: the pieces (k, 1) that have rows ("piece") and the
+linear syzygies of the quadrics ("syzygy"), each with its shape, its
+rank, its proof and the seconds of its kernel lift; a piece (k, 0) is
+dim I_k by theorem and takes none.  The proof is "hilbert" (the
 rank mod RANK_PRIME meets dim I_k of the Orlik-Terao Hilbert series),
 "full" (short of it, at full rank mod RANK_PRIME) or "lift" (through the
 kernel lift of `deficient_rank`).  The syzygy rank, which `graded_counts`
 reads from the piece (3, 1) of the quadrics times the variables, is
 "shared", with that piece's proof and no lift of its own; its shape is
-that of a basis of the quadrics times the variables.
+that of a basis of the quadrics times the variables, d dim I_2 rows.
 
 Prints one JSON document: per degree and prime the matrix shape, the rank,
 and the best and median seconds, and the same of the reduced matrix with
@@ -278,10 +279,10 @@ def _best_median(fn, repeat):
 
 
 def _graded_ranks(arr, circs):
-    """The ranks of one `graded_counts(arr, 3, circs)` call: each rank of
-    `_ideal_rank`, read by wrapping it and the `deficient_rank` it calls,
-    with its proof, and the syzygy rank that `graded_counts` reads from
-    the last of them, piece (3, 1), when there are quadrics."""
+    """The eliminations of one `graded_counts(arr, 3, circs)` call: each
+    rank of `_ideal_rank`, read by wrapping it and the `deficient_rank` it
+    calls, with its proof, and the syzygy rank that `graded_counts` reads
+    from the last of them, piece (3, 1), when dim I_2 > 0."""
     ranks, lifts = [], []
     ideal_rank, deficient_rank = (arrangements._ideal_rank,
                                   arrangements.deficient_rank)
@@ -310,10 +311,10 @@ def _graded_ranks(arr, circs):
     finally:
         arrangements._ideal_rank = ideal_rank
         arrangements.deficient_rank = deficient_rank
-    quadrics = [r["rank"] for r in ranks
-                if r["shape"][1] == comb(len(arr) + 1, 2)]
+    b2 = sum(t - 1 for _, t in arrangements.singular_points(arr))
+    quadrics = arrangements._ideal_dim(len(arr), b2, 2)
     if quadrics:
-        rows = quadrics[0] * len(arr)
+        rows = quadrics * len(arr)
         ranks.append({**ranks[-1], "kind": "syzygy",
                       "shape": [rows, comb(len(arr) + 2, 3)],
                       "rank": rows - gc.linear_syzygies, "shared": True,

@@ -5,8 +5,12 @@ relations.  A dependency sum c_j alpha_{i_j} = 0 among k forms gives the
 degree-(k-1) relation f = sum_j c_j prod_{l != j} y_{i_l}; the ideal they
 generate is read from ranks of coefficient matrices, not Groebner bases.
 The circuits read one table of triple determinants; the matrices are
-sparse.  A rank mod RANK_PRIME that meets dim I_k, read from the Hilbert
-series of the Orlik-Terao algebra, is proved by it; any other by a lift.
+sparse.  The circuits generate the ideal I, so with all of them the
+degree-k piece is I_k, whose dimension the Hilbert series of the
+Orlik-Terao algebra gives: no piece (k, 0) is ranked.  Only a piece
+(k, 1) with forms below it, or a caller's own circuit list, pays an
+elimination; a rank mod RANK_PRIME that meets dim I_k is proved by it,
+any other by a lift.
 """
 
 from __future__ import annotations
@@ -90,7 +94,28 @@ class Circuit:
     coeffs: Tuple[int, ...]
 
 
-def circuits(a: LineArrangement, max_size: int) -> List[Circuit]:
+class Circuits(list):
+    """The list `circuits` returns: every circuit of `arrangement` of size
+    <= `max_size`, each dependency asserted.  `graded_counts` trusts it as
+    complete, so it is read-only; `list(...)` gives an editable copy."""
+
+    def __init__(self, items, arrangement: LineArrangement, max_size: int):
+        super().__init__(items)
+        self.arrangement = arrangement
+        self.max_size = max_size
+
+    def __reduce__(self):
+        return Circuits, (list(self), self.arrangement, self.max_size)
+
+    def _read_only(self, *args):
+        raise TypeError("Circuits is read-only; edit list(...) instead")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = _read_only
+    sort = reverse = _read_only
+
+
+def circuits(a: LineArrangement, max_size: int) -> Circuits:
     """Minimal dependent subsets of size <= max_size in `combinations`
     order, size 3 first: the triples of concurrent lines, then the 4-sets
     holding none (any four forms are dependent; no two are proportional).
@@ -117,13 +142,13 @@ def circuits(a: LineArrangement, max_size: int) -> List[Circuit]:
             dep = (det[j, k, l], -det[i, k, l], det[i, j, l], -det[i, j, k])
             if all(dep):
                 deps.append((q, dep))
-    out: List[Circuit] = []
+    out = []
     for sub, dep in deps:
         coeffs = canonical(dep)
         for k in range(3):
             assert sum(c * f[i][k] for c, i in zip(coeffs, sub)) == 0
         out.append(Circuit(sub, coeffs))
-    return out
+    return Circuits(out, a, max_size)
 
 
 @dataclass(frozen=True)
@@ -215,81 +240,97 @@ def _ideal_rank(shape: Tuple[int, int],
 def graded_counts(a: LineArrangement, max_deg: int,
                   circs: Optional[Sequence[Circuit]] = None) -> GradedCounts:
     """Minimal generator counts per degree and the number of linear
-    syzygies among the minimal quadrics, all by exact ranks.
+    syzygies among the minimal quadrics, all exact.
 
-    `circs`, when given, holds the circuits of `a` up to size max_deg + 1
-    at least (as `circuits` lists them); the larger ones are ignored.  A
-    coefficient list that is not a dependency of its forms gives a form
-    outside the relation ideal, where the bound below fails, and it
-    raises ValueError.
+    Piece (k, 0) is the span of all monomial shifts of the circuit forms
+    into degree k, piece (k, 1) that of the shifts by a nonconstant
+    monomial (the image of degree k-1 under the variables), and their
+    ranks differ by the minimal generators of degree k; with no form of
+    degree k they are one piece.  Linear syzygies are the kernel of
+    (l_1,..,l_s) -> sum l_i q_i on a basis q of the quadrics: every form
+    has degree >= 2, so the image is piece (3, 1), and they number
+    d dim(piece (2, 0)) - dim(piece (3, 1)).
 
-    dim of the degree-k piece is the rank of the sparse rows of all monomial
-    shifts of the circuit forms into degree k; subtracting the rank of the
-    shifts with a nonconstant monomial (the image of degree k-1 under the
-    variables) counts minimal generators.  Linear syzygies are the kernel
-    of (l_1,..,l_s) -> sum l_i q_i on a basis q of the quadric piece: every
-    circuit form has degree >= 2, so the image is piece (3, 1), and their
-    number is d dim(piece (2, 0)) - dim(piece (3, 1)).  A degree k with no
-    form of its own has the same rows in (k, 0) and (k, 1), ranked once.
+    The circuits generate the relation ideal I (N. Proudfoot and
+    D. Speyer, Beitr. Algebra Geom. 47, 2006), so piece (k, 0) is I_k, of
+    dimension `_ideal_dim` by the Hilbert series of the Orlik-Terao
+    algebra (H. Terao, J. Algebra 250, 2002).  A `Circuits` that
+    `circuits` built for `a` with max_size >= min(len(a), max_deg + 1, 4)
+    (no circuit has more lines) holds them all: piece (k, 0) is then
+    dim I_k, with b2 the count of 2-sets holding no broken circuit, and
+    only the pieces (k, 1) with forms below degree k are ranked.
 
-    Every such row lies in I_k, the degree-k piece of the relation ideal
-    I, so its rank is at most dim I_k (`_ideal_dim`): by Terao's theorem
-    the Hilbert series of the Orlik-Terao algebra S/I is pi(t/(1 - t)),
-    pi the Poincare polynomial (H. Terao, J. Algebra 250, 2002), whose b2
-    is read from `singular_points` once a piece has rows.  A rank mod
-    RANK_PRIME that meets the bound is the rank over Q, with no lift.
-    The circuits generate I (N. Proudfoot and D. Speyer, Beitr. Algebra
-    Geom. 47, 2006), so at any but an unlucky prime every piece (k, 0)
-    meets it, and so does (k, 1) unless a minimal generator has degree k.
-    A rank short of the bound is proved by the kernel lift of
-    `deficient_rank` from the same elimination: on M8, piece (3, 1), the
-    56 shifted quadrics, one short of dim I_3 by the linear syzygy.
+    Any other `circs` is a caller's list of the circuits of `a` up to
+    size max_deg + 1 at least (larger ones are ignored).  Every piece is
+    ranked, b2 read from `singular_points`, and ValueError is raised when
+    a coefficient list is not a dependency of its forms or a piece (k, 0)
+    falls short of dim I_k: the list does not generate I_k.
+
+    Every ranked row lies in I_k, so a rank mod RANK_PRIME that meets
+    dim I_k is the rank over Q.  A rank short of it is proved by the
+    kernel lift of `deficient_rank` from the same elimination: on M8,
+    piece (3, 1), the 56 shifted quadrics, one short of dim I_3 by the
+    linear syzygy.
     """
     if not 1 <= max_deg <= 4:
         raise ValueError("max_deg must be between 1 and 4")
     d = len(a)
     if circs is None:
-        circs = circuits(a, min(len(a), max_deg + 1))
+        circs = circuits(a, min(d, max_deg + 1))
+    trusted = (isinstance(circs, Circuits) and circs.arrangement == a
+               and circs.max_size >= min(d, max_deg + 1, 4))
+    if trusted:
+        # each concurrent triple less its first line is a broken pair, and
+        # a point on t lines breaks C(t - 1, 2) of its C(t, 2) pairs
+        b2 = comb(d, 2) - len({c.indices[1:] for c in circs
+                               if len(c.indices) == 3})
     elif any(sum(x * a.forms[i][k] for x, i in zip(c.coeffs, c.indices))
              for c in circs for k in range(3)):
         raise ValueError("a circuit is not a dependency of the forms")
-    gens = [_circuit_form(c, d) for c in circs
-            if len(c.indices) <= max_deg + 1]
+    else:
+        b2 = sum(t - 1 for _, t in singular_points(a)) if d > 1 else 0
+    circs = [c for c in circs if len(c.indices) <= max_deg + 1]
+    degrees = {len(c.indices) - 1 for c in circs}
+    low = min(degrees, default=max_deg + 1)
+    # a trusted list ranks only the pieces (k, 1), k in degrees and k = 3
+    # for the syzygies, which read the forms of degree < k
+    top = (max((degrees | {3}) if 2 in degrees else degrees, default=0)
+           if trusted else max_deg + 1)
     by_degree: Dict[int, List[OTForm]] = {}
-    for f in gens:
-        by_degree.setdefault(f.degree, []).append(f)
-    b2 = None  # from singular_points, once a piece has rows
-
-    def bound(k: int) -> int:
-        nonlocal b2
-        if b2 is None:
-            b2 = sum(t - 1 for _, t in singular_points(a))
-        return _ideal_dim(d, b2, k)
+    for c in circs:
+        if len(c.indices) <= top:
+            by_degree.setdefault(len(c.indices) - 1, []).append(
+                _circuit_form(c, d))
 
     def piece_rank(k: int, min_shift: int) -> int:
+        shifted = [(e, forms) for e, forms in by_degree.items()
+                   if k - e >= min_shift]
+        if not shifted:
+            return 0
         # one row per shifted form, shift-major, one entry per term
         index = {m: i for i, m in enumerate(_monomials(d, k))}
         entries, nrows = [], 0
-        for e, forms in by_degree.items():
-            if e > k or k - e < min_shift:
-                continue
+        for e, forms in shifted:
             for shift in _monomials(d, k - e):
                 for f in forms:
                     entries += [(nrows, index[tuple(map(add, exp, shift))], c)
                                 for exp, c in f.terms]
                     nrows += 1
-        return (_ideal_rank((nrows, len(index)), entries, bound(k))
-                if nrows else 0)
+        return _ideal_rank((nrows, len(index)), entries, _ideal_dim(d, b2, k))
 
     ranks = {}
     for k in range(1, max_deg + 1):
-        ranks[k, 0] = piece_rank(k, 0)
-        # with no form of degree k, the shifted rows are all the rows
-        ranks[k, 1] = piece_rank(k, 1) if k in by_degree else ranks[k, 0]
+        if trusted:
+            ranks[k, 0] = _ideal_dim(d, b2, k) if k >= low else 0
+        else:
+            ranks[k, 0] = piece_rank(k, 0)
+            if ranks[k, 0] < _ideal_dim(d, b2, k):
+                raise ValueError(f"the circuits do not generate I_{k}")
+        ranks[k, 1] = piece_rank(k, 1) if k in degrees else ranks[k, 0]
     counts = [(k, ranks[k, 0] - ranks[k, 1]) for k in range(1, max_deg + 1)]
 
     lin_syz = 0
-    if 2 in by_degree:
+    if 2 in degrees:
         # every form has degree >= 2, so piece (3, 1) is each quadric times
         # each variable, which spans what a basis of the quadrics does
         if (3, 1) not in ranks:

@@ -1,6 +1,8 @@
 """Line arrangements, circuits, reciprocal-coordinate ideals."""
 
+import copy
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -247,9 +249,10 @@ def test_circuits_make_no_rank_call(monkeypatch):
     assert Counter(len(c.indices) for c in cs) == {3: 7, 4: 35}
 
 
-def _lift_graded_counts(a, max_deg, circs=None):
+def _lift_graded_counts(a, max_deg, circs=None, ranks=None):
     """`graded_counts` as it was before the Hilbert-series bound, every
-    rank by `rank_exact`: the oracle for the ranks the bound proves."""
+    rank by `rank_exact`: the oracle for the ranks the bound proves.  A
+    dict `ranks` receives the rank of each piece (k, 0), by k."""
     if not 1 <= max_deg <= 4:
         raise ValueError("max_deg must be between 1 and 4")
     d = len(a)
@@ -285,7 +288,10 @@ def _lift_graded_counts(a, max_deg, circs=None):
 
     counts = []
     for k in range(1, max_deg + 1):
-        counts.append((k, piece_rank(k, 0) - piece_rank(k, 1)))
+        whole = piece_rank(k, 0)
+        if ranks is not None:
+            ranks[k] = whole
+        counts.append((k, whole - piece_rank(k, 1)))
 
     lin_syz = 0
     quadrics = by_degree.get(2, [])
@@ -432,8 +438,19 @@ def test_a_degree_without_forms_is_ranked_once(monkeypatch):
     monkeypatch.setattr(arrangements, "rank_profile_mod_p", spy)
     gc = graded_counts(generic_arrangement(6, seed=6), 4)
     assert gc.min_gens_by_degree == ((1, 0), (2, 0), (3, 10), (4, 0))
-    # only the 15 cubics: piece (3, 0), and (4, 0) whose rows are (4, 1)'s
-    assert shapes == [(15, 56), (90, 126)]
+    # every piece (k, 0) is dim I_k, and a generic arrangement has only
+    # cubics, so its pieces (3, 1) and (4, 1) = (4, 0) have no rows to rank;
+    # the circuits are those `ot counts` passes
+    for s in range(5, 9):
+        a = generic_arrangement(s, seed=s)
+        for max_deg in range(1, 5):
+            graded_counts(a, max_deg, circuits(a, 4))
+    assert shapes == []
+    # M8: only piece (3, 1), the 7 quadrics times the 8 variables, which
+    # the linear syzygies read from max_deg 2 on (max_deg 1 has no form)
+    for max_deg in range(1, 5):
+        graded_counts(m8_minus(), max_deg, circuits(m8_minus(), 4))
+    assert shapes == [(56, 120)] * 3
 
 
 def test_graded_counts_of_one_and_two_lines():
@@ -454,3 +471,56 @@ def test_graded_counts_refuses_a_false_circuit():
     with pytest.raises(ValueError):
         graded_counts(a, 3, [wrong] + rest)
     assert graded_counts(a, 3, [first] + rest) == graded_counts(a, 3)
+
+
+def test_graded_counts_refuses_an_incomplete_list():
+    # the 4-sets give the cubics of six generic lines, and the M8 4-set
+    # circuits the cubic generator that the shifted quadrics miss
+    for a, counts in ((generic_arrangement(6, seed=6), (3, 10)),
+                      (m8_minus(), (3, 1))):
+        short = circuits(a, 3)
+        for circs in (short, list(short)):
+            with pytest.raises(ValueError, match="do not generate I_3"):
+                graded_counts(a, 3, circs)
+        assert graded_counts(a, 3, list(circuits(a, 4))) == graded_counts(a, 3)
+        assert graded_counts(a, 3).min_gens_by_degree[2] == counts
+
+
+def test_circuits_stay_as_built():
+    # an edited list would be trusted as complete: M8 less one quadric
+    # reads (2, 6) and (3, 5), so `Circuits` refuses every edit
+    cs = circuits(m8_minus(), 4)
+    for edit in (lambda: cs.pop(), lambda: cs.append(cs[0]),
+                 lambda: cs.__setitem__(0, cs[1]), lambda: cs.__delitem__(0),
+                 lambda: cs.__iadd__(cs), lambda: cs.sort()):
+        with pytest.raises(TypeError, match="read-only"):
+            edit()
+    for twin in (copy.copy(cs), pickle.loads(pickle.dumps(cs))):
+        assert type(twin) is arrangements.Circuits and twin == cs
+        assert (twin.arrangement, twin.max_size) == (m8_minus(), 4)
+    assert graded_counts(m8_minus(), 3, cs).min_gens_by_degree[1:] == (
+        (2, 7), (3, 1))
+
+
+def test_graded_counts_checks_circuits_of_another_arrangement():
+    a = generic_arrangement(6, seed=6)
+    # dependencies of a's first five lines, but no circuit through the sixth
+    five = circuits(LineArrangement(a.forms[:5]), 4)
+    with pytest.raises(ValueError, match="do not generate I_3"):
+        graded_counts(a, 3, five)
+    with pytest.raises(ValueError, match="not a dependency"):
+        graded_counts(a, 3, circuits(generic_arrangement(6, seed=7), 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_concurrent_sets(), max_deg=st.integers(1, 4))
+def test_the_circuits_fix_every_piece_of_degree_k(a, max_deg):
+    # Proudfoot-Speyer and Terao: the shifts of all circuit forms span I_k
+    ranks = {}
+    _lift_graded_counts(a, max_deg, ranks=ranks)
+    b2 = sum(t - 1 for _, t in singular_points(a))
+    assert ranks == {k: arrangements._ideal_dim(len(a), b2, k)
+                     for k in range(1, max_deg + 1)}
+    circs = circuits(a, min(len(a), max_deg + 1))
+    assert graded_counts(a, max_deg, circs) == graded_counts(
+        a, max_deg, list(circs))
