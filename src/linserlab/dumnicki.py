@@ -499,22 +499,26 @@ _SLOPES = tuple((a, b) for a in range(-3, 4) for b in range(-3, 4)
 
 
 def _candidate_cuts(D, target: int):
-    """(cut, positive part) for the cuts ax+by+c with small primitive
-    slopes and half-integer thresholds strictly between consecutive
-    attained values, whose positive part holds 1 to target points of D.
+    """(key, ranked) for the cuts ax+by+c with small primitive slopes and
+    half-integer thresholds strictly between consecutive attained values,
+    whose positive part holds 1 to target points of D, sorted by the plain
+    integers key = (target - k, a, b, 2c): the order the search tries.
 
     Per slope, D is sorted by a*x + b*y once: the positive part of the
-    threshold between attained values lo < hi is the top run with values
-    >= hi, so the walk down stops after target points.
+    threshold 2c = -(lo + hi) between attained values lo < hi is the top
+    run ranked[:k], so the walk down stops after target points.  Callers
+    build parts and cuts only for what they try and return.
     """
+    out = []
     for a, b in _SLOPES:
         ranked = sorted(D, key=lambda p: a * p[0] + b * p[1], reverse=True)
         for k in range(1, min(target + 1, len(ranked))):
             (x, y), (u, v) = ranked[k - 1], ranked[k]
             hi, lo = a * x + b * y, a * u + b * v
             if hi != lo:
-                yield (CutFunctional(a, b, -Fraction(lo + hi, 2)),
-                       frozenset(ranked[:k]))
+                out.append(((target - k, a, b, -(lo + hi)), ranked))
+    out.sort()  # keys are distinct, so no list is compared
+    return out
 
 
 class BudgetSpent(RuntimeError):
@@ -525,7 +529,8 @@ def search_cuts(D, mults: Sequence[int], budget: int
                 ) -> Optional[Tuple[CutFunctional, ...]]:
     """Depth-first search for a cut list certified piece by piece.
 
-    budget bounds the number of piece-certification attempts.  A branch
+    budget (>= 0) bounds the number of piece-certification attempts; a
+    piece met again counts as one but keeps its first verdict.  A branch
     keeps a cut only when its positive part is certified empty for the next
     multiplicity, so any returned list yields a valid certificate.  Returns
     None when every candidate failed within the budget, and raises
@@ -538,13 +543,19 @@ def search_cuts(D, mults: Sequence[int], budget: int
         raise ValueError("need exactly one multiplicity per piece")
     if min(mults) < 1:
         raise ValueError("multiplicity must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     D = frozenset(D)
-    attempts = [max(0, budget)]
+    attempts = [budget]
     seen = set()
+    verdicts = {}  # (points, m) -> certified
 
     def attempt(points, m) -> bool:  # callers check the budget first
         attempts[0] -= 1
-        return not isinstance(_certify_piece(points, m), str)
+        if (points, m) not in verdicts:
+            ev = _certify_piece(points, m)
+            verdicts[points, m] = not isinstance(ev, str)
+        return verdicts[points, m]
 
     def dfs(residual, idx) -> Optional[List[CutFunctional]]:
         if attempts[0] <= 0:
@@ -558,16 +569,15 @@ def search_cuts(D, mults: Sequence[int], budget: int
         if idx == len(mults) - 1:
             return [] if attempt(residual, mults[idx]) else None
         target = comb(mults[idx] + 1, 2)
-        cands = sorted(_candidate_cuts(residual, target),
-                       key=lambda t: (target - len(t[1]), t[0].as_triple()))
-        for cut, plus in cands:
+        for (short, a, b, c2), ranked in _candidate_cuts(residual, target):
             if attempts[0] <= 0:
                 return None
+            plus = frozenset(ranked[:target - short])
             if not attempt(plus, mults[idx]):
                 continue
             rest = dfs(residual - plus, idx + 1)
             if rest is not None:
-                return [cut] + rest
+                return [CutFunctional(a, b, Fraction(c2, 2))] + rest
         return None
 
     got = dfs(D, 0)

@@ -252,6 +252,18 @@ def test_empty_undecided_on_zero_budget(tmp_path, capsys):
     assert rep["reason"] == "no cut list found within budget"
 
 
+@pytest.mark.parametrize("doc", [
+    {"degree": 1, "mults": [1, 1, 1]}, {"degree": 2, "mults": [1]}])
+def test_empty_refuses_a_negative_budget(tmp_path, capsys, doc):
+    # an input error, not an undecided search, whatever the system
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc))
+    code, rep = run(capsys, "empty", "--problem", str(prob), "--budget", "-5")
+    assert code == 1
+    assert rep["command"] == "empty"
+    assert rep["error"] == "budget must be >= 0"
+
+
 def test_empty_names_an_exhausted_search(tmp_path, capsys):
     # (4; 2^5) is the double conic: no cut list exists, and the search
     # runs out of candidates after 2,507 of its 4,000 attempts

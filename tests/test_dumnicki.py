@@ -5,11 +5,12 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linserlab import dumnicki
@@ -655,19 +656,130 @@ def _frozen_candidate_cuts(D, target):
     return out
 
 
+def _frozen_sorted_candidates(D, target):
+    """The frozen candidates in the order the search tried them when each
+    was a (CutFunctional, part) pair: larger parts first, then by the
+    cut's `as_triple()` Fractions."""
+    return sorted(_frozen_candidate_cuts(D, target),
+                  key=lambda t: (target - len(t[1]), t[0].as_triple()))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sets(st.tuples(st.integers(-4, 8), st.integers(-4, 8)),
                max_size=25),
        st.integers(0, 12))
 def test_candidate_cuts_match_frozen_generator(D, target):
     D = frozenset(D)
+    got = [(CutFunctional(a, b, Fraction(c2, 2)),
+            frozenset(ranked[:target - short]))
+           for (short, a, b, c2), ranked
+           in dumnicki._candidate_cuts(D, target)]
+    assert got == _frozen_sorted_candidates(D, target)
 
-    def order(cands):  # the order search_cuts tries them in
-        return sorted(cands, key=lambda t: (target - len(t[1]),
-                                            t[0].as_triple()))
 
-    got = order(dumnicki._candidate_cuts(D, target))
-    assert got == order(_frozen_candidate_cuts(D, target))
+def _frozen_search_cuts(D, mults, budget):
+    """`search_cuts` as it was before its integer candidates and its memo
+    of piece verdicts: Fraction cuts tried in `as_triple()` order, a fresh
+    piece check on every attempt, and a negative budget read as 0.  The
+    oracle of the search's answers."""
+    attempts = [max(0, budget)]
+    seen = set()
+
+    def attempt(points, m):
+        attempts[0] -= 1
+        return not isinstance(dumnicki._certify_piece(points, m), str)
+
+    def dfs(residual, idx):
+        if attempts[0] <= 0 or (residual, idx) in seen:
+            return None
+        seen.add((residual, idx))
+        if sum(comb(m + 1, 2) for m in mults[idx:]) < len(residual):
+            return None
+        if idx == len(mults) - 1:
+            return [] if attempt(residual, mults[idx]) else None
+        target = comb(mults[idx] + 1, 2)
+        for cut, plus in _frozen_sorted_candidates(residual, target):
+            if attempts[0] <= 0:
+                return None
+            if not attempt(plus, mults[idx]):
+                continue
+            rest = dfs(residual - plus, idx + 1)
+            if rest is not None:
+                return [cut] + rest
+        return None
+
+    got = dfs(frozenset(D), 0)
+    if got is not None:
+        return tuple(got)
+    if attempts[0] <= 0:
+        raise dumnicki.BudgetSpent(f"no cut list found within {budget} "
+                                   "attempts")
+    return None
+
+
+def _search_outcome(search, D, mults, budget):
+    try:
+        return search(D, mults, budget)
+    except dumnicki.BudgetSpent as exc:
+        return str(exc)
+
+
+@st.composite
+def small_searches(draw):
+    """A triangle of degree 1 to 5, translated, with up to four points
+    thinned out; multiplicities in 1..3, cut short once their jets could
+    cover it, where the search has the most to do; and a budget."""
+    tri = sorted(triangle_set(draw(st.integers(1, 5))))
+    dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    drop = draw(st.sets(st.sampled_from(tri), max_size=4))
+    D = frozenset((x + dx, y + dy) for (x, y) in tri if (x, y) not in drop)
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+    jets = accumulate(comb(m + 1, 2) for m in mults)
+    end = next((i for i, j in enumerate(jets, 1) if j >= len(D)), len(mults))
+    return D, tuple(mults[:end]), draw(st.sampled_from([0, 5, 50, 400, 4000]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_searches())
+@example((triangle_set(4), (2,) * 5, 400))  # spent on pieces met before
+def test_search_gives_the_frozen_answer(case):
+    """The same cut list, None, or spent budget as the frozen search: the
+    integer candidates keep the order, and a remembered verdict still
+    costs one attempt."""
+    D, mults, budget = case
+    assert (_search_outcome(search_cuts, D, mults, budget)
+            == _search_outcome(_frozen_search_cuts, D, mults, budget))
+
+
+def _count_search_work(monkeypatch):
+    """Spy on the piece checks and the cuts built during a search."""
+    checks, built = [], []
+    certify, cut = dumnicki._certify_piece, dumnicki.CutFunctional
+
+    def certify_spy(points, m):
+        checks.append((points, m))
+        return certify(points, m)
+
+    def cut_spy(*args):
+        built.append(args)
+        return cut(*args)
+
+    monkeypatch.setattr(dumnicki, "_certify_piece", certify_spy)
+    monkeypatch.setattr(dumnicki, "CutFunctional", cut_spy)
+    return checks, built
+
+
+def test_search_checks_each_piece_once(monkeypatch):
+    # the 2,507 attempts of the double conic (4; 2^5) meet 93 pieces
+    checks, built = _count_search_work(monkeypatch)
+    assert search_cuts(triangle_set(4), (2,) * 5, budget=4000) is None
+    assert (len(checks), len(set(checks)), built) == (93, 93, [])
+
+
+def test_search_builds_only_the_cuts_it_returns(monkeypatch):
+    checks, built = _count_search_work(monkeypatch)
+    cuts = search_cuts(triangle_set(5), (2,) * 7, budget=4000)
+    assert (len(checks), len(built), len(cuts)) == (9, 6, 6)
 
 
 def test_search_prunes_undersized_systems():
@@ -684,6 +796,8 @@ def test_search_tells_exhaustion_from_a_spent_budget():
         search_cuts(D, (2,) * 5, budget=2000)
     with pytest.raises(dumnicki.BudgetSpent):
         search_cuts(triangle_set(1), (1, 1, 1), budget=0)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        search_cuts(triangle_set(1), (1, 1, 1), budget=-5)
 
 
 def test_search_recovers_nine_cut_family():

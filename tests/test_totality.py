@@ -232,6 +232,27 @@ def test_file_readers_keep_the_exit_code_contract(case):
     assert rep["command"] == head[0]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([doc for head, _, doc in READERS
+                        if head == ["empty", "--problem"]]),
+       st.integers(-2**70, -1))
+def test_a_negative_search_budget_is_an_input_error(doc, budget):
+    """Given cuts leave the budget unread; a search refuses it."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out):
+            code = main(["empty", "--problem", path, "--budget", str(budget),
+                         "--certificate", os.path.join(tmp, "cert.json")])
+    rep = json.loads(out.getvalue())
+    if "cuts" in doc:
+        assert (code, rep["certified"]) == (0, True)
+    else:
+        assert (code, rep["error"]) == (1, "budget must be >= 0")
+
+
 # (argv head, {option: values}) for the subcommands that read no file;
 # their sizes stay small for the same reason as the readers' integers
 _CONFIGS = st.sampled_from(["star", "collinear", "random",
