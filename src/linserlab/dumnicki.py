@@ -22,8 +22,7 @@ except ImportError:  # not built, or renamed (Python >= 3.12)
     from hashlib import sha256
 
 from . import _linalg
-from .lattice import (CutFunctional, collision_staircase,
-                      halfplane_partition, is_staircase, jet_conditions,
+from .lattice import (CutFunctional, halfplane_partition, jet_conditions,
                       json_fraction, json_int, json_ints, triangle_set,
                       triangle_staircase)
 
@@ -586,31 +585,3 @@ def search_cuts(D, mults: Sequence[int], budget: int
     if attempts[0] <= 0:
         raise BudgetSpent(f"no cut list found within {budget} attempts")
     return None
-
-
-# ---------------------------------------------------------------------------
-# collision probe
-
-
-@dataclass(frozen=True)
-class CollisionReport:
-    """Toric emptiness implies emptiness at general points, never the
-    converse, so `consistent` only cross-checks the empty direction."""
-
-    empty: bool
-    dim: int
-    predicted: int
-    consistent: bool
-
-
-def collision_probe(d: int, r: int, m: int) -> CollisionReport:
-    """Probe L(d; m^r) by colliding all r fat points into one toric point."""
-    if r < 1 or m < 1:
-        raise ValueError("r and m must be >= 1")
-    D = triangle_set(d)
-    E = collision_staircase(r, m)
-    assert is_staircase(E)
-    rep = generic_dim(InterpolationProblem(frozenset(D), frozenset(E)))
-    predicted = max(0, comb(d + 2, 2) - r * comb(m + 1, 2))
-    consistent = (not rep.empty) or predicted == 0
-    return CollisionReport(rep.empty, rep.dim, predicted, consistent)

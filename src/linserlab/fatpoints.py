@@ -17,16 +17,16 @@ L/g are members of L whose rank mod the prime bounds h0 from below; where
 the two bounds meet, h0 is proved.  Otherwise it comes from the exact
 integer matrix and its kernel certificate.  On top of that
 sit initial-degree searches (alpha), Waldschmidt sandwiches,
-Chudnovsky equality probes, Cremona reduction, the Pell family of
-square-zero classes, and semi-effectivity classification.
+Chudnovsky equality probes, Cremona reduction and semi-effectivity
+classification.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from operator import index
 from typing import Optional, Sequence, Tuple
 
@@ -674,7 +674,7 @@ def speciality_stability(d: int, mults: Sequence[int], points: Sequence[Tuple],
 
 
 # ---------------------------------------------------------------------------
-# divisor classes, Cremona reduction, the Pell family
+# divisor classes and Cremona reduction
 
 
 @dataclass(frozen=True)
@@ -728,35 +728,6 @@ def cremona_reduce(cls: PlaneDivisorClass):
         assert nxt.canonical_pairing() == cur.canonical_pairing()
         steps.append(nxt)
         cur = nxt
-
-
-def pell_family(count: int):
-    """Square-zero classes (d; m+1, m^9) built from u^2 - 10 b^2 = 6.
-
-    Solutions come in two chains generated from (4, 1) and (16, 5) by
-    (u, b) -> (19u + 60b, 6u + 19b).  Writing a = u - 3b, the admissible
-    solutions (0 < a < b, both odd) give d = (a^2 + b^2)/2, m = (b^2 - a^2)/6
-    and the identity a^2 + 6ab - b^2 = 6 forces m + 1 = ab.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    out = []
-    chains = [(4, 1), (16, 5)]
-    while len(out) < count:
-        # advance the chain whose b is currently smallest
-        idx = 0 if chains[0][1] <= chains[1][1] else 1
-        u, b = chains[idx]
-        chains[idx] = (19 * u + 60 * b, 6 * u + 19 * b)
-        a = u - 3 * b
-        if not (0 < a < b and a % 2 == 1 and b % 2 == 1):
-            continue
-        assert a * a + 6 * a * b - b * b == 6
-        m = (b * b - a * a) // 6
-        assert m + 1 == a * b
-        cls = PlaneDivisorClass((a * a + b * b) // 2, (m + 1,) + (m,) * 9)
-        assert cls.self_intersection() == 0
-        out.append(cls)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -85,16 +85,6 @@ def json_fraction(pair) -> Fraction:
     return Fraction(num, den)
 
 
-def integer_threshold(a, b, t) -> CutFunctional:
-    """Cut whose positive side is exactly {a*x + b*y >= t} on Z^2.
-
-    Encodes the strict inequality a*x + b*y > t - eps (0 < eps < 1) without
-    carrying eps around: shifting the threshold to t - 1/2 gives the same
-    lattice half-plane and never vanishes on integer points.
-    """
-    return CutFunctional(Fraction(a), Fraction(b), Fraction(1, 2) - Fraction(t))
-
-
 def _index(values):
     """The distinct values, sorted, and the position of each value among
     them."""
@@ -266,19 +256,6 @@ def halfplane_partition(points: Iterable[LatticePoint], cut: CutFunctional):
     return frozenset(plus), frozenset(minus)
 
 
-def is_staircase(points: MonomialSet) -> bool:
-    """True when the set is closed under decrementing either coordinate."""
-    pts = frozenset(points)
-    for (x, y) in pts:
-        if x < 0 or y < 0:
-            return False
-        if x and (x - 1, y) not in pts:
-            return False
-        if y and (x, y - 1) not in pts:
-            return False
-    return True
-
-
 def triangle_staircase(m: int) -> MonomialSet:
     """Staircase of the degree filtration: all (a, b) with a + b < m."""
     if m < 0:
@@ -286,16 +263,3 @@ def triangle_staircase(m: int) -> MonomialSet:
     if m == 0:
         return frozenset()
     return triangle_set(m - 1)
-
-
-def collision_staircase(r: int, m: int) -> MonomialSet:
-    """Standard monomials of (y, x^r)^m: j < m and i < r*(m - j).
-
-    Limit scheme of m-fold points colliding along a horizontal r-jet; the
-    count is r * C(m+1, 2).
-    """
-    if r < 1 or m < 0:
-        raise ValueError("need r >= 1 and m >= 0")
-    return frozenset(
-        (i, j) for j in range(m) for i in range(r * (m - j))
-    )

@@ -1,19 +1,18 @@
 """Exact Neron-Severi arithmetic and bounded-negativity calculators.
 
 Covers the product-of-elliptic-curves lattice and its large-h1 divisor
-classes, nef tests, blowup bookkeeping for Chern invariants, the log
-Miyaoka-Yau inequality, a symbolic Seshadri-type lower bound, and
-self-intersections of line unions pulled back to blowups of incidence
-configurations (finite projective planes, general lines, collinear points).
+classes, nef tests, Chern-number negativity bounds for curves of given
+genus, and self-intersections of line unions pulled back to blowups of
+incidence configurations (finite projective planes, general lines,
+collinear points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
 from operator import index
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ._linalg import is_prime
 from .fatpoints import DEFAULT_SEED, make_config
@@ -57,17 +56,6 @@ def ee_lattice() -> NSLattice:
     return NSLattice(("F1", "F2", "Delta"),
                      ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
                      (0, 0, 0))
-
-
-def blowup_lattice(r: int) -> NSLattice:
-    """H, E_1..E_r with H^2 = 1, E_i^2 = -1, all products zero;
-    K = -3H + sum E_i."""
-    labels = ("H",) + tuple(f"E{i}" for i in range(1, r + 1))
-    gram = [[0] * (r + 1) for _ in range(r + 1)]
-    gram[0][0] = 1
-    for i in range(1, r + 1):
-        gram[i][i] = -1
-    return NSLattice(labels, tuple(map(tuple, gram)), (-3,) + (1,) * r)
 
 
 def pair(lattice: NSLattice, a: DivClass, b: DivClass) -> int:
@@ -137,7 +125,7 @@ def counterexample_n(c: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# negativity bounds and blowups
+# negativity bounds
 
 
 @dataclass(frozen=True)
@@ -158,86 +146,6 @@ def wbnc_bound(inv: SurfaceInvariants, g: int) -> int:
     if g < 0:
         raise ValueError("genus must be nonnegative")
     return inv.c1sq - 3 * inv.c2 + 2 - 2 * g
-
-
-def blowup_step(inv: SurfaceInvariants, c_sq: int, m: int):
-    """One blowup at an m-fold point of the curve: c1^2 drops by one,
-    c2 rises by one, and the proper transform loses m^2."""
-    if m < 1:
-        raise ValueError("multiplicity must be >= 1")
-    return SurfaceInvariants(inv.c1sq - 1, inv.c2 + 1), c_sq - m * m
-
-
-@dataclass(frozen=True)
-class LogMYReport:
-    log_c1sq: int
-    log_c2: int
-    satisfied: bool
-
-
-def log_my_check(inv: SurfaceInvariants, k_dot_c: int, c_sq: int,
-                 g: int) -> LogMYReport:
-    """Logarithmic Chern numbers of (X, C) and the inequality
-    (K+C)^2 <= 3(e(X) - e(C)) for C smooth of genus g.
-
-    Adjunction K.C = 2g - 2 - C^2 is enforced; bigness of K + C is the
-    theorem's hypothesis and is reported, not assumed, by the flag.
-    """
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    if k_dot_c != 2 * g - 2 - c_sq:
-        raise ValueError("adjunction fails: K.C != 2g - 2 - C^2")
-    log_c1sq = inv.c1sq + 2 * k_dot_c + c_sq
-    log_c2 = inv.c2 + k_dot_c
-    satisfied = log_c1sq <= 3 * (inv.c2 - (2 - 2 * g))
-    return LogMYReport(log_c1sq, log_c2, satisfied)
-
-
-# ---------------------------------------------------------------------------
-# symbolic Seshadri-type lower bound
-
-
-@dataclass(frozen=True)
-class SqrtLowerBound:
-    """The algebraic number 1/sqrt(b+1), compared exactly by squaring."""
-
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b < 0:
-            raise ValueError("b must be >= 0")
-
-    def as_pair(self):
-        return (Fraction(1), self.b + 1)
-
-    def compare(self, q) -> int:
-        """Sign of 1/sqrt(b+1) - q."""
-        q = Fraction(q)
-        if q <= 0:
-            return 1
-        lhs, rhs = 1, q * q * (self.b + 1)
-        return (lhs > rhs) - (lhs < rhs)
-
-    def exact(self) -> Optional[Fraction]:
-        """The value as a rational when b+1 is a perfect rational square."""
-        s = self.b + 1
-        rn, rd = isqrt(s.numerator), isqrt(s.denominator)
-        if rn * rn == s.numerator and rd * rd == s.denominator:
-            return Fraction(rd, rn)
-        return None
-
-
-def seshadri_lower(b) -> SqrtLowerBound:
-    return SqrtLowerBound(Fraction(b))
-
-
-def reducible_bound(rho: int, b: int) -> int:
-    """rho * b * ceil(b/2): negativity bound on blowups with Picard number
-    rho when every irreducible curve has square >= -b."""
-    if rho < 1 or b < 1:
-        raise ValueError("rho and b must be >= 1")
-    return rho * b * ((b + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +258,3 @@ def ratio_report(cfg: IncidenceConfig) -> Fraction:
     if not cfg.points:
         raise ValueError("need at least one point")
     return Fraction(c_squared(cfg), len(cfg.points))
-
-
-@dataclass(frozen=True)
-class NodalCurveReport:
-    n: int
-    Csq: int
-    ratio: Fraction
-
-
-def rational_curve_nodes(d: int) -> NodalCurveReport:
-    """Proper transform of a rational nodal plane curve of degree d with
-    all n = (d-1)(d-2)/2 nodes blown up: C^2 = d^2 - 4n."""
-    if d < 3:
-        raise ValueError("degree must be >= 3")
-    n = (d - 1) * (d - 2) // 2
-    c_sq = d * d - 4 * n
-    return NodalCurveReport(n, c_sq, Fraction(c_sq, n))

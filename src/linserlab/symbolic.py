@@ -181,13 +181,6 @@ def power(i: MonomialIdeal, k: int) -> MonomialIdeal:
         for combo in itertools.combinations_with_replacement(i.gens, k)])
 
 
-def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """Pairwise least common multiples, minimized."""
-    _same_ring(i, j)
-    return MonomialIdeal._from_valid(i.variables, [
-        tuple(map(max, g, h)) for g in i.gens for h in j.gens])
-
-
 def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _same_ring(i, j)
     return MonomialIdeal._from_valid(i.variables, [
@@ -386,20 +379,6 @@ def _newton_normals(gens: Sequence[Exponent], n: int):
         h = min(sum(nk * gk for nk, gk in zip(nu, g)) for g in gens)
         out.append((nu, h))
     return out
-
-
-def newton_region_contains(i: MonomialIdeal, c, a: Sequence) -> bool:
-    """Membership of the point a in c times the Newton region of I."""
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if not i.gens:
-        return False
-    a = tuple(Fraction(x) for x in a)
-    if len(a) != i.nvars:
-        raise ValueError("point length does not match the ring")
-    return all(sum(nk * ak for nk, ak in zip(nu, a)) >= c * h
-               for nu, h in _newton_normals(i.gens, i.nvars))
 
 
 def howald_multiplier(i: MonomialIdeal, c) -> MonomialIdeal:

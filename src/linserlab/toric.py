@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .lattice import (CutFunctional, halfplane_partition, json_fraction,
                       json_ints, primitive)
@@ -65,15 +65,6 @@ def _inside_or_on(poly, p) -> bool:
         return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
                 and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
     return all(_cross(poly[i], poly[(i + 1) % n], p) >= 0 for i in range(n))
-
-
-def polygon_area(poly) -> Fraction:
-    n = len(poly)
-    if n < 3:
-        return Fraction(0)
-    s = sum(poly[i][0] * poly[(i + 1) % n][1]
-            - poly[(i + 1) % n][0] * poly[i][1] for i in range(n))
-    return Fraction(s, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from linserlab.dumnicki import (
     certificate_from_json,
     certificate_to_json,
     check_line_assignment,
-    collision_probe,
     fact3_certificate,
     generic_dim,
     interp_matrix,
@@ -807,15 +806,3 @@ def test_search_recovers_nine_cut_family():
     cert = prove_empty(D, mults, cuts)
     assert isinstance(cert, EmptinessCertificate)
     assert verify_certificate(D, mults, cert)[0]
-
-
-def test_collision_probe_reports():
-    tri = collision_probe(2, 1, 3)
-    assert tri.empty and tri.dim == -1 and tri.predicted == 0
-    assert tri.consistent
-    quartic = collision_probe(4, 5, 2)
-    assert not quartic.empty  # collision is a specialization, h0 only grows
-    assert quartic.predicted == 0
-    assert quartic.consistent
-    with pytest.raises(ValueError):
-        collision_probe(3, 0, 1)

@@ -31,7 +31,6 @@ from linserlab.fatpoints import (
     make_config,
     monomial_exponents,
     normalize_proj,
-    pell_family,
     semi_effectivity_status,
     speciality_stability,
     waldschmidt_sandwich,
@@ -1010,19 +1009,6 @@ def test_cremona_preserves_intersection_numbers(d, mults):
     assert ms[0] + ms[1] + ms[2] <= reduced.d or reduced.d <= 0
     degrees = [cls.d] + [s.d for s in steps]
     assert all(a > b for a, b in zip(degrees, degrees[1:]))
-
-
-def test_pell_family_square_zero():
-    fam = pell_family(3)
-    assert [(c.d, c.mults[0], c.mults[1]) for c in fam] == [
-        (13, 5, 4),
-        (949, 301, 300),
-        (18721, 5921, 5920),
-    ]
-    for cls in fam:
-        assert len(cls.mults) == 10
-        assert cls.mults[1:] == (cls.mults[1],) * 9
-        assert cls.self_intersection() == 0
 
 
 def test_semi_effectivity_cubic_through_nine():

@@ -11,11 +11,9 @@ from linserlab import fatpoints
 from linserlab.fatpoints import (general_position_lines, make_config,
                                  normalize_proj)
 from linserlab.lattice import (CutFunctional, _falling_table, canonical,
-                               collision_staircase, cross,
-                               dependent_triples, dot, halfplane_partition,
-                               integer_threshold, is_staircase,
-                               jet_conditions, primitive, triangle_set,
-                               triangle_staircase)
+                               cross, dependent_triples, dot,
+                               halfplane_partition, jet_conditions,
+                               primitive, triangle_set, triangle_staircase)
 
 
 def test_triangle_set_counts():
@@ -27,14 +25,6 @@ def test_triangle_set_counts():
 def test_cut_needs_linear_part():
     with pytest.raises(ValueError):
         CutFunctional(0, 0, 5)
-
-
-def test_integer_threshold_offsets_by_half():
-    cut = integer_threshold(1, 0, 10)
-    # positive side is x >= 10, and no lattice point sits on the line
-    assert cut.value((10, 0)) > 0
-    assert cut.value((9, 0)) < 0
-    assert cut.value((9, 7)).denominator == 2
 
 
 def test_halfplane_partition_splits_and_rejects_vanishing():
@@ -101,15 +91,16 @@ def test_cut_integer_form_is_canonical():
 
 
 def test_staircases():
-    assert is_staircase(triangle_staircase(3))
     assert len(triangle_staircase(3)) == 6
-    assert not is_staircase(frozenset({(1, 0)}))
-    st5 = collision_staircase(3, 2)
-    assert is_staircase(st5)
-    assert len(st5) == 3 * 3  # r copies of the m-triangle, stacked
 
 
 coords = st.integers(min_value=-8, max_value=8)
+
+
+def _integer_threshold(a, b, t):
+    """The cut whose positive side is exactly {a*x + b*y >= t} on Z^2: its
+    threshold sits at t - 1/2, so it vanishes on no lattice point."""
+    return CutFunctional(a, b, Fraction(1, 2) - t)
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,7 +109,7 @@ coords = st.integers(min_value=-8, max_value=8)
 def test_partition_is_a_partition(points, a, b, t):
     if a == 0 and b == 0:
         a = 1
-    cut = integer_threshold(a, b, t)
+    cut = _integer_threshold(a, b, t)
     plus, minus = halfplane_partition(frozenset(points), cut)
     assert plus | minus == frozenset(points)
     assert not plus & minus
@@ -143,6 +134,12 @@ def _frozen_jet_rows(D, jets):
             for (al, be) in jets]
 
 
+def _collision_staircase(r, m):
+    """Standard monomials of (y, x^r)^m, the limit of m-fold points
+    colliding along a horizontal r-jet: j < m and i < r*(m - j)."""
+    return frozenset((i, j) for j in range(m) for i in range(r * (m - j)))
+
+
 hostile = st.integers(10**12 - 3, 10**12 + 3)
 support_coord = st.one_of(st.integers(-5, 40), hostile)
 
@@ -154,7 +151,7 @@ support_coord = st.one_of(st.integers(-5, 40), hostile)
 def test_jet_conditions_at_one_match_frozen_rows(D, m, r):
     # r = 0 stands for the triangle staircase, r >= 1 for a collision
     jets = sorted(triangle_staircase(m) if r == 0
-                  else collision_staircase(r, m))
+                  else _collision_staircase(r, m))
     oracle = _frozen_jet_rows(D, jets)
     cols = [(a, b, 0) for a, b in sorted(D)]
     exact = jet_conditions(cols, [((1, 1, 1), jets)])

@@ -11,8 +11,6 @@ from linserlab.surfaces import (
     DivClass,
     NSLattice,
     SurfaceInvariants,
-    blowup_lattice,
-    blowup_step,
     build_incidence,
     c_squared,
     c_squared_bruteforce,
@@ -20,12 +18,8 @@ from linserlab.surfaces import (
     ee_lattice,
     ee_nef_test,
     kollar_report,
-    log_my_check,
     pair,
     ratio_report,
-    rational_curve_nodes,
-    reducible_bound,
-    seshadri_lower,
     vwbnc_bound,
     wbnc_bound,
 )
@@ -48,17 +42,6 @@ def test_elliptic_product_pairings():
     assert pair(lat, f1, f2) == 1
     assert pair(lat, f1, delta) == 1
     assert lat.canonical == (0, 0, 0)
-
-
-def test_blowup_lattice_pairings():
-    lat = blowup_lattice(2)
-    k = DivClass(lat.canonical)
-    assert pair(lat, k, k) == 9 - 2
-    h = DivClass((1, 0, 0))
-    e1 = DivClass((0, 1, 0))
-    assert pair(lat, h, h) == 1
-    assert pair(lat, e1, e1) == -1
-    assert pair(lat, h, e1) == 0
 
 
 @pytest.mark.parametrize("n", range(2, 21))
@@ -101,56 +84,6 @@ def test_negativity_bounds_on_the_plane():
         vwbnc_bound(plane, -1)
     with pytest.raises(ValueError):
         wbnc_bound(plane, -1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    d=st.integers(min_value=1, max_value=9),
-    ms=st.lists(st.integers(min_value=1, max_value=4), max_size=6),
-)
-def test_blowup_chain_accounting(d, ms):
-    inv = SurfaceInvariants(9, 3)
-    c_sq = d * d
-    for m in ms:
-        inv, c_sq = blowup_step(inv, c_sq, m)
-    assert (inv.c1sq, inv.c2) == (9 - len(ms), 3 + len(ms))
-    assert c_sq == d * d - sum(m * m for m in ms)
-    with pytest.raises(ValueError):
-        blowup_step(inv, c_sq, 0)
-
-
-def test_log_chern_inequality():
-    plane = SurfaceInvariants(9, 3)
-    line = log_my_check(plane, k_dot_c=-3, c_sq=1, g=0)
-    assert (line.log_c1sq, line.log_c2, line.satisfied) == (4, 0, False)
-    quartic = log_my_check(plane, k_dot_c=-12, c_sq=16, g=3)
-    assert (quartic.log_c1sq, quartic.log_c2) == (1, -9)
-    assert quartic.satisfied
-    with pytest.raises(ValueError):
-        log_my_check(plane, k_dot_c=-2, c_sq=1, g=0)
-
-
-def test_sqrt_lower_bound_comparisons():
-    b3 = seshadri_lower(3)
-    assert b3.as_pair() == (Fraction(1), Fraction(4))
-    assert b3.exact() == Fraction(1, 2)
-    assert b3.compare(Fraction(1, 2)) == 0
-    assert b3.compare(Fraction(1, 3)) == 1
-    assert b3.compare(Fraction(2, 3)) == -1
-    assert b3.compare(0) == 1
-    irr = seshadri_lower(1)
-    assert irr.exact() is None
-    assert irr.compare(Fraction(7, 10)) == 1
-    assert irr.compare(Fraction(71, 100)) == -1
-    with pytest.raises(ValueError):
-        seshadri_lower(-1)
-
-
-def test_reducible_curve_bound():
-    assert reducible_bound(10, 4) == 80
-    assert reducible_bound(3, 3) == 18
-    with pytest.raises(ValueError):
-        reducible_bound(0, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -206,12 +139,3 @@ def test_exceptional_only():
         build_incidence("exceptional_only", {"n": 0})
     with pytest.raises(ValueError):
         build_incidence("moebius", {})
-
-
-def test_nodal_rational_curves():
-    rep = rational_curve_nodes(10)
-    assert (rep.n, rep.Csq, rep.ratio) == (36, -44, Fraction(-11, 9))
-    first = rational_curve_nodes(3)
-    assert (first.n, first.Csq, first.ratio) == (1, 5, Fraction(5))
-    with pytest.raises(ValueError):
-        rational_curve_nodes(2)

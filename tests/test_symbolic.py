@@ -24,10 +24,8 @@ from linserlab.symbolic import (
     ideal,
     ideal_from_json,
     ideal_to_json,
-    intersect,
     maximal_ideal,
     minimal_primes,
-    newton_region_contains,
     power,
     product,
     subset,
@@ -142,11 +140,7 @@ def test_power_and_products():
     assert power(mm, 2).gens == ((0, 2), (1, 1), (2, 0))
     x = ideal([(1, 0)], variables=("x", "y"))
     y = ideal([(0, 1)], variables=("x", "y"))
-    assert intersect(x, y) == ideal([(1, 1)], variables=("x", "y"))
     assert product(x, y) == ideal([(1, 1)], variables=("x", "y"))
-    assert subset(product(x, y), intersect(x, y))
-    with pytest.raises(ValueError):
-        intersect(x, ideal([(1, 0)], variables=("u", "v")))
     with pytest.raises(ValueError):
         contains(x, (1, 0, 0))
     with pytest.raises(ValueError):
@@ -246,16 +240,6 @@ def test_the_cli_validates_only_the_json_ideal(monkeypatch, capsys,
     code = cli.main(["symbolic", argv[0], "--ideal", str(path)] + argv[1:])
     assert code == 0, capsys.readouterr().out
     assert validated == [BEYOND_THREE["C4"].variables]
-
-
-def test_newton_region_membership():
-    i = ideal([(2,)], variables=("x",))
-    assert newton_region_contains(i, 1, (2,))
-    assert newton_region_contains(i, 1, (Fraction(5, 2),))
-    assert not newton_region_contains(i, 1, (1,))
-    assert not newton_region_contains(i, 2, (3,))
-    with pytest.raises(ValueError):
-        newton_region_contains(i, 0, (1,))
 
 
 def test_howald_one_variable():
@@ -402,11 +386,17 @@ def _frozen_prime_power(variables, prime, m):
     return MonomialIdeal(tuple(variables), tuple(gens))
 
 
+def _intersect(i, j):
+    """I and J intersected by their pairwise least common multiples."""
+    return MonomialIdeal._from_valid(i.variables, [
+        tuple(map(max, g, h)) for g in i.gens for h in j.gens])
+
+
 def _frozen_intersect_prime_powers(i, exponent):
     """Every P^exponent(P) built and intersected by pairwise lcms, as
     `_intersect_prime_powers` did before it raised generators onto each
     prime, kept as its oracle."""
-    return functools.reduce(intersect, (
+    return functools.reduce(_intersect, (
         _frozen_prime_power(i.variables, p, exponent(p))
         for p in minimal_primes(i)))
 
@@ -445,17 +435,3 @@ def test_raising_is_the_frozen_intersection_on_fixtures(name):
             i, lambda p: m)
     for t in _T + [Fraction(7, 2), Fraction(6)]:
         assert asymptotic_multiplier(i, t) == _frozen_multiplier(i, t)
-
-
-def test_raising_builds_no_pairwise_intersection(monkeypatch):
-    calls = []
-    monkeypatch.setattr(symbolic, "intersect",
-                        lambda *a: calls.append(a) or intersect(*a))
-    c5 = BEYOND_THREE["C5"]
-    symbolic_power(c5, 3)
-    symbolic_power(EDGES, 2)
-    asymptotic_multiplier(c5, 5)
-    asymptotic_multiplier(EDGES, Fraction(5, 2))
-    containment_suite(EDGES, 2)
-    els_chain_check(c5, 1)
-    assert calls == []

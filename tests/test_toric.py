@@ -17,7 +17,6 @@ from linserlab.toric import (
     initial_lift,
     lower_hull_subdivision,
     normal_fan,
-    polygon_area,
     primary_cells,
     split_lift,
     subdivision_from_json,
@@ -27,6 +26,17 @@ from linserlab.toric import (
 
 def gens(cones):
     return [c.generators for c in cones]
+
+
+def polygon_area(poly):
+    """The shoelace area of a polygon given by its vertices in order, the
+    oracle that cells must tile."""
+    n = len(poly)
+    if n < 3:
+        return Fraction(0)
+    s = sum(poly[i][0] * poly[(i + 1) % n][1]
+            - poly[(i + 1) % n][0] * poly[i][1] for i in range(n))
+    return Fraction(s, 2)
 
 
 def test_hull_polygon_and_area():
